@@ -64,6 +64,8 @@ class Sample:
     fingerprint: Dict[str, float]
     #: Per-layer counts and utilizations read off the result objects.
     counts: Dict[str, float]
+    #: ``time.perf_counter()`` when the build began.
+    start: float
 
     @property
     def setup_s(self) -> float:
@@ -239,7 +241,7 @@ def run_point(point: Point, seed: int, profiler=None) -> Sample:
                          if sq_count else 0.0),
     )
     return Sample(build_s=t1 - t0, prefill_s=t2 - t1, total_s=t3 - t0,
-                  fingerprint=fp, counts=counts)
+                  fingerprint=fp, counts=counts, start=t0)
 
 
 def guard_violations(point: Point, sample: Sample) -> List[str]:

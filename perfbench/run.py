@@ -2,18 +2,18 @@
 
 Usage (from the root of a checkout)::
 
-    python3 perfbench/run.py --workload gc_write --seed 1 --seconds 25 --trace 0
+    python3 perfbench/run.py --workload gc_write --seed 1 --seconds 20 --trace 0
 
 Each workload is a pinned list of figure points (see ``points.py`` and
 ``README.md``).  ``--trace 0`` makes about ``--seconds`` seconds' worth
-of full passes over the points (a fixed count, at least two) and
-reports the end-to-end metrics from each point's fastest run, scaled
-to a reference host speed.  ``--trace 1`` runs one plain pass for the
-per-layer counts, then one pass under ``cProfile`` for each layer's
-share of self time.  Every point is checked after every run: it must
-not raise, its page mapping must be consistent, its simulated
-fingerprint must repeat exactly and its workload-intent guards must
-hold.  The last line of standard output is one JSON object with
+of full passes over the points (a fixed count, at least two), times
+each point relative to speed probes taken while it runs, and reports
+the end-to-end metrics from each point's median.  ``--trace 1`` runs
+one plain pass for the per-layer counts, then one pass under
+``cProfile`` for each layer's share of self time.  Every point is
+checked after every run: it must not raise, its page mapping must be
+consistent, its simulated fingerprint must repeat exactly and its
+workload-intent guards must hold.  The last line of standard output is one JSON object with
 ``correct``, ``attempted``, ``failed`` and ``metrics``.
 """
 
@@ -22,13 +22,16 @@ from __future__ import annotations
 import argparse
 import cProfile
 import gc
+import heapq
 import json
 import os
 import resource
+import signal
 import statistics
 import sys
 import time
 import traceback
+from array import array
 from typing import Dict, List, Optional, Tuple
 
 HERE = os.path.dirname(os.path.abspath(__file__))
@@ -74,8 +77,6 @@ class Session:
         self.failures: List[str] = []
         #: First fingerprint seen per point key in this process.
         self.fingerprints: Dict[str, dict] = {}
-        #: :func:`reference` times taken by :func:`timed_run`.
-        self.ref_s: List[float] = []
 
     def run(self, point, profiler=None):
         """One checked run of *point*; ``None`` when it failed."""
@@ -108,7 +109,7 @@ class Session:
 # -- end-to-end (untraced) -------------------------------------------------
 
 #: Full passes a timed run makes at least, so every point's time is a
-#: best of two or more.
+#: median of two or more.
 MIN_PASSES = 2
 
 
@@ -116,98 +117,128 @@ def pass_count(workload: str, seconds: float) -> int:
     """Passes that fill *seconds* at the workload's nominal pass time.
 
     The count depends on ``--seconds`` only, never on how fast the host
-    runs today, so every run takes the best of the same number of runs.
+    runs today, so every run takes the median of the same number of runs.
     """
     from points import PASS_SECONDS
 
     return max(MIN_PASSES, round(seconds / PASS_SECONDS[workload]))
 
 
-#: Best time of :func:`reference` on the host this benchmark was tuned
-#: on (2-core shared x86-64 VM, Python 3.11).  End-to-end times are
-#: scaled to that host speed.
-REF_SECONDS = 0.060
+#: Seconds between two speed probes while a point runs.
+PROBE_INTERVAL = 0.01
+#: Time of one :func:`probe_loop` inside a running point on the host
+#: this benchmark was tuned on (2-core shared x86-64 VM, Python 3.11).
+#: End-to-end times are in seconds at that host speed.
+PROBE_SECONDS = 0.0002
 
 
-class _Ev:
-    __slots__ = ("t", "seq", "val")
+class _Counter:
+    __slots__ = ("value",)
 
-    def __init__(self, t, seq, val):
-        self.t, self.seq, self.val = t, seq, val
+    def __init__(self):
+        self.value = 0
+
+    def bump(self, k: int) -> int:
+        self.value = (self.value + k) & 0xFFFF
+        return self.value
 
 
-def reference(n: int = 30_000) -> float:
-    """Host seconds of a fixed pure-Python loop shaped like a DES step.
+_PROBE_TABLE = {i: i for i in range(512)}
+_PROBE_HEAP = list(range(128))
+_PROBE_COUNTER = _Counter()
 
-    It resumes generators, updates a dict, pushes onto a heap and
-    allocates slotted objects, as the simulator does.  It runs before
-    every timed point, so it sees the host load the point sees, and it
-    touches no ``repro`` code, so a change to the program never moves
-    it.
+
+def probe_loop(n: int = 400) -> None:
+    """A fixed interpreter loop of dict, heap and method work.
+
+    It touches no ``repro`` code, so a change to the program never
+    moves it, and it allocates no containers, so it adds next to
+    nothing to the garbage collector's allocation count.
     """
-    import heapq
-
-    def proc(k):
-        acc = 0
-        for i in range(6):
-            acc += yield i * k
-        return acc
-
-    start = time.perf_counter()
-    table: Dict[int, int] = {}
-    queue: list = []
+    acc = 0
+    table, heap, counter = _PROBE_TABLE, _PROBE_HEAP, _PROBE_COUNTER
     for i in range(n):
-        gen = proc(i % 11)
-        try:
-            value = gen.send(None)
-            while True:
-                value = gen.send(value + 1)
-        except StopIteration as stop:
-            value = stop.value
-        key = (i * 7919) % 50021
-        table[key] = table.get(key, 0) + value
-        heapq.heappush(queue, (i * 0.37 % 101, i, _Ev(i, i, value)))
-        if len(queue) > 256:
-            heapq.heappop(queue)
-    return time.perf_counter() - start
+        k = (i * 37) & 511
+        acc += table.get(k, 0)
+        table[k] = acc & 255
+        heapq.heapreplace(heap, (acc + i) & 1023)
+        acc = counter.bump(acc)
 
 
-def timed_run(session: Session, points, passes: int) -> Dict[str, list]:
-    """Run *passes* full passes over *points*; samples per point key.
+class SpeedProbe:
+    """Samples how fast the host runs while a point runs.
 
-    :func:`reference` is timed before every point, into
-    ``session.ref_s``.
+    The host is shared, and its speed drifts by a third within seconds.
+    An interval timer interrupts the program every
+    :data:`PROBE_INTERVAL` seconds to time :func:`probe_loop`, so the
+    probes see the speed the program sees at that moment.
+    """
+
+    def __init__(self):
+        self.starts = array("d")
+        self.seconds = array("d")
+        self._previous = None
+
+    def _on_alarm(self, _signum, _frame):
+        start = time.perf_counter()
+        probe_loop()
+        self.starts.append(start)
+        self.seconds.append(time.perf_counter() - start)
+
+    def __enter__(self) -> "SpeedProbe":
+        self._previous = signal.signal(signal.SIGALRM, self._on_alarm)
+        signal.setitimer(signal.ITIMER_REAL, PROBE_INTERVAL, PROBE_INTERVAL)
+        return self
+
+    def __exit__(self, *_exc) -> None:
+        signal.setitimer(signal.ITIMER_REAL, 0, 0)
+        signal.signal(signal.SIGALRM, self._previous)
+
+    def work(self, start: float, seconds: float) -> float:
+        """Program time in ``[start, start + seconds)`` in probe units."""
+        inside = [d for s, d in zip(self.starts, self.seconds)
+                  if start <= s < start + seconds]
+        if not inside:
+            return seconds / PROBE_SECONDS
+        return (seconds - sum(inside)) / statistics.fmean(inside)
+
+
+def timed_run(session: Session, points,
+              passes: int) -> Dict[str, List[Tuple[float, float]]]:
+    """Run *passes* full passes over *points* under a :class:`SpeedProbe`.
+
+    Returns, per point key, ``(total, setup)`` of every good run as
+    program time over the mean probe time of that run: the program's
+    cost with most of the host's drift taken out.
     """
     samples: Dict[str, list] = {point.key: [] for point in points}
     for _ in range(passes):
         for point in points:
-            session.ref_s.append(reference())
-            sample = session.run(point)
+            with SpeedProbe() as probe:
+                sample = session.run(point)
             if sample is not None:
-                samples[point.key].append(sample)
+                samples[point.key].append(
+                    (probe.work(sample.start, sample.total_s),
+                     probe.work(sample.start, sample.setup_s)))
     return samples
 
 
-def end_to_end(samples: Dict[str, list],
-               ref_s: List[float]) -> Dict[str, Tuple[float, str]]:
-    """Figure wall time from per-point bests, plus set-up and memory.
+def end_to_end(
+        samples: Dict[str, List[Tuple[float, float]]],
+) -> Dict[str, Tuple[float, str]]:
+    """Figure wall time from per-point medians, plus set-up and memory.
 
-    Other processes on the host only ever add time to a run, so a
-    point's fastest run is the steadiest estimate of its own cost.
-    Set-up time is the per-point median.  Both are scaled by
-    :data:`REF_SECONDS` over the best :func:`reference` time of this
-    run, which cancels most of the host load that drifts over minutes;
-    a faster program moves the points and not the reference.
+    Probe-relative times (see :func:`timed_run`) are scaled by
+    :data:`PROBE_SECONDS` back to seconds.  Each point's median over
+    the passes is summed.
     """
-    scale = REF_SECONDS / min(ref_s)
-    totals = [min(s.total_s for s in runs)
-              for runs in samples.values() if runs]
-    setups = [statistics.median(s.setup_s for s in runs)
-              for runs in samples.values() if runs]
+    runs = [r for r in samples.values() if r]
+    totals = [statistics.median(total for total, _setup in r) for r in runs]
+    setups = [statistics.median(setup for _total, setup in r) for r in runs]
     rss_kb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
     return {
-        "wall_s": (sum(totals) * scale, "s"),
-        "setup_s": (sum(setups) * scale, "s"),
+        "wall_s": (sum(totals) * PROBE_SECONDS, "s"),
+        "setup_s": (sum(setups) * PROBE_SECONDS, "s"),
         "peak_rss_mb": (rss_kb / 1024.0, "MB"),
     }
 
@@ -337,7 +368,7 @@ def measure(workload: str, seed: int, seconds: float,
         metrics = per_layer(session, points)
     else:
         samples = timed_run(session, points, pass_count(workload, seconds))
-        metrics = end_to_end(samples, session.ref_s)
+        metrics = end_to_end(samples)
     return session, metrics
 
 

@@ -94,9 +94,9 @@ class SlowSend:
     does not inflate it.
     """
 
-    def __init__(self, seconds_per_call: float):
+    def __init__(self, work_per_call: float):
         self.calls = [0]
-        self.loops = _loops_for(seconds_per_call)
+        self.loops = _loops_for(work_per_call)
         self._original = FNoC.send
 
     def __enter__(self):
@@ -110,20 +110,23 @@ class SlowSend:
         FNoC.send = self._original
 
 
-def _loops_for(seconds: float) -> int:
-    n = 2_000_000
-    start = time.perf_counter()
-    for _ in range(n):
-        pass
-    return int(n * seconds / (time.perf_counter() - start))
+def _loops_for(work: float) -> int:
+    """Spin loops that take *work* probe units (see ``run.SpeedProbe``)."""
+    n = 10_000_000
+    with run.SpeedProbe() as probe:
+        start = time.perf_counter()
+        for _ in range(n):
+            pass
+        elapsed = time.perf_counter() - start
+    return int(n * work / probe.work(start, elapsed))
 
 
 def _one_pass(workload: str) -> float:
-    """Raw host seconds of one pass: the spin is raw time, so no scaling."""
+    """Probe-relative time of one pass, as ``wall_s`` counts it."""
     session = run.Session(points.DEFAULT_SEED)
     samples = run.timed_run(session, points.WORKLOADS[workload], passes=1)
     assert session.failures == []
-    return sum(runs[0].total_s for runs in samples.values())
+    return sum(runs[0][0] for runs in samples.values())
 
 
 def _paired_ratio(workload: str, slow: SlowSend, pairs: int) -> float:
