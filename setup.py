@@ -1,20 +1,5 @@
-import os
-
 from setuptools import setup
 
-# Optional accelerated DES kernel: REPRO_BUILD_FAST=1 compiles a
-# generated twin of repro/sim/kernel.py with mypyc during the build
-# (see tools/build_fast_backend.py for the standalone / Cython path).
-# The default build stays pure Python with zero extra requirements.
-ext_modules = []
-if os.environ.get("REPRO_BUILD_FAST") == "1":
-    import sys
-
-    sys.path.insert(0, os.path.join(os.path.dirname(__file__), "tools"))
-    from build_fast_backend import generate_twin
-
-    from mypyc.build import mypycify
-
-    ext_modules = mypycify([str(generate_twin())])
-
-setup(ext_modules=ext_modules)
+# All metadata lives in pyproject.toml; this shim keeps
+# ``python setup.py develop`` working where ``wheel`` is unavailable.
+setup()

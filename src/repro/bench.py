@@ -16,16 +16,14 @@ kernel's scheduled-callback count (``Simulator`` sequence counter, which
 equals the number of executed heap entries once the queue drains) by the
 best-of-N wall time.
 
-Schema 2: every workload runs uniformly under every available kernel
-backend (``pure``, ``legacy``, and ``fast`` when the optional compiled
-extension is installed -- see :mod:`repro.sim.backend`), recorded under
-``report["backends"][name]["benchmarks"]``.  The report carries
-provenance (python, CPU model, compiled-backend status) so a baseline
-captured on one host is never silently compared against another;
-``--check`` compares like-for-like backends only and still understands
-committed schema-1 baselines.  The harness also cross-checks that the
-scheduled-event *counts* agree across backends -- a free byte-identity
-smoke on every bench run.
+Schema 2: the simulator has one kernel, and its numbers live under
+``report["backends"]["pure"]["benchmarks"]`` -- the table name every
+earlier record used, so committed baselines and the history stay
+comparable.  The report carries provenance (python, CPU model) so a
+baseline captured on one host is never silently compared against
+another.  ``--check`` compares like-for-like tables only (an older
+record's extra tables are skipped) and still understands committed
+schema-1 baselines.
 
 ``--check`` prints a per-workload delta table (baseline vs current
 events/sec, percent change, the gate's pass/fail verdict) before the
@@ -44,7 +42,7 @@ import sys
 import time
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
-from .sim import Simulator, fast_backend_status, make_simulator
+from .sim import Simulator
 
 __all__ = ["run_benchmarks", "check_regression", "delta_table",
            "write_report", "append_history", "load_history", "main",
@@ -61,17 +59,11 @@ HISTORY_FILE = "benchmarks/history.jsonl"
 # Workloads.  Each returns (events, wall_seconds) for one run.
 # ---------------------------------------------------------------------------
 
-def _make_sim(backend: str) -> Simulator:
-    sim, _resolved = make_simulator(backend)
-    return sim
-
-
-def bench_timeout_chain(quick: bool,
-                        backend: str = "pure") -> Tuple[int, float]:
+def bench_timeout_chain(quick: bool) -> Tuple[int, float]:
     """The dominant pattern: many processes looping on ``yield timeout``."""
     procs = 100 if quick else 400
     steps = 250 if quick else 1000
-    sim = _make_sim(backend)
+    sim = Simulator()
 
     def worker(sim, index, steps):
         delay = 0.5 + (index % 7) * 0.25
@@ -86,12 +78,11 @@ def bench_timeout_chain(quick: bool,
     return sim._seq, wall
 
 
-def bench_event_fanout(quick: bool,
-                       backend: str = "pure") -> Tuple[int, float]:
+def bench_event_fanout(quick: bool) -> Tuple[int, float]:
     """Events with waiters, joins, and AllOf/AnyOf condition churn."""
     rounds = 150 if quick else 600
     width = 8
-    sim = _make_sim(backend)
+    sim = Simulator()
 
     def child(sim, delay):
         yield sim.timeout(delay)
@@ -118,18 +109,19 @@ def bench_event_fanout(quick: bool,
     return sim._seq, wall
 
 
-def bench_fnoc_storm(quick: bool, backend: str = "pure") -> Tuple[int, float]:
+def bench_fnoc_storm(quick: bool) -> Tuple[int, float]:
     """Seeded all-to-all packet storm over the paper's default fNoC."""
     import random
 
+    from .noc.network import FNoC
     from .noc.packet import Packet
     from .noc.topology import Mesh1D
 
     k = 8
     per_source = 150 if quick else 600
     rng = random.Random(0xF0C)
-    sim = _make_sim(backend)
-    noc = sim.fnoc(Mesh1D(k), channel_bandwidth=1000.0)
+    sim = Simulator()
+    noc = FNoC(sim, Mesh1D(k), channel_bandwidth=1000.0)
     # Pre-draw destinations so RNG order never depends on interleaving.
     plans = [
         [(rng.randrange(k - 1), rng.choice((4096, 8192, 16384)))
@@ -152,13 +144,13 @@ def bench_fnoc_storm(quick: bool, backend: str = "pure") -> Tuple[int, float]:
     return sim._seq, wall
 
 
-def bench_ssd_point(quick: bool, backend: str = "pure") -> Tuple[int, float]:
+def bench_ssd_point(quick: bool) -> Tuple[int, float]:
     """One canonical fig-sweep point: dSSD_f under a mixed workload."""
     from .core import build_ssd
     from .workloads import SyntheticWorkload
 
     duration = 10_000.0 if quick else 40_000.0
-    ssd = build_ssd("dssd_f", backend=backend)
+    ssd = build_ssd("dssd_f")
     workload = SyntheticWorkload(pattern="mixed", io_size=4096,
                                  read_fraction=0.5)
     t0 = time.perf_counter()
@@ -167,8 +159,8 @@ def bench_ssd_point(quick: bool, backend: str = "pure") -> Tuple[int, float]:
     return ssd.sim._seq, wall
 
 
-#: name -> workload callable; every workload runs on every backend.
-WORKLOADS: Dict[str, Callable[..., Tuple[int, float]]] = {
+#: name -> workload callable.
+WORKLOADS: Dict[str, Callable[[bool], Tuple[int, float]]] = {
     "timeout_chain": bench_timeout_chain,
     "event_fanout": bench_event_fanout,
     "fnoc_storm": bench_fnoc_storm,
@@ -194,22 +186,20 @@ def _cpu_model() -> str:
 
 def provenance() -> Dict[str, str]:
     """Where these numbers came from -- recorded into every report."""
-    available, detail = fast_backend_status()
     return {
         "python": platform.python_version(),
         "platform": platform.platform(),
         "machine": platform.machine(),
         "cpu": _cpu_model(),
-        "fast_backend": detail if available else f"unavailable ({detail})",
     }
 
 
-def _measure(fn: Callable[..., Tuple[int, float]], quick: bool,
-             backend: str, repeats: int) -> Dict[str, float]:
+def _measure(fn: Callable[[bool], Tuple[int, float]], quick: bool,
+             repeats: int) -> Dict[str, float]:
     events = 0
     best = float("inf")
     for _ in range(repeats):
-        run_events, wall = fn(quick, backend=backend)
+        run_events, wall = fn(quick)
         events = run_events
         best = min(best, wall)
     return {
@@ -219,61 +209,19 @@ def _measure(fn: Callable[..., Tuple[int, float]], quick: bool,
     }
 
 
-def available_backends() -> List[str]:
-    """Backends the suite measures on this host, reference first."""
-    backends = ["pure", "legacy"]
-    if fast_backend_status()[0]:
-        backends.append("fast")
-    return backends
-
-
 def run_benchmarks(quick: bool = False,
                    repeats: Optional[int] = None) -> Dict[str, Any]:
-    """Run the full suite; returns the report dict (not yet written).
-
-    Raises ``RuntimeError`` if any workload's deterministic event count
-    disagrees across backends -- that would mean the backends are not
-    observationally equivalent and every equivalence guarantee is void.
-    """
+    """Run the full suite; returns the report dict (not yet written)."""
     repeats = repeats if repeats else (2 if quick else 3)
-    backends = available_backends()
-    report: Dict[str, Any] = {
+    return {
         "schema": 2,
         "quick": quick,
         "provenance": provenance(),
-        "backends": {name: {"benchmarks": {}} for name in backends},
+        "backends": {"pure": {"benchmarks": {
+            name: _measure(fn, quick, repeats)
+            for name, fn in WORKLOADS.items()
+        }}},
     }
-    for name, fn in WORKLOADS.items():
-        for backend in backends:
-            report["backends"][backend]["benchmarks"][name] = \
-                _measure(fn, quick, backend, repeats)
-        counts = {
-            backend: report["backends"][backend]["benchmarks"][name]["events"]
-            for backend in backends
-        }
-        if len(set(counts.values())) != 1:
-            raise RuntimeError(
-                f"backend divergence: workload {name!r} scheduled "
-                f"different event counts per backend: {counts}"
-            )
-    pure = report["backends"]["pure"]["benchmarks"]
-    speedups = {}
-    for name, legacy_entry in report["backends"]["legacy"]["benchmarks"] \
-            .items():
-        slow = legacy_entry["events_per_sec"]
-        if slow > 0:
-            speedups[name] = round(pure[name]["events_per_sec"] / slow, 3)
-    if speedups:
-        report["speedup_vs_callback_path"] = speedups
-    if "fast" in report["backends"]:
-        fast_speedups = {}
-        for name, entry in report["backends"]["fast"]["benchmarks"].items():
-            base = pure[name]["events_per_sec"]
-            if base > 0:
-                fast_speedups[name] = round(
-                    entry["events_per_sec"] / base, 3)
-        report["speedup_fast_vs_pure"] = fast_speedups
-    return report
 
 
 def _backend_tables(report: Dict[str, Any]) -> Dict[str, Dict[str, Any]]:
@@ -296,13 +244,12 @@ def _backend_tables(report: Dict[str, Any]) -> Dict[str, Dict[str, Any]]:
 
 def check_regression(current: Dict[str, Any], baseline: Dict[str, Any],
                      tolerance: float = 0.30) -> List[str]:
-    """Regression descriptions, comparing like-for-like backends only.
+    """Regression descriptions, comparing like-for-like tables only.
 
-    A backend present in the baseline but not measured now (e.g. the
-    baseline host had the compiled extension, this one does not) is
-    skipped -- cross-backend comparison would gate speed claims the
-    current host cannot reproduce.  A *workload* missing inside a shared
-    backend is still a failure.
+    A table present in the baseline but not measured now (an older
+    record's ``legacy`` or ``fast`` kernel) is skipped -- there is
+    nothing on this host to compare it with.  A *workload* missing
+    inside a shared table is still a failure.
     """
     failures = []
     current_tables = _backend_tables(current)
@@ -334,7 +281,7 @@ def delta_table(current: Dict[str, Any], baseline: Dict[str, Any],
     One row per ``(backend, workload)`` in the baseline: baseline and
     current events/sec, percent change, and the verdict the regression
     gate applies (``FAIL`` below ``(1 - tolerance) x baseline``).  A
-    backend the current host did not measure is marked ``skip``, never
+    table the current run did not measure is marked ``skip``, never
     ``FAIL`` -- mirroring :func:`check_regression` exactly, so the table
     is the human-readable form of the gate's decision.
     """
@@ -456,12 +403,6 @@ def main(quick: bool = False, output: Optional[str] = None,
             print(f"{name:<{width}} | {backend:<{bwidth}} | "
                   f"{entry['events']:>9} | {entry['wall_s']:>8.4f} | "
                   f"{entry['events_per_sec']:>12.0f}")
-    for name, ratio in report.get("speedup_vs_callback_path", {}).items():
-        print(f"[speedup vs callback path] {name}: {ratio:.2f}x",
-              file=sys.stderr)
-    for name, ratio in report.get("speedup_fast_vs_pure", {}).items():
-        print(f"[speedup fast vs pure] {name}: {ratio:.2f}x",
-              file=sys.stderr)
     if output:
         write_report(report, output)
         print(f"[bench] wrote {output}", file=sys.stderr)

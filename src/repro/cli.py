@@ -29,7 +29,6 @@ worker utilization) goes to stderr so it never perturbs the tables.
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 import time
 from typing import List, Optional
@@ -88,14 +87,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         help="fleet: number of simulated SSD shards (default 16; "
              "ignored by other experiments)",
     )
-    parser.add_argument(
-        "--backend", choices=["auto", "pure", "fast", "legacy"],
-        default=None,
-        help="DES kernel backend (default: auto — compiled twin when "
-             "installed, else pure Python). Results are byte-identical "
-             "across backends; only speed differs. Exported as "
-             "REPRO_DSSD_BACKEND so worker processes inherit it.",
-    )
     bench_group = parser.add_argument_group(
         "bench options", "only used with the 'bench' experiment")
     bench_group.add_argument(
@@ -127,12 +118,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         help="bench: do not append full runs to benchmarks/history.jsonl",
     )
     args = parser.parse_args(argv)
-
-    if args.backend is not None:
-        # Through the environment rather than plumbed per-config: the
-        # multiprocessing runner's workers re-build SSDConfig from point
-        # specs, and "auto" resolution consults this variable there too.
-        os.environ["REPRO_DSSD_BACKEND"] = args.backend
 
     if args.experiment == "bench":
         from .bench import BENCH_FILE, main as bench_main

@@ -11,7 +11,7 @@ from __future__ import annotations
 from typing import Generator, Optional
 
 from ..errors import ConfigError
-from ..sim import Simulator
+from ..sim import Link, Simulator
 
 __all__ = ["SystemBus", "PAPER_SYSTEM_BUS_BW"]
 
@@ -32,7 +32,7 @@ class SystemBus:
         if bandwidth <= 0:
             raise ConfigError(f"bus bandwidth must be positive: {bandwidth}")
         self.sim = sim
-        self.link = sim.link(bandwidth, name=name, bin_width=bin_width)
+        self.link = Link(sim, bandwidth, name=name, bin_width=bin_width)
 
     @property
     def bandwidth(self) -> float:

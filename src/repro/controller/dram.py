@@ -13,7 +13,7 @@ from __future__ import annotations
 from typing import Generator, Optional
 
 from ..errors import ConfigError
-from ..sim import Simulator
+from ..sim import Link, Simulator, TokenPool
 
 __all__ = ["Dram", "PAPER_DRAM_BW"]
 
@@ -36,12 +36,12 @@ class Dram:
         self.sim = sim
         # DDR-style duplex: independent read and write ports, each at the
         # rated bandwidth, so reads do not queue behind writes.
-        self.read_link = sim.link(bandwidth, name=f"{name}_rd",
-                                  bin_width=bin_width)
-        self.write_link = sim.link(bandwidth, name=f"{name}_wr",
-                                   bin_width=bin_width)
-        self.write_buffer = sim.token_pool(write_buffer_pages,
-                                           name="write_buffer")
+        self.read_link = Link(sim, bandwidth, name=f"{name}_rd",
+                              bin_width=bin_width)
+        self.write_link = Link(sim, bandwidth, name=f"{name}_wr",
+                               bin_width=bin_width)
+        self.write_buffer = TokenPool(sim, write_buffer_pages,
+                                      name="write_buffer")
 
     @property
     def bandwidth(self) -> float:

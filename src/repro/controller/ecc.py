@@ -12,7 +12,7 @@ from __future__ import annotations
 from typing import Generator
 
 from ..errors import ConfigError
-from ..sim import Simulator
+from ..sim import Resource, Simulator
 
 __all__ = ["EccEngine", "DEFAULT_ECC_THROUGHPUT", "DEFAULT_ECC_FIXED_US"]
 
@@ -38,7 +38,7 @@ class EccEngine:
         self.throughput = throughput
         self.fixed_latency_us = fixed_latency_us
         self.name = name
-        self._lanes = sim.resource(capacity=lanes, name=name)
+        self._lanes = Resource(sim, capacity=lanes, name=name)
         self.pages_checked = 0
         self.busy_time = 0.0
 

@@ -11,22 +11,20 @@ Order of phases follows ONFI:
 * program: bus transfer in (register load), then array program;
 * erase:   array only, no data on the bus.
 
-Hot-path layout: ``read_page`` / ``program_page`` are dispatchers.  When
-no fault injector is attached (the common case) they return a *flat*
-generator that resolves the plane grant, the array timeout, and the
-channel transfer in a single frame -- the events pushed into the kernel
-are identical to the layered ``backend.read`` -> ``plane.occupy`` chain
-(same order, same times, same sequence numbers), only the Python
-generator frames between them are gone.  With an injector attached the
-original layered generators run unchanged (``use_flat_path = False``
-forces them everywhere, for equivalence testing).
+Hot-path layout: ``read_page`` / ``program_page`` each run in one
+generator frame -- the plane grant, the array timeout and the channel
+transfer are driven inline rather than through the ``backend.read`` ->
+``plane.occupy`` sub-generator chain.  A fault injector, when attached,
+is a branch of that frame: a transient fault hands over to
+:meth:`FlashController.reissue_read` / :meth:`repeat_transfer`, which
+pay the detection timeout and backoff before each retry.
 """
 
 from __future__ import annotations
 
 from typing import Generator, List, Sequence
 
-from ..errors import AddressError, FlashError
+from ..errors import AddressError
 from ..flash import FlashBackend, FlashChannel, PhysAddr
 from ..sim import Simulator
 from .breakdown import Breakdown
@@ -36,11 +34,6 @@ __all__ = ["FlashController"]
 
 class FlashController:
     """Datapath engine for one flash channel."""
-
-    #: Route page ops through the single-frame fast path when no fault
-    #: injector is attached.  Class-level switch so tests can force the
-    #: layered generator chain and assert byte-identical traces.
-    use_flat_path = True
 
     def __init__(self, sim: Simulator, controller_id: int,
                  channel: FlashChannel, backend: FlashBackend):
@@ -82,6 +75,35 @@ class FlashController:
         breakdown.add("other", self.sim.now - t0)
         return proceed
 
+    def reissue_read(self, addr: PhysAddr,
+                     breakdown: Breakdown) -> Generator:
+        """Re-issue an array read after a transient die fault.
+
+        Each retry first waits out the injector's detection timeout with
+        exponential backoff; stops once a read succeeds or the retries
+        run out.  (Reads are idempotent; programs are never re-issued.)
+        """
+        attempt = 1
+        while (yield from self._fault_backoff(attempt, breakdown)):
+            op = yield from self.backend.read(addr)
+            breakdown.add("flash_chip", op.total)
+            if not self.fault_injector.die_fault():
+                return
+            attempt += 1
+
+    def repeat_transfer(self, traffic_class: str, priority: int,
+                        breakdown: Breakdown) -> Generator:
+        """Repeat a page's bus transfer after a transient channel fault."""
+        attempt = 1
+        while (yield from self._fault_backoff(attempt, breakdown)):
+            t0 = self.sim.now
+            yield from self.channel.transfer(self._page_size, traffic_class,
+                                             priority)
+            breakdown.add("flash_bus", self.sim.now - t0)
+            if not self.fault_injector.channel_fault():
+                return
+            attempt += 1
+
     def read_page(self, addr: PhysAddr, traffic_class: str = "io",
                   breakdown: Breakdown = None,
                   priority: int = None) -> Generator:
@@ -92,35 +114,12 @@ class FlashController:
         fault forces the bus transfer to be repeated, each after a
         detection timeout with exponential backoff.
         """
-        if self.use_flat_path and self.fault_injector is None:
-            return self._read_page_flat(addr, traffic_class, breakdown,
-                                        priority)
-        return self._read_page_gen(addr, traffic_class, breakdown, priority)
-
-    def _read_page_flat(self, addr: PhysAddr, traffic_class: str,
-                        breakdown: Breakdown,
-                        priority: int) -> Generator:
-        """Single-frame read: plane grant + array timeout + bus transfer.
-
-        Event-for-event identical to :meth:`_read_page_gen` without a
-        fault injector -- same heap pushes in the same order -- with the
-        ``backend.read`` -> ``plane.occupy`` generator frames inlined.
-        """
         sim = self.sim
         self._check_owns(addr)
         if breakdown is None:
             breakdown = Breakdown()
-        backend = self.backend
-        backend.geometry.validate(addr)
-        plane_id = backend._plane_id(addr)
-        if backend.enforce_discipline:
-            state = backend._block_state_at(
-                plane_id * backend._blocks_per_plane + addr[4])
-            if addr[5] not in state.programmed:
-                raise FlashError(f"read of unwritten page {addr}")
-        duration = (backend._read_mid if backend.deterministic_timing
-                    else backend.timing.sample_read(backend._rng))
-        plane = backend.planes[plane_id]
+        injector = self.fault_injector
+        plane, duration = self.backend.prepare_read(addr)
         t_request = sim.now
         grant = plane.resource.request()
         service_start = None
@@ -134,6 +133,8 @@ class FlashController:
                 plane.op_counts["read"] = plane.op_counts.get("read", 0) + 1
             plane.resource.cancel(grant)
         breakdown.add("flash_chip", (service_start - t_request) + duration)
+        if injector is not None and injector.die_fault():
+            yield from self.reissue_read(addr, breakdown)
         channel = self.channel
         if priority is None:
             priority = -1 if traffic_class == "gc" else 0
@@ -142,36 +143,9 @@ class FlashController:
             self._page_size + channel._overhead_bytes, traffic_class,
             priority)
         breakdown.add("flash_bus", sim.now - t0)
-        self.pages_read += 1
-        return breakdown
-
-    def _read_page_gen(self, addr: PhysAddr, traffic_class: str,
-                       breakdown: Breakdown,
-                       priority: int) -> Generator:
-        """Layered read chain (fault-retry capable slow path)."""
-        self._check_owns(addr)
-        breakdown = breakdown if breakdown is not None else Breakdown()
-        injector = self.fault_injector
-        attempt = 1
-        while True:
-            op = yield from self.backend.read(addr)
-            breakdown.add("flash_chip", op.total)
-            if injector is None or not injector.die_fault():
-                break
-            if not (yield from self._fault_backoff(attempt, breakdown)):
-                break
-            attempt += 1
-        attempt = 1
-        while True:
-            t0 = self.sim.now
-            yield from self.channel.transfer(self.page_size, traffic_class,
-                                             priority)
-            breakdown.add("flash_bus", self.sim.now - t0)
-            if injector is None or not injector.channel_fault():
-                break
-            if not (yield from self._fault_backoff(attempt, breakdown)):
-                break
-            attempt += 1
+        if injector is not None and injector.channel_fault():
+            yield from self.repeat_transfer(traffic_class, priority,
+                                            breakdown)
         self.pages_read += 1
         return breakdown
 
@@ -183,16 +157,6 @@ class FlashController:
         A transient channel fault repeats the register load (retry with
         backoff); the array program itself is issued exactly once.
         """
-        if self.use_flat_path and self.fault_injector is None:
-            return self._program_page_flat(addr, traffic_class, breakdown,
-                                           priority)
-        return self._program_page_gen(addr, traffic_class, breakdown,
-                                      priority)
-
-    def _program_page_flat(self, addr: PhysAddr, traffic_class: str,
-                           breakdown: Breakdown,
-                           priority: int) -> Generator:
-        """Single-frame program: bus transfer + plane grant + timeout."""
         sim = self.sim
         self._check_owns(addr)
         if breakdown is None:
@@ -205,18 +169,11 @@ class FlashController:
             self._page_size + channel._overhead_bytes, traffic_class,
             priority)
         breakdown.add("flash_bus", sim.now - t0)
-        backend = self.backend
-        backend.geometry.validate(addr)
-        plane_id = backend._plane_id(addr)
-        if backend.enforce_discipline:
-            state = backend._block_state_at(
-                plane_id * backend._blocks_per_plane + addr[4])
-            if addr[5] in state.programmed:
-                raise FlashError(f"reprogram of page {addr} without erase")
-            state.programmed.add(addr[5])
-        duration = (backend._program_mid if backend.deterministic_timing
-                    else backend.timing.sample_program(backend._rng))
-        plane = backend.planes[plane_id]
+        injector = self.fault_injector
+        if injector is not None and injector.channel_fault():
+            yield from self.repeat_transfer(traffic_class, priority,
+                                            breakdown)
+        plane, duration = self.backend.prepare_program(addr)
         t_request = sim.now
         grant = plane.resource.request()
         service_start = None
@@ -231,29 +188,6 @@ class FlashController:
                     plane.op_counts.get("program", 0) + 1)
             plane.resource.cancel(grant)
         breakdown.add("flash_chip", (service_start - t_request) + duration)
-        self.pages_programmed += 1
-        return breakdown
-
-    def _program_page_gen(self, addr: PhysAddr, traffic_class: str,
-                          breakdown: Breakdown,
-                          priority: int) -> Generator:
-        """Layered program chain (fault-retry capable slow path)."""
-        self._check_owns(addr)
-        breakdown = breakdown if breakdown is not None else Breakdown()
-        injector = self.fault_injector
-        attempt = 1
-        while True:
-            t0 = self.sim.now
-            yield from self.channel.transfer(self.page_size, traffic_class,
-                                             priority)
-            breakdown.add("flash_bus", self.sim.now - t0)
-            if injector is None or not injector.channel_fault():
-                break
-            if not (yield from self._fault_backoff(attempt, breakdown)):
-                break
-            attempt += 1
-        op = yield from self.backend.program(addr)
-        breakdown.add("flash_chip", op.total)
         self.pages_programmed += 1
         return breakdown
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 from typing import Generator
 
 from ..errors import ConfigError
-from ..sim import Simulator
+from ..sim import Link, Simulator, TokenPool
 
 __all__ = ["HostInterface", "PAPER_HOST_BW", "PAPER_QUEUE_DEPTH"]
 
@@ -40,9 +40,9 @@ class HostInterface:
         self.sim = sim
         self.queue_depth = queue_depth
         self.cmd_latency_us = cmd_latency_us
-        self.link = sim.link(bandwidth, name="host_link",
-                             bin_width=bin_width)
-        self._slots = sim.token_pool(queue_depth, name="sq_slots")
+        self.link = Link(sim, bandwidth, name="host_link",
+                         bin_width=bin_width)
+        self._slots = TokenPool(sim, queue_depth, name="sq_slots")
         self.submitted = 0
         self.completed = 0
 

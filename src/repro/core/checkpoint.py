@@ -29,6 +29,7 @@ from __future__ import annotations
 import dataclasses
 import gzip
 import json
+import os
 from pathlib import Path
 from typing import Optional, Union
 
@@ -55,7 +56,7 @@ __all__ = [
 ]
 
 #: Bump on any incompatible change to the snapshot layout.
-SNAPSHOT_SCHEMA = 1
+SNAPSHOT_SCHEMA = 2
 
 #: Bump on any incompatible change to the durable-projection layout.
 DURABLE_SCHEMA = 1
@@ -467,22 +468,31 @@ def save_snapshot(state: dict, path: Union[str, Path]) -> Path:
     """Write a snapshot dict as (optionally gzipped) canonical JSON.
 
     A ``.gz`` suffix selects gzip framing; either form round-trips via
-    :func:`load_snapshot`.
+    :func:`load_snapshot`.  The bytes go to a temporary file first and
+    are renamed into place, so a killed writer never leaves a torn
+    snapshot at *path* and concurrent writers of one path do not
+    interleave.
     """
     path = Path(path)
     payload = json.dumps(state, sort_keys=True,
                          separators=(",", ":")).encode()
     path.parent.mkdir(parents=True, exist_ok=True)
-    if path.suffix == ".gz":
-        # mtime=0 and an empty embedded name keep the archive
-        # content-addressable: identical snapshots produce identical
-        # bytes regardless of wall time or target filename.
-        with open(path, "wb") as raw:
-            with gzip.GzipFile(filename="", mode="wb", fileobj=raw,
-                               mtime=0) as fh:
-                fh.write(payload)
-    else:
-        path.write_bytes(payload)
+    tmp = path.with_name(f"{path.name}.tmp.{os.getpid()}")
+    try:
+        if path.suffix == ".gz":
+            # mtime=0 and an empty embedded name keep the archive
+            # content-addressable: identical snapshots produce identical
+            # bytes regardless of wall time or target filename.
+            with open(tmp, "wb") as raw:
+                with gzip.GzipFile(filename="", mode="wb", fileobj=raw,
+                                   mtime=0) as fh:
+                    fh.write(payload)
+        else:
+            tmp.write_bytes(payload)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
     return path
 
 

@@ -153,12 +153,6 @@ class SSDConfig:
     bin_width_us: float = 1000.0
     deterministic_timing: bool = True
 
-    #: DES kernel backend: "auto" (compiled twin when installed, else
-    #: pure Python), "pure", "fast", or "legacy" (the callback-path
-    #: equivalence oracle).  All backends produce byte-identical
-    #: simulated timing; see :mod:`repro.sim.backend`.
-    backend: str = "auto"
-
     def __post_init__(self) -> None:
         if self.onchip_bw_factor < 1.0:
             raise ConfigError(
@@ -178,13 +172,6 @@ class SSDConfig:
             )
         if self.arb_burst < 1:
             raise ConfigError(f"arb_burst must be >= 1: {self.arb_burst}")
-        from ..sim.backend import BACKENDS
-
-        if self.backend not in BACKENDS:
-            raise ConfigError(
-                f"unknown kernel backend {self.backend!r}; "
-                f"available: {', '.join(BACKENDS)}"
-            )
         if self.reliability is not None:
             from ..reliability import ReliabilityConfig
 

@@ -27,7 +27,7 @@ from ..ftl import Ftl, GarbageCollector, GcStats, PageMappingTable, \
 from ..ftl.blocks import BlockManager
 from ..host import MultiQueueFrontend, TenantSpec
 from ..noc import Crossbar, FNoC, Mesh1D, Mesh2D, Ring
-from ..sim import LatencyStats, make_simulator
+from ..sim import LatencyStats, Simulator
 from .config import ArchPreset, SSDConfig
 from .datapath import BaselineDatapath, DecoupledDatapath
 from .transport import (
@@ -176,9 +176,7 @@ class SimulatedSSD:
 
     def __init__(self, config: SSDConfig, remapper=None):
         self.config = config
-        #: Resolved DES kernel backend ("pure"/"fast"/"legacy") — what
-        #: ``config.backend`` actually got after availability fallback.
-        self.sim, self.kernel_backend = make_simulator(config.backend)
+        self.sim = Simulator()
         geometry = config.geometry
         self.backend = FlashBackend(
             self.sim, geometry, config.timing, seed=config.seed,
@@ -280,8 +278,8 @@ class SimulatedSSD:
             topo_cls = _TOPOLOGIES[config.fnoc_topology]
             topology = topo_cls(config.geometry.channels)
             channel_bw = config.effective_fnoc_channel_bw
-            self.fnoc = self.sim.fnoc(
-                topology, channel_bw,
+            self.fnoc = FNoC(
+                self.sim, topology, channel_bw,
                 flit_bytes=config.fnoc_flit_bytes,
                 buffer_flits=config.fnoc_buffer_flits,
                 router_latency_us=config.fnoc_router_latency_us,

@@ -21,7 +21,7 @@ from typing import Generator
 
 from ..controller import Breakdown, SystemBus
 from ..noc import FNoC, Packet
-from ..sim import Simulator
+from ..sim import Link, Simulator
 
 __all__ = [
     "CopybackTransport",
@@ -69,8 +69,8 @@ class DedicatedBusTransport(CopybackTransport):
     def __init__(self, sim: Simulator, bandwidth: float,
                  bin_width: float = 1000.0):
         self.sim = sim
-        self.link = sim.link(bandwidth, name="dedicated_bus",
-                             bin_width=bin_width)
+        self.link = Link(sim, bandwidth, name="dedicated_bus",
+                         bin_width=bin_width)
 
     def move(self, src_controller: int, dst_controller: int, nbytes: int,
              breakdown: Breakdown,

@@ -13,6 +13,7 @@ from __future__ import annotations
 from typing import Dict, List
 
 from ..core import ArchPreset, sim_geometry
+from ..sim import TokenPool
 from ..superblock import run_endurance, simulate_was
 from ..workloads import SyntheticWorkload
 from .common import bench_durations, format_table
@@ -146,7 +147,7 @@ def _build_with_scan(workload, geometry, n_blocks, windows):
             if len(mapped) >= 512:
                 break
 
-        outstanding = ssd.sim.token_pool(256, name="scan_window")
+        outstanding = TokenPool(ssd.sim, 256, name="scan_window")
 
         def read_one(addr):
             # GC may have moved/erased this page since the scan list was

@@ -10,7 +10,7 @@ from __future__ import annotations
 from typing import Generator, Optional
 
 from ..errors import ConfigError
-from ..sim import Simulator
+from ..sim import Link, Simulator
 
 __all__ = ["FlashChannel"]
 
@@ -36,8 +36,8 @@ class FlashChannel:
         self.sim = sim
         self.channel_id = channel_id
         self.cmd_overhead_us = cmd_overhead_us
-        self.link = sim.link(bandwidth, name=f"flash_bus{channel_id}",
-                             bin_width=bin_width)
+        self.link = Link(sim, bandwidth, name=f"flash_bus{channel_id}",
+                         bin_width=bin_width)
         #: Command/address overhead expressed as bytes-equivalent bus
         #: occupancy -- resolved once (both parameters are fixed at
         #: construction) instead of per transaction on the hot path.

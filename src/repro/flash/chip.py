@@ -13,12 +13,12 @@ Page *content* is not simulated; the FTL layers track logical validity.
 from __future__ import annotations
 
 import random
-from typing import Dict, Generator, Iterable, List, Optional
+from typing import Dict, Generator, Iterable, List, Optional, Tuple
 
 from ..errors import AddressError, FlashError
-from ..sim import Simulator
+from ..sim import Resource, Simulator
 from .geometry import FlashGeometry, PhysAddr
-from .timing import FlashTiming, TimingTable, batch_max
+from .timing import FlashTiming, TimingTable
 
 __all__ = ["BlockState", "FlashPlane", "FlashBackend", "OpBreakdown"]
 
@@ -76,7 +76,7 @@ class FlashPlane:
     def __init__(self, sim: Simulator, name: str = ""):
         self.sim = sim
         self.name = name
-        self.resource = sim.resource(capacity=1, name=name)
+        self.resource = Resource(sim, capacity=1, name=name)
         self.busy_time = 0.0
         self.op_counts: Dict[str, int] = {"read": 0, "program": 0, "erase": 0}
 
@@ -201,31 +201,54 @@ class FlashBackend:
 
     # -- array operations --------------------------------------------------------
 
-    def read(self, addr: PhysAddr) -> Generator:
-        """Read one page from the array into the plane's page register."""
+    def prepare_read(self, addr: PhysAddr) -> Tuple[FlashPlane, float]:
+        """Validate a page read; returns ``(plane, array latency)``.
+
+        Rejects a read of an unwritten page (under the programming
+        discipline) and draws the latency.  The caller then holds the
+        plane for that long: :meth:`read` through
+        :meth:`FlashPlane.occupy`, the flash controller and datapath
+        ops inline in their own generator frame.
+        """
         self.geometry.validate(addr)
         plane_id = self._plane_id(addr)
         if self.enforce_discipline:
             state = self._block_state_at(
-                plane_id * self.geometry.blocks_per_plane + addr[4])
+                plane_id * self._blocks_per_plane + addr[4])
             if addr[5] not in state.programmed:
                 raise FlashError(f"read of unwritten page {addr}")
-        duration = self._read_latency()
-        wait = yield from self.planes[plane_id].occupy(duration, "read")
+        duration = (self._read_mid if self.deterministic_timing
+                    else self.timing.sample_read(self._rng))
+        return self.planes[plane_id], duration
+
+    def prepare_program(self, addr: PhysAddr) -> Tuple[FlashPlane, float]:
+        """Validate and record a page program; ``(plane, array latency)``.
+
+        Rejects a reprogram without erase and marks the page programmed
+        (under the discipline) before the caller occupies the plane.
+        """
+        self.geometry.validate(addr)
+        plane_id = self._plane_id(addr)
+        if self.enforce_discipline:
+            state = self._block_state_at(
+                plane_id * self._blocks_per_plane + addr[4])
+            if addr[5] in state.programmed:
+                raise FlashError(f"reprogram of page {addr} without erase")
+            state.programmed.add(addr[5])
+        duration = (self._program_mid if self.deterministic_timing
+                    else self.timing.sample_program(self._rng))
+        return self.planes[plane_id], duration
+
+    def read(self, addr: PhysAddr) -> Generator:
+        """Read one page from the array into the plane's page register."""
+        plane, duration = self.prepare_read(addr)
+        wait = yield from plane.occupy(duration, "read")
         return OpBreakdown(wait, duration)
 
     def program(self, addr: PhysAddr) -> Generator:
         """Program one page (reprogram without erase is rejected)."""
-        self.geometry.validate(addr)
-        plane_id = self._plane_id(addr)
-        if self.enforce_discipline:
-            state = self._block_state_at(
-                plane_id * self.geometry.blocks_per_plane + addr[4])
-            if addr[5] in state.programmed:
-                raise FlashError(f"reprogram of page {addr} without erase")
-            state.programmed.add(addr[5])
-        duration = self._program_latency()
-        wait = yield from self.planes[plane_id].occupy(duration, "program")
+        plane, duration = self.prepare_program(addr)
+        wait = yield from plane.occupy(duration, "program")
         return OpBreakdown(wait, duration)
 
     def erase(self, addr: PhysAddr) -> Generator:
@@ -302,9 +325,7 @@ class FlashBackend:
             for addr in addr_list
         ]
         waits = yield self.sim.all_of(procs)
-        # All planes complete at one timestamp; the worst-case wait
-        # resolves in one (NumPy-batched) reduction.
-        return OpBreakdown(batch_max(waits), duration)
+        return OpBreakdown(max(waits), duration)
 
     # -- checkpointing -----------------------------------------------------------
 

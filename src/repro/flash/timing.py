@@ -8,15 +8,11 @@ sampler (for runs that model page-position-dependent latency).
 Hot-path layout: deterministic latencies resolve through flat
 per-``(op, channel)`` rows (:class:`TimingTable`) indexed by the
 ``OP_READ``/``OP_PROGRAM``/``OP_ERASE`` constants instead of per-call
-property/branch chains, and batch completion math over homogeneous
-same-timestamp flash ops goes through one NumPy array computation when
-NumPy is importable (the pure-Python fallback is always present and
-produces bit-identical floats -- IEEE-754 add/max are exact either way).
+property/branch chains.
 """
 
 from __future__ import annotations
 
-import os
 import random
 from dataclasses import dataclass
 from typing import Sequence, Tuple
@@ -24,23 +20,10 @@ from typing import Sequence, Tuple
 from ..errors import ConfigError
 
 __all__ = ["FlashTiming", "TimingTable", "ULL_TIMING", "TLC_TIMING",
-           "OP_READ", "OP_PROGRAM", "OP_ERASE", "batch_totals",
-           "batch_max", "HAVE_NUMPY"]
+           "OP_READ", "OP_PROGRAM", "OP_ERASE"]
 
 #: Operation indices into a :class:`TimingTable` row.
 OP_READ, OP_PROGRAM, OP_ERASE = 0, 1, 2
-
-try:  # pragma: no cover - exercised via the NumPy-absent CI leg
-    # REPRO_DSSD_NO_NUMPY=1 forces the pure-Python batch fallback even
-    # when NumPy is importable (other modules legitimately depend on
-    # NumPy, so CI cannot simply uninstall it to test this path).
-    if os.environ.get("REPRO_DSSD_NO_NUMPY"):
-        raise ImportError("vectorized timing disabled: REPRO_DSSD_NO_NUMPY")
-    import numpy as _np
-    HAVE_NUMPY = True
-except ImportError:  # pragma: no cover
-    _np = None
-    HAVE_NUMPY = False
 
 
 @dataclass(frozen=True)
@@ -105,30 +88,6 @@ class FlashTiming:
         shapes matter.
         """
         return self.page_size / self.program_mid
-
-
-def batch_totals(waits: Sequence[float], service: float) -> Tuple[list, float]:
-    """Completion math for a batch of homogeneous same-timestamp ops.
-
-    Given the per-plane queueing *waits* of one multi-plane command (all
-    planes share one array *service* time and finish at one timestamp),
-    returns ``(totals, worst)``: each op's wait+service and the
-    worst-case total.  Uses one NumPy array computation when available;
-    the pure fallback is bit-identical (IEEE-754 ``+``/``max`` are exact
-    operations, not approximations, in both code paths).
-    """
-    if HAVE_NUMPY and len(waits) >= 8:
-        arr = _np.asarray(waits, dtype=_np.float64) + service
-        return arr.tolist(), float(arr.max())
-    totals = [wait + service for wait in waits]
-    return totals, max(totals)
-
-
-def batch_max(values: Sequence[float]) -> float:
-    """Worst case of a batch of waits (NumPy reduction when it pays)."""
-    if HAVE_NUMPY and len(values) >= 8:
-        return float(_np.asarray(values, dtype=_np.float64).max())
-    return max(values)
 
 
 class TimingTable:

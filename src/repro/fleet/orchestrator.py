@@ -38,6 +38,7 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import zlib
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence
 
@@ -157,10 +158,17 @@ class FleetSpec:
 # -- aged-device snapshot cache ----------------------------------------------
 
 def _snapshot_cache_path(params: Dict[str, object]):
-    """Content-addressed path of one aged-device snapshot."""
+    """Content-addressed path of one aged-device snapshot.
+
+    The key covers the snapshot layout version, so a layout change
+    misses the entries written under the old one.
+    """
+    from ..core import SNAPSHOT_SCHEMA
     from ..experiments.runner import cache_dir
 
-    payload = json.dumps({"version": __version__, **params}, sort_keys=True)
+    payload = json.dumps({"version": __version__,
+                          "schema": SNAPSHOT_SCHEMA, **params},
+                         sort_keys=True)
     digest = hashlib.sha256(payload.encode("utf-8")).hexdigest()
     return cache_dir() / "snapshots" / f"{digest}.json.gz"
 
@@ -174,11 +182,13 @@ def device_snapshot_state(arch: str, age_pe_fraction: float, seed: int,
     and persists the snapshot under ``cache_dir()/snapshots/`` so every
     later shard (or fleet re-run) with the same recipe restores instead
     of re-aging.  ``REPRO_DSSD_CACHE=0`` disables the disk cache, same
-    as for the point-result cache.
+    as for the point-result cache.  An entry that cannot be read back
+    (torn gzip, bad JSON, another snapshot layout) is a miss: the state
+    is rebuilt and the entry rewritten.
     """
-    from ..core import (build_ssd, fastforward_wear, load_snapshot,
-                        paper_geometry, save_snapshot, sim_geometry,
-                        snapshot_ssd, superblock_geometry)
+    from ..core import (SNAPSHOT_SCHEMA, build_ssd, fastforward_wear,
+                        load_snapshot, paper_geometry, save_snapshot,
+                        sim_geometry, snapshot_ssd, superblock_geometry)
 
     overrides = dict(overrides or {})
     path = _snapshot_cache_path({
@@ -187,7 +197,13 @@ def device_snapshot_state(arch: str, age_pe_fraction: float, seed: int,
     })
     cache = os.environ.get("REPRO_DSSD_CACHE", "") != "0"
     if cache and path.exists():
-        return load_snapshot(path)
+        try:
+            cached = load_snapshot(path)
+        except (OSError, EOFError, ValueError, zlib.error):
+            cached = None
+        if (isinstance(cached, dict)
+                and cached.get("schema") == SNAPSHOT_SCHEMA):
+            return cached
     factory = {"sim": sim_geometry, "paper": paper_geometry,
                "superblock": superblock_geometry}[geometry]
     ssd = build_ssd(arch, geometry=factory(), seed=seed, **overrides)

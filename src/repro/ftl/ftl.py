@@ -16,7 +16,7 @@ from typing import Dict, Generator, List
 from ..controller import Breakdown, HostInterface
 from ..errors import ConfigError, MappingError
 from ..flash import FlashGeometry
-from ..sim import LatencyStats, Simulator, TimeBins
+from ..sim import LatencyStats, Simulator, Store, TimeBins
 from .blocks import BlockManager
 from .gc import GarbageCollector
 from .mapping import PageMappingTable
@@ -54,7 +54,7 @@ class Ftl:
 
         #: LPN -> admission stamp of the newest write staged for it.
         self._dirty: Dict[int, int] = {}
-        self._flush_queue = sim.store(name="flush_queue")
+        self._flush_queue = Store(sim, name="flush_queue")
         self._flushers_started = False
         #: Monotone per-request admission counter.  Assigned the moment
         #: host.submit() returns, i.e. in queue-grant order, which is a

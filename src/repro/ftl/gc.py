@@ -21,7 +21,7 @@ from typing import Generator, List, Optional
 from ..controller import Breakdown
 from ..errors import ConfigError, MappingError
 from ..flash import PhysAddr
-from ..sim import Simulator
+from ..sim import Resource, Simulator
 from .blocks import BlockManager
 from .mapping import PageMappingTable
 
@@ -123,8 +123,8 @@ class GarbageCollector:
         self.stats = GcStats()
         self.active = False
         self._episode_start: Optional[float] = None
-        self._tt_tokens = sim.resource(capacity=tinytail_channels,
-                                       name="tinytail_channels")
+        self._tt_tokens = Resource(sim, capacity=tinytail_channels,
+                                   name="tinytail_channels")
 
     # -- checkpointing -------------------------------------------------------
 

@@ -18,6 +18,7 @@ Two signals feed the corpus scheduler:
 
 from __future__ import annotations
 
+import gc
 import sys
 from pathlib import Path
 from typing import Optional, Set
@@ -73,6 +74,7 @@ class CoverageCollector:
         self._last: dict = {}   # watch key -> last line (monitoring mode)
         self._mode = "off"
         self._tool_id: Optional[int] = None
+        self._gc_was_enabled = True
 
     # -- shared helpers ------------------------------------------------------
 
@@ -150,6 +152,15 @@ class CoverageCollector:
     # -- context manager -----------------------------------------------------
 
     def __enter__(self) -> "CoverageCollector":
+        # Earlier device runs leave reference cycles of suspended
+        # generators behind; the cyclic collector closes them whenever
+        # it happens to fire, and their ``finally`` blocks would then
+        # count as this execution's edges -- coverage (and the corpus
+        # hash) would depend on process history.  Collect that garbage
+        # before tracing starts and hold the collector off while it runs.
+        gc.collect()
+        self._gc_was_enabled = gc.isenabled()
+        gc.disable()
         if not self._try_start_monitoring():
             sys.settrace(self._global_trace)
             self._mode = "settrace"
@@ -161,6 +172,8 @@ class CoverageCollector:
         elif self._mode == "settrace":
             sys.settrace(None)
         self._mode = "off"
+        if self._gc_was_enabled:
+            gc.enable()
 
 
 # -- semantic features --------------------------------------------------------

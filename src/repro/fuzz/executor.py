@@ -101,27 +101,11 @@ def build_config(config: GenomeConfig) -> SSDConfig:
         gc_reserve_blocks=1,
         flush_workers=4,
         seed=DEVICE_SEED,
-        # Pinned (never "auto"): edge coverage traces interpreter frames
-        # via settrace/sys.monitoring, and compiled-backend frames are
-        # invisible to both.  Running fuzz executions on the fast
-        # backend would silently collapse coverage — and corpus hashes
-        # must be identical whatever REPRO_DSSD_BACKEND says.
-        backend="pure",
     )
 
 
 def _build_device(config: GenomeConfig) -> SimulatedSSD:
     ssd = SimulatedSSD(build_config(config))
-    # Pinned for the same reason as backend="pure" above: the flat
-    # datapath/controller fast path collapses the layered generators'
-    # edge coverage (and their try/finally cleanup paths) into a couple
-    # of straight-line frames, starving the mutation search and shifting
-    # corpus hashes.  Fuzzing always exercises the layered reference
-    # semantics; the flat twin is held byte-identical to it by the
-    # equivalence suite instead.
-    ssd.datapath.use_flat_path = False
-    for controller in ssd.controllers:
-        controller.use_flat_path = False
     canary.maybe_install(ssd)
     ssd.prefill()
     ssd.ftl.start()

@@ -1,8 +1,8 @@
 """``repro profile``: cProfile harness over the bench workloads.
 
-Profiles any workload from :mod:`repro.bench` under any kernel backend
-and prints the top-N functions by cumulative time, with paths shortened
-to the package so the table stays readable.  ``--svg`` additionally
+Profiles any workload from :mod:`repro.bench` and prints the top-N
+functions by cumulative time, with paths shortened to the package so
+the table stays readable.  ``--svg`` additionally
 renders a flamegraph-style icicle chart as a dependency-free SVG --
 approximated from the deterministic cProfile call graph (cumulative
 time apportioned down caller->callee edges), which is exact for the
@@ -13,7 +13,6 @@ Usage::
 
     python -m repro profile ssd_point                 # top 25, quick
     python -m repro profile ssd_point --full -n 40
-    python -m repro profile fnoc_storm --backend legacy
     python -m repro profile ssd_point --svg flame.svg
 """
 
@@ -34,14 +33,13 @@ __all__ = ["run_profile", "top_table", "write_flamegraph_svg", "main"]
 FuncKey = Tuple[str, int, str]
 
 
-def run_profile(workload: str, quick: bool = True,
-                backend: str = "pure") -> pstats.Stats:
+def run_profile(workload: str, quick: bool = True) -> pstats.Stats:
     """Profile one bench workload; returns the collected stats."""
     fn = WORKLOADS[workload]
     profiler = cProfile.Profile()
     profiler.enable()
     try:
-        fn(quick, backend=backend)
+        fn(quick)
     finally:
         profiler.disable()
     return pstats.Stats(profiler)
@@ -171,12 +169,6 @@ def main(argv: Optional[List[str]] = None) -> int:
     )
     parser.add_argument("workload", choices=sorted(WORKLOADS),
                         help="bench workload to profile")
-    parser.add_argument("--backend",
-                        choices=["auto", "pure", "fast", "legacy"],
-                        default="pure",
-                        help="kernel backend to profile (default pure; "
-                             "compiled frames are invisible to cProfile, "
-                             "so 'fast' mostly shows the interpreted rim)")
     parser.add_argument("--full", action="store_true",
                         help="full-size workload (default: quick)")
     parser.add_argument("-n", "--top", type=int, default=25, metavar="N",
@@ -189,11 +181,9 @@ def main(argv: Optional[List[str]] = None) -> int:
                              "pstats tooling")
     args = parser.parse_args(argv)
 
-    stats = run_profile(args.workload, quick=not args.full,
-                        backend=args.backend)
+    stats = run_profile(args.workload, quick=not args.full)
     print(f"[profile] {args.workload} "
-          f"({'quick' if not args.full else 'full'}, "
-          f"backend={args.backend})", file=sys.stderr)
+          f"({'quick' if not args.full else 'full'})", file=sys.stderr)
     print(top_table(stats, args.top))
     if args.dump:
         stats.dump_stats(args.dump)

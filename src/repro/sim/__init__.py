@@ -1,12 +1,5 @@
 """Discrete-event simulation substrate for the dSSD reproduction."""
 
-from .backend import (
-    BACKENDS,
-    compiled_layers,
-    fast_backend_status,
-    make_simulator,
-    resolve_backend,
-)
 from .kernel import (
     AllOf,
     AnyOf,
@@ -29,21 +22,16 @@ from .stats import Counter, LatencyStats, TimeBins, percentile
 __all__ = [
     "AllOf",
     "AnyOf",
-    "BACKENDS",
-    "compiled_layers",
     "Counter",
     "Event",
-    "fast_backend_status",
     "int_key_pairs",
     "Interrupt",
     "LatencyStats",
     "Link",
-    "make_simulator",
     "pairs_to_int_dict",
     "percentile",
     "Process",
     "Resource",
-    "resolve_backend",
     "rng_load_state",
     "rng_state_dict",
     "SimulationError",

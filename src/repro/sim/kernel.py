@@ -43,13 +43,11 @@ path (see DESIGN.md "Performance" for the invariants):
 * ``Timeout`` initializes its slots inline and pushes its own heap
   entry, skipping the ``Event.__init__``/``schedule`` call chain.
 
-None of this changes *when* anything runs: heap entries are pushed in
-the same program order as the legacy callback path (the sequence counter
-advances identically), so event ordering -- and therefore every
-simulated timestamp -- is bit-for-bit the same.  ``Simulator(
-direct_resume=False)`` keeps the legacy wiring (every event gets a
-callbacks list, processes always register ``_on_event``) for A/B
-equivalence tests.
+None of this changes *when* anything runs: every trigger, timeout,
+process bootstrap and late waiter still pushes exactly one heap entry,
+in program order, so the ``(time, seq)`` dispatch order is the one a
+callback list per event would give.  ``tests/test_kernel_fastpath.py``
+pins that stream for its scenarios to recorded fingerprints.
 """
 
 from __future__ import annotations
@@ -72,25 +70,6 @@ __all__ = [
 #: Sentinel stored in ``Event.callbacks`` once the event has dispatched.
 _DISPATCHED = object()
 
-
-def _layer_class(name: str) -> Any:
-    """Resolve a model-layer primitive class for Simulator factories.
-
-    Prefers a class defined in this very module: the generated fast
-    twin concatenates resources.py and noc/network.py after the kernel,
-    so its module globals contain the compiled classes.  The canonical
-    kernel falls back to the pure-Python implementations (imported
-    lazily; ``repro.sim`` imports this module first, so a top-level
-    import would be circular).
-    """
-    cls = globals().get(name)
-    if cls is not None:
-        return cls
-    if name == "FNoC":
-        from repro.noc.network import FNoC
-        return FNoC
-    from repro.sim import resources
-    return getattr(resources, name)
 
 #: Shared empty args tuple for event heap entries.
 _NO_ARGS = ()
@@ -134,7 +113,7 @@ class Event:
 
     def __init__(self, sim: "Simulator"):
         self.sim = sim
-        self.callbacks = [] if sim._legacy else None
+        self.callbacks = None
         self._waiter: Optional["Process"] = None
         self._value: Any = None
         self._ok = True
@@ -246,7 +225,7 @@ class Timeout(Event):
         # timeout, i.e. on the hottest allocation path in the simulator.
         self.sim = sim
         self.delay = delay
-        self.callbacks = [] if sim._legacy else None
+        self.callbacks = None
         self._waiter = None
         self._value = value
         self._ok = True
@@ -434,14 +413,9 @@ class Simulator:
 
     All model components hold a reference to one ``Simulator`` and use
     :meth:`timeout`, :meth:`event`, and :meth:`process` to build behaviour.
-
-    ``direct_resume=False`` selects the legacy wiring (every event carries
-    a callbacks list and processes always register ``_on_event``); it
-    exists for the fast-path equivalence suite and produces bit-identical
-    schedules, only slower.
     """
 
-    def __init__(self, direct_resume: bool = True) -> None:
+    def __init__(self) -> None:
         #: Current simulation time in microseconds.  A plain attribute
         #: (read millions of times per simulated second); treat it as
         #: read-only -- only the event loop advances it.
@@ -450,13 +424,7 @@ class Simulator:
         self._queue: List[tuple] = []
         self._seq = 0
         self._running = False
-        self._legacy = not direct_resume
         self._resources: List[Any] = []
-
-    @property
-    def direct_resume(self) -> bool:
-        """Whether the direct-resume fast path is enabled."""
-        return not self._legacy
 
     # -- factories ---------------------------------------------------------
 
@@ -479,39 +447,6 @@ class Simulator:
     def any_of(self, events: Iterable[Event]) -> AnyOf:
         """Condition event firing once any of *events* has fired."""
         return AnyOf(self, events)
-
-    # -- model-layer factories ----------------------------------------------
-    #
-    # Contention primitives are constructed through the simulator so the
-    # model layer never names a backend: ``_layer_class`` prefers a class
-    # defined in *this module* -- the compiled twin embeds resources.py
-    # and noc/network.py, so a twin Simulator hands out compiled
-    # Resource/Link/FNoC objects -- and falls back to the canonical
-    # pure-Python implementations otherwise.  Construction is cold path;
-    # the lookup cost is irrelevant.
-
-    def resource(self, capacity: int = 1, name: str = "") -> Any:
-        """Construct a backend-matched :class:`~repro.sim.Resource`."""
-        return _layer_class("Resource")(self, capacity, name)
-
-    def link(self, bandwidth: float, name: str = "",
-             bin_width: float = 1000.0) -> Any:
-        """Construct a backend-matched :class:`~repro.sim.Link`."""
-        return _layer_class("Link")(self, bandwidth, name, bin_width)
-
-    def store(self, name: str = "") -> Any:
-        """Construct a backend-matched :class:`~repro.sim.Store`."""
-        return _layer_class("Store")(self, name)
-
-    def token_pool(self, capacity: int, name: str = "") -> Any:
-        """Construct a backend-matched :class:`~repro.sim.TokenPool`."""
-        return _layer_class("TokenPool")(self, capacity, name)
-
-    def fnoc(self, topology: Any, channel_bandwidth: float,
-             **kwargs: Any) -> Any:
-        """Construct a backend-matched :class:`~repro.noc.network.FNoC`."""
-        return _layer_class("FNoC")(self, topology, channel_bandwidth,
-                                    **kwargs)
 
     # -- scheduling ---------------------------------------------------------
 
@@ -543,9 +478,7 @@ class Simulator:
         ever increments), so re-draining after the walk preserves the
         exact global ``(time, seq)`` order the one-pop-at-a-time loop
         produced -- batching changes how entries are pulled, never when
-        their callbacks run.  The flat walk is also the shape the
-        optional compiled backend accelerates: a monomorphic loop over
-        4-tuples with no heap call between dispatches.
+        their callbacks run.
         """
         if self._running:
             raise SimulationError("simulator is already running")

@@ -1,128 +1,18 @@
-"""Kernel backend selection: resolution rules, config plumbing, bench.
+"""Bench records: per-kernel ("backend") tables and their comparison.
 
-The compiled extension is usually absent in dev checkouts -- these
-tests pin the *fallback* behaviour precisely (auto -> pure, explicit
-fast -> pure with a warning, never an exception) and the plumbing that
-must hold regardless: config validation, env propagation, snapshot
-round-trip, and like-for-like bench comparison across schemas.
+``BENCH_kernel.json`` and ``benchmarks/history.jsonl`` key each
+kernel's numbers by name under ``backends``.  The simulator now has one
+kernel (table ``pure``), but older records also carry ``legacy`` and
+``fast`` tables; ``--check`` must compare like-for-like tables only,
+across both record schemas, and say when a baseline came from other
+hardware.
 """
 
 import json
 
-import pytest
+import repro.bench
+from repro.bench import check_regression, provenance_note, run_benchmarks
 
-from repro.core import build_ssd
-from repro.core.config import ConfigError, SSDConfig
-from repro.sim import backend as backend_module
-from repro.sim import fast_backend_status, make_simulator, resolve_backend
-from repro.sim.kernel import Simulator
-
-FAST_AVAILABLE = fast_backend_status()[0]
-
-
-# ------------------------------------------------------------- resolution
-
-def test_backend_names_are_stable():
-    assert backend_module.BACKENDS == ("auto", "pure", "fast", "legacy")
-
-
-def test_resolve_rejects_unknown_names():
-    with pytest.raises(ValueError, match="unknown kernel backend"):
-        resolve_backend("turbo")
-
-
-def test_auto_resolves_to_concrete_backend():
-    resolved = resolve_backend("auto")
-    assert resolved in ("pure", "fast")
-    assert resolved == ("fast" if FAST_AVAILABLE else "pure")
-
-
-def test_env_overrides_auto_but_not_explicit(monkeypatch):
-    monkeypatch.setenv(backend_module.ENV_VAR, "legacy")
-    assert resolve_backend("auto") == "legacy"
-    # Explicit pins beat the environment -- the fuzzer relies on this.
-    assert resolve_backend("pure") == "pure"
-    monkeypatch.setenv(backend_module.ENV_VAR, "")
-    assert resolve_backend("auto") in ("pure", "fast")
-
-
-def test_env_with_bad_name_raises(monkeypatch):
-    monkeypatch.setenv(backend_module.ENV_VAR, "warp9")
-    with pytest.raises(ValueError, match="unknown kernel backend"):
-        resolve_backend("auto")
-
-
-@pytest.mark.skipif(FAST_AVAILABLE, reason="compiled backend installed")
-def test_fast_request_degrades_to_pure_when_absent(capsys):
-    sim, resolved = make_simulator("fast")
-    assert resolved == "pure"
-    assert isinstance(sim, Simulator)
-
-
-@pytest.mark.skipif(not FAST_AVAILABLE, reason="compiled backend absent")
-def test_fast_simulator_is_compiled():
-    sim, resolved = make_simulator("fast")
-    assert resolved == "fast"
-    # The twin lives in its own module, not the interpreted kernel.
-    assert type(sim).__module__ == backend_module.FAST_MODULE
-
-
-def test_make_simulator_legacy_uses_callback_path():
-    sim, resolved = make_simulator("legacy")
-    assert resolved == "legacy"
-    assert sim.direct_resume is False
-
-
-# ------------------------------------------------------------- config
-
-def test_ssdconfig_validates_backend():
-    assert SSDConfig().backend == "auto"
-    SSDConfig(backend="legacy")
-    with pytest.raises(ConfigError, match="unknown kernel backend"):
-        SSDConfig(backend="turbo")
-
-
-def test_build_ssd_records_resolved_backend():
-    ssd = build_ssd("baseline", backend="pure")
-    assert ssd.kernel_backend == "pure"
-    ssd = build_ssd("baseline", backend="legacy")
-    assert ssd.kernel_backend == "legacy"
-    assert ssd.sim.direct_resume is False
-    auto = build_ssd("baseline")
-    assert auto.kernel_backend == ("fast" if FAST_AVAILABLE else "pure")
-
-
-def test_backend_round_trips_through_config_state():
-    from repro.core.checkpoint import config_from_state, config_to_state
-
-    config = SSDConfig(backend="legacy")
-    state = config_to_state(config)
-    assert state["backend"] == "legacy"
-    assert config_from_state(state).backend == "legacy"
-    # Pre-PR snapshots have no backend key: default applies.
-    state.pop("backend")
-    assert config_from_state(state).backend == "auto"
-
-
-def test_cli_backend_flag_exports_env(tmp_path, monkeypatch, capsys):
-    from repro.cli import main
-
-    monkeypatch.delenv("REPRO_DSSD_BACKEND", raising=False)
-    import repro.bench
-
-    monkeypatch.setattr(
-        repro.bench, "run_benchmarks",
-        lambda **kwargs: {"backends": {"pure": {"benchmarks": {
-            "x": {"events": 1, "wall_s": 1.0, "events_per_sec": 1.0}}}}})
-    import os
-
-    assert main(["bench", "--quick", "--backend", "pure",
-                 "--output", str(tmp_path / "out.json")]) == 0
-    assert os.environ.get("REPRO_DSSD_BACKEND") == "pure"
-    capsys.readouterr()
-
-
-# ------------------------------------------------------------- bench
 
 def _schema1(rate):
     return {"schema": 1,
@@ -133,6 +23,7 @@ def _schema1(rate):
 
 
 def _schema2(rate, cpu="cpu-a"):
+    """A record from when the suite also measured a compiled kernel."""
     return {"schema": 2,
             "provenance": {"cpu": cpu},
             "backends": {
@@ -146,16 +37,14 @@ def _schema2(rate, cpu="cpu-a"):
 
 
 def test_check_regression_compares_like_for_like_across_schemas():
-    from repro.bench import check_regression
-
     # Schema-2 current vs schema-1 baseline: pure maps to benchmarks,
     # the baseline's legacy table has no counterpart here and is skipped.
     assert check_regression(_schema2(100.0), _schema1(100.0)) == []
     failures = check_regression(_schema2(50.0), _schema1(100.0))
     assert failures and failures[0].startswith("pure/w")
-    # A baseline backend the current host cannot run is not a failure...
+    # A baseline table the current run did not measure is not a failure...
     assert check_regression(_schema1(100.0), _schema2(100.0)) == []
-    # ...but a missing workload within a shared backend is.
+    # ...but a missing workload within a shared table is.
     broken = _schema2(100.0)
     del broken["backends"]["pure"]["benchmarks"]["w"]
     assert any("missing" in f
@@ -163,28 +52,27 @@ def test_check_regression_compares_like_for_like_across_schemas():
 
 
 def test_provenance_note_flags_cross_host_baselines():
-    from repro.bench import provenance_note
-
     assert provenance_note(_schema2(1.0), _schema1(1.0)) is not None
     assert provenance_note(_schema2(1.0), _schema2(1.0)) is None
     note = provenance_note(_schema2(1.0, "cpu-a"), _schema2(1.0, "cpu-b"))
     assert note is not None and "cpu-b" in note
 
 
+def test_report_measures_one_kernel(monkeypatch):
+    monkeypatch.setattr(repro.bench, "WORKLOADS",
+                        {"w": lambda quick: (10, 0.5)})
+    report = run_benchmarks(quick=True, repeats=1)
+    assert report["schema"] == 2
+    assert report["provenance"]["cpu"]
+    assert report["backends"] == {"pure": {"benchmarks": {
+        "w": {"events": 10, "wall_s": 0.5, "events_per_sec": 20.0}}}}
+
+
 def test_committed_baseline_is_schema2_with_provenance():
     with open("BENCH_kernel.json") as handle:
         baseline = json.load(handle)
     assert baseline["schema"] == 2
-    assert {"pure", "legacy"} <= set(baseline["backends"])
+    assert set(baseline["backends"]) == {"pure"}
     assert baseline["provenance"]["cpu"]
-    workloads = {name: set(entry["benchmarks"])
-                 for name, entry in baseline["backends"].items()}
-    # The schema-1 asymmetry (ssd_point missing from legacy) is gone:
-    # every backend records every workload.
-    assert len(set(map(frozenset, workloads.values()))) == 1
-    assert "ssd_point" in baseline["backends"]["legacy"]["benchmarks"]
-    # Event counts are backend-invariant -- byte-identity in miniature.
-    for name in next(iter(workloads.values())):
-        counts = {entry["benchmarks"][name]["events"]
-                  for entry in baseline["backends"].values()}
-        assert len(counts) == 1, f"{name}: {counts}"
+    assert set(baseline["backends"]["pure"]["benchmarks"]) == \
+        set(repro.bench.WORKLOADS)

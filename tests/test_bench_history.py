@@ -70,7 +70,7 @@ def test_delta_table_skips_unmeasured_backend():
 
 @pytest.fixture(scope="module")
 def fanout_stats():
-    return run_profile("event_fanout", quick=True, backend="pure")
+    return run_profile("event_fanout", quick=True)
 
 
 def test_profile_top_table(fanout_stats):

@@ -9,6 +9,7 @@ property test proves the complementary round trip --
 ``snapshot(restore(s)) == s`` -- across every arch preset.
 """
 
+import gzip
 import json
 
 import pytest
@@ -201,6 +202,25 @@ def test_save_load_roundtrip(tmp_path, name):
     state = snapshot_ssd(ssd)
     path = save_snapshot(state, tmp_path / name)
     assert load_snapshot(path) == json.loads(json.dumps(state))
+
+
+def test_interrupted_save_keeps_the_previous_snapshot(tmp_path,
+                                                     monkeypatch):
+    """A writer killed mid-save leaves the old file whole and no temp."""
+    ssd = _build("baseline")
+    ssd.prefill()
+    state = snapshot_ssd(ssd)
+    path = save_snapshot(state, tmp_path / "snap.json.gz")
+    intact = path.read_bytes()
+
+    def killed(self, data):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(gzip.GzipFile, "write", killed)
+    with pytest.raises(KeyboardInterrupt):
+        save_snapshot(state, path)
+    assert path.read_bytes() == intact
+    assert [p.name for p in tmp_path.iterdir()] == ["snap.json.gz"]
 
 
 def test_gzip_snapshot_is_content_addressable(tmp_path):

@@ -221,34 +221,3 @@ def test_invalid_timing_rejected():
     with pytest.raises(Exception):
         FlashTiming("bad", read_us=(5.0, 5.0), program_us=(1.0, 2.0),
                     erase_us=-1.0, page_size=4096)
-
-
-def test_batch_helpers_numpy_and_pure_agree(monkeypatch):
-    from repro.flash import timing
-
-    waits = [3.0, 0.25, 7.5, 1.125, 0.0, 9.875, 2.5, 4.75, 6.0625]
-    vec = timing.batch_totals(waits, 50.0)
-    vec_max = timing.batch_max(waits)
-    monkeypatch.setattr(timing, "HAVE_NUMPY", False)
-    pure = timing.batch_totals(waits, 50.0)
-    pure_max = timing.batch_max(waits)
-    # Bit-identical, not approximately equal: both paths are IEEE-754
-    # float64 add/max, which are exact operations.
-    assert vec == pure
-    assert vec_max == pure_max
-    assert vec[1] == max(vec[0]) == 59.875
-
-
-def test_no_numpy_env_forces_pure_fallback(monkeypatch):
-    import importlib
-    import sys
-
-    from repro.flash import timing
-
-    monkeypatch.setenv("REPRO_DSSD_NO_NUMPY", "1")
-    try:
-        reloaded = importlib.reload(timing)
-        assert reloaded.HAVE_NUMPY is False
-    finally:
-        monkeypatch.delenv("REPRO_DSSD_NO_NUMPY")
-        importlib.reload(sys.modules["repro.flash.timing"])

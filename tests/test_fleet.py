@@ -1,5 +1,6 @@
 """Fleet orchestration: placement, sharding, and tail aggregation."""
 
+import gzip
 import json
 
 import pytest
@@ -117,6 +118,32 @@ def test_shard_snapshot_cache_does_not_change_results(tmp_path,
     assert json.loads(json.dumps(cold)) \
         == json.loads(json.dumps(warm)) \
         == json.loads(json.dumps(uncached))
+
+
+@pytest.mark.parametrize("damage", ["truncated_gzip", "bad_json",
+                                    "other_schema"])
+def test_unreadable_snapshot_cache_entry_is_rebuilt(monkeypatch, damage):
+    """A torn or stale cache entry is a miss: rebuilt, then rewritten."""
+    from repro.core import SNAPSHOT_SCHEMA, save_snapshot
+    from repro.fleet.orchestrator import (_snapshot_cache_path,
+                                          device_snapshot_state)
+
+    recipe = dict(arch="dssd", age_pe_fraction=0.6, seed=5, geometry="sim",
+                  overrides={"prefill_fraction": 0.5})
+    path = _snapshot_cache_path(recipe)
+    state = device_snapshot_state(**recipe)
+    intact = path.read_bytes()
+    if damage == "truncated_gzip":
+        path.write_bytes(intact[:len(intact) // 2])
+    elif damage == "bad_json":
+        path.write_bytes(gzip.compress(b'{"schema": '))
+    else:
+        save_snapshot(dict(state, schema=SNAPSHOT_SCHEMA - 1), path)
+    rebuilt = device_snapshot_state(**recipe)
+    assert path.read_bytes() == intact
+    monkeypatch.setenv("REPRO_DSSD_CACHE", "0")
+    uncached = device_snapshot_state(**recipe)
+    assert json.loads(json.dumps(rebuilt)) == json.loads(json.dumps(uncached))
 
 
 # -- fleet runs ---------------------------------------------------------------

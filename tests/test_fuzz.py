@@ -1,5 +1,6 @@
 """Tests for the coverage-guided workload fuzzer (``repro.fuzz``)."""
 
+import gc
 import json
 import random
 
@@ -299,31 +300,45 @@ def test_fuzz_is_deterministic_across_runs_and_jobs():
     assert run_fuzz(seed=8, execs=32).corpus_hash not in hashes
 
 
-def test_corpus_hash_is_backend_independent(monkeypatch):
-    """The fuzzer pins the pure kernel whatever the environment says.
+def _leave_suspended_generator_cycles():
+    """Drop a device mid-run, its I/O processes suspended in datapath ops.
 
-    Coverage tracing (settrace/sys.monitoring) cannot see compiled
-    frames, so an execution on the fast backend would silently lose
-    edges -- and the corpus hash would depend on which build the host
-    happened to have.  ``build_config`` must therefore hard-pin "pure",
-    and the campaign must hash identically under every backend request.
+    Their generators sit inside ``try``/``finally`` blocks of watched
+    modules, in reference cycles (kernel -> event -> process ->
+    generator -> kernel) that only the cyclic garbage collector frees.
     """
-    from repro.fuzz.executor import build_config
-    from repro.fuzz.genome import GenomeConfig
+    from repro.core import build_ssd
+    from repro.workloads import SyntheticWorkload
 
-    reports = {}
-    for requested in ("fast", "pure", None):
-        if requested is None:
-            monkeypatch.delenv("REPRO_DSSD_BACKEND", raising=False)
-        else:
-            monkeypatch.setenv("REPRO_DSSD_BACKEND", requested)
-        assert build_config(GenomeConfig()).backend == "pure"
-        reports[requested] = run_fuzz(seed=7, execs=24, jobs=1)
-    hashes = {r.corpus_hash for r in reports.values()}
-    assert len(hashes) == 1, (
-        f"corpus hash depends on REPRO_DSSD_BACKEND: "
-        f"{ {k: r.corpus_hash[:16] for k, r in reports.items()} }")
-    assert len({r.distinct_edges for r in reports.values()}) == 1
+    ssd = build_ssd("baseline")
+    ssd.run(SyntheticWorkload(pattern="mixed", io_size=4096,
+                              read_fraction=0.5), duration_us=300.0)
+    assert ssd.sim.peek() is not None  # work is still in flight
+
+
+def test_corpus_hash_ignores_garbage_from_earlier_devices(monkeypatch):
+    """Coverage must not depend on what earlier runs left behind.
+
+    Finalizing a suspended generator runs its ``finally`` block; if the
+    cyclic collector did that while a coverage tracer was active, those
+    lines would count as the traced execution's edges.  The collector
+    fires at allocation-dependent moments; here it is made to fire at a
+    fixed point inside every traced execution (device build).
+    """
+    from repro.fuzz import canary
+
+    install = canary.maybe_install
+
+    def collect_then_install(ssd):
+        gc.collect()
+        install(ssd)
+
+    monkeypatch.setattr(canary, "maybe_install", collect_then_install)
+    _leave_suspended_generator_cycles()
+    dirty = run_fuzz(seed=7, execs=32, jobs=1)
+    clean = run_fuzz(seed=7, execs=32, jobs=1)
+    assert dirty.distinct_edges == clean.distinct_edges
+    assert dirty.corpus_hash == clean.corpus_hash
 
 
 # ---------------------------------------------------------------- canary
