@@ -3,7 +3,7 @@
 import pytest
 
 from repro.controller import Breakdown
-from repro.errors import ConfigError
+from repro.errors import ConfigError, MappingError
 from repro.flash import FlashGeometry
 from repro.ftl import BlockManager, GarbageCollector, PageMappingTable
 from repro.sim import Simulator
@@ -182,3 +182,81 @@ def test_gc_throughput_metric():
     gc.maybe_trigger()
     sim.run()
     assert gc.stats.throughput_pages_per_us > 0.0
+
+
+def _starved_move(poll_us):
+    """A GC page move on a device with no free block anywhere: its
+    destination wait can only end by starvation or by a host overwrite."""
+    sim, mapping, blocks, _d, gc = make_world(filled_fraction=1.0,
+                                              preempt_poll_us=poll_us)
+    assert not blocks.host_allocatable() and blocks.free_blocks == 0
+    src = GEOM.block_addr_of(0)._replace(page=0)
+    sim.process(gc._move_page(src))
+    return sim, mapping, blocks, gc, src
+
+
+def test_gc_destination_starvation_bound():
+    """After 10,000 failed polls the move raises instead of livelocking:
+    at the simulated time and stall count the poll loop has always had
+    (a 0.3 us interval makes the accumulated float time exact)."""
+    sim, _m, _b, gc, src = _starved_move(0.3)
+    with pytest.raises(MappingError, match="gc destination starvation: no "
+                       r"erase completed in 3000us while relocating"):
+        sim.run()
+    assert sim.now == 3000.0000000003583
+    assert gc.stats.alloc_stalls == 10_001
+    assert sim._seq == 10_001      # bootstrap + one entry per poll
+    assert gc.stats.pages_dropped == 0
+
+
+def test_gc_destination_wait_drops_overwritten_source():
+    """A host overwrite during the wait ends it at the next poll, before
+    that poll tries to allocate."""
+    sim, mapping, blocks, gc, src = _starved_move(0.3)
+    lpn = mapping.reverse_lookup(GEOM.ppn_of(src))
+
+    def overwrite():
+        yield sim.timeout(1.0)
+        mapping.unbind(lpn)
+
+    sim.process(overwrite())
+    sim.run()
+    assert sim.now == 1.2
+    assert gc.stats.pages_dropped == 1
+    assert gc.stats.alloc_stalls == 4
+    assert src.page not in blocks.info(src).valid
+
+
+def test_finished_device_is_freed_by_one_collection():
+    """A run that ends with processes parked mid-wait leaves them on the
+    finished simulator's heap.  One full collection must free the whole
+    device, or every later run in the process carries it.
+
+    Collecting that garbage runs the parked generators' ``finally``
+    blocks, and one of them triggers an event: the new heap entry
+    resurrects the simulator for one more collection.  Whatever its
+    heap still reaches survives with it -- so a pending wait must not
+    reach into the FTL.  A weakref cannot tell: the collector clears
+    weakrefs before it runs finalizers, so the check looks the block
+    manager up among the objects still alive instead.
+    """
+    import gc as cyclic_gc
+
+    from repro.core import build_ssd
+    from repro.workloads import SyntheticWorkload
+
+    geometry = FlashGeometry(channels=2, ways=1, dies=1, planes=2,
+                             blocks_per_plane=12, pages_per_block=16)
+    ssd = build_ssd("bw", geometry=geometry, prefill_fraction=0.92,
+                    gc_policy="tinytail")
+    ssd.prefill()
+    ssd.run(SyntheticWorkload(pattern="mixed", io_size=4096,
+                              read_fraction=0.2), duration_us=3000.0)
+    # Mid-episode, with flushers still polling for a host page.
+    assert ssd.gc.active and ssd.ftl.flush_stalls > 0
+    assert ssd.sim._queue
+    blocks_id = id(ssd.ftl.blocks)
+    del ssd
+    cyclic_gc.collect()
+    assert not any(id(obj) == blocks_id and type(obj) is BlockManager
+                   for obj in cyclic_gc.get_objects())
