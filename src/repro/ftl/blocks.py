@@ -172,16 +172,28 @@ class BlockManager:
         reserve; GC allocations may dip into the reserve.  Raises
         :class:`MappingError` when no plane can supply a page.
         """
-        planes_total = self.geometry.planes_total
         if plane is not None:
             addr = self._try_allocate_in_plane(plane, for_gc)
             if addr is None:
                 raise MappingError(f"no allocatable page in plane {plane}")
             return addr
-        if not (self._gc_ready_count if for_gc else self._host_ready_count):
+        addr = self.try_allocate_page(for_gc)
+        if addr is None:
             raise MappingError(
                 f"no allocatable page (for_gc={for_gc}); device full"
             )
+        return addr
+
+    def try_allocate_page(self, for_gc: bool = False) -> Optional[PhysAddr]:
+        """:meth:`allocate_page` without the exception: None when full.
+
+        The wait loops that poll for a page call this every tick, so a
+        starved device answers with one counter test -- no plane scan,
+        no exception.
+        """
+        if not (self._gc_ready_count if for_gc else self._host_ready_count):
+            return None
+        planes_total = self.geometry.planes_total
         ready = self._gc_ready if for_gc else self._host_ready
         cursor = self._cursor
         for offset in range(planes_total):
@@ -194,9 +206,7 @@ class BlockManager:
             if addr is not None:
                 self._cursor = (candidate + 1) % planes_total
                 return addr
-        raise MappingError(
-            f"no allocatable page (for_gc={for_gc}); device full"
-        )
+        return None
 
     def _try_allocate_in_plane(self, plane: int,
                                for_gc: bool) -> Optional[PhysAddr]:

@@ -292,15 +292,17 @@ class Ftl:
 
     def _allocate_with_gc(self) -> Generator:
         """Allocate a host page, triggering and awaiting GC if starved."""
-        while True:
-            try:
-                addr = self.blocks.allocate_page(for_gc=False)
-            except MappingError:
-                self.flush_stalls += 1
-                self.gc.maybe_trigger(force=True)
-                yield self.sim.timeout(self.gc.preempt_poll_us)
-                continue
-            return addr
+        return self.sim.wait_until(self.gc.preempt_poll_us,
+                                   self._try_host_allocation)
+
+    def _try_host_allocation(self):
+        """One poll of :meth:`_allocate_with_gc`: a page, or None after
+        counting the stall and forcing a GC episode."""
+        addr = self.blocks.try_allocate_page(for_gc=False)
+        if addr is None:
+            self.flush_stalls += 1
+            self.gc.maybe_trigger(force=True)
+        return addr
 
     def _bind(self, lpn: int, addr) -> None:
         ppn = self.geometry.ppn_of(addr)

@@ -29,6 +29,13 @@ __all__ = ["GarbageCollector", "GcStats", "GC_POLICIES"]
 
 GC_POLICIES = ("pagc", "preemptive", "tinytail")
 
+#: Failed destination polls a page move tolerates before it declares
+#: the allocator starved (see :meth:`GarbageCollector._destination_poll`).
+_STARVATION_POLLS = 10_000
+
+#: Destination-wait result: the source page was overwritten meanwhile.
+_DROPPED = object()
+
 
 class GcStats:
     """Aggregate garbage-collection measurements."""
@@ -288,36 +295,10 @@ class GarbageCollector:
     def _move_page(self, src: PhysAddr) -> Generator:
         geometry = self.blocks.geometry
         src_ppn = geometry.ppn_of(src)
-        if self.mapping.reverse_lookup(src_ppn) is None:
-            # Host overwrote this LPN since the victim scan; nothing to move.
-            self.blocks.invalidate(src)
-            self.stats.pages_dropped += 1
+        dst = yield from self.sim.wait_until(
+            self.preempt_poll_us, self._destination_poll(src, src_ppn))
+        if dst is _DROPPED:
             return
-        dst = None
-        # Starvation bound: with host/GC write streams separated and
-        # fully-valid victims skipped, some worker always finishes its
-        # block and erases; if no erase lands within this many polls the
-        # allocator invariant is broken and silence would be a livelock.
-        polls_left = 10_000
-        while dst is None:
-            try:
-                dst = self.blocks.allocate_page(for_gc=True)
-            except MappingError:
-                # Transiently out of destinations: wait for an erase from
-                # another worker to replenish the pool, then retry.
-                self.stats.alloc_stalls += 1
-                if polls_left <= 0:
-                    raise MappingError(
-                        f"gc destination starvation: no erase completed "
-                        f"in {10_000 * self.preempt_poll_us:.0f}us while "
-                        f"relocating {src}"
-                    )
-                polls_left -= 1
-                yield self.sim.timeout(self.preempt_poll_us)
-                if self.mapping.reverse_lookup(src_ppn) is None:
-                    self.blocks.invalidate(src)
-                    self.stats.pages_dropped += 1
-                    return
         breakdown = yield from self.datapath.gc_move(src, dst)
         dst_ppn = geometry.ppn_of(dst)
         if self.mapping.reverse_lookup(src_ppn) is not None:
@@ -334,11 +315,52 @@ class GarbageCollector:
         if len(self.stats.move_breakdowns) < self.sample_breakdowns:
             self.stats.move_breakdowns.append(breakdown)
 
+    def _destination_poll(self, src: PhysAddr, src_ppn: int):
+        """The poll check of one page move's destination wait.
+
+        Each call is one tick of the wait: drop the move if the host
+        overwrote the source since the last tick, else try to allocate
+        a destination, counting a stall when none is free.  Transiently
+        out of destinations is normal -- another worker's erase will
+        replenish the pool.  Starvation bound: with host/GC write
+        streams separated and fully-valid victims skipped, some worker
+        always finishes its block and erases; if no erase lands within
+        this many polls the allocator invariant is broken and silence
+        would be a livelock.
+        """
+        polls_left = _STARVATION_POLLS
+
+        def tick():
+            nonlocal polls_left
+            if self.mapping.reverse_lookup(src_ppn) is None:
+                # Host overwrote this LPN since the victim scan.
+                self.blocks.invalidate(src)
+                self.stats.pages_dropped += 1
+                return _DROPPED
+            dst = self.blocks.try_allocate_page(for_gc=True)
+            if dst is None:
+                self.stats.alloc_stalls += 1
+                if polls_left <= 0:
+                    raise MappingError(
+                        f"gc destination starvation: no erase completed "
+                        f"in {_STARVATION_POLLS * self.preempt_poll_us:.0f}"
+                        f"us while relocating {src}"
+                    )
+                polls_left -= 1
+            return dst
+
+        return tick
+
     def _wait_for_io_quiet(self) -> Generator:
         """Preemptive policy: stall while host I/O is pending, unless the
         free pool has hit the hard floor."""
         if self.host is None:
             return
-        while (self.host.outstanding > 0
-               and self.blocks.free_fraction > self.hard_floor_fraction):
-            yield self.sim.timeout(self.preempt_poll_us)
+        yield from self.sim.wait_until(self.preempt_poll_us, self._io_quiet)
+
+    def _io_quiet(self) -> Optional[bool]:
+        """Poll check of :meth:`_wait_for_io_quiet`: True once it may go."""
+        if (self.host.outstanding > 0
+                and self.blocks.free_fraction > self.hard_floor_fraction):
+            return None
+        return True

@@ -5,6 +5,7 @@ from .kernel import (
     AnyOf,
     Event,
     Interrupt,
+    Poll,
     Process,
     SimulationError,
     Simulator,
@@ -30,6 +31,7 @@ __all__ = [
     "Link",
     "pairs_to_int_dict",
     "percentile",
+    "Poll",
     "Process",
     "Resource",
     "rng_load_state",

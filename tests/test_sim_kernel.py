@@ -300,3 +300,197 @@ def test_callback_after_trigger_still_runs():
     evt.add_callback(lambda e: seen.append(e.value))
     sim.run()
     assert seen == ["x"]
+
+
+# ---------------------------------------------------------------------------
+# Simulator.wait_until / Poll: a polling loop without a resume per tick.
+# ---------------------------------------------------------------------------
+
+def _dispatch_stream(scenario):
+    """``(time, seq)`` of every entry the run loop pops, and the result."""
+    from repro.sim import kernel as kernel_module
+
+    stream = []
+    pop = kernel_module.heappop
+
+    def recording_pop(queue):
+        entry = pop(queue)
+        stream.append(entry[:2])
+        return entry
+
+    kernel_module.heappop = recording_pop
+    try:
+        result = scenario()
+    finally:
+        kernel_module.heappop = pop
+    return stream, result
+
+
+def _polling_scenario(use_poll):
+    """Waiters polling a counter that other processes bump on the same
+    timestamps; each failed tick also spawns a process, so per-tick
+    side effects interleave with the poll's own heap entries."""
+    sim = Simulator()
+    trace = []
+    state = {"count": 0}
+
+    def bumper(period, times):
+        for _ in range(times):
+            yield sim.timeout(period)
+            state["count"] += 1
+            trace.append((sim.now, "bump", state["count"]))
+
+    def blip(name):
+        trace.append((sim.now, "blip", name))
+        return
+        yield  # pragma: no cover - makes this a generator
+
+    def make_check(name, target):
+        def check():
+            if state["count"] >= target:
+                return (name, state["count"])
+            trace.append((sim.now, "miss", name))
+            sim.process(blip(name))
+            return None
+        return check
+
+    def waiter(name, interval, target):
+        check = make_check(name, target)
+        if use_poll:
+            value = yield from sim.wait_until(interval, check)
+        else:
+            value = check()
+            while value is None:
+                yield sim.timeout(interval)
+                value = check()
+        trace.append((sim.now, "done", value))
+        yield sim.timeout(0.25)
+        trace.append((sim.now, "after", name))
+
+    sim.process(bumper(0.5, 12))
+    sim.process(bumper(1.0, 4))
+    sim.process(waiter("a", 0.5, 6))
+    sim.process(waiter("b", 1.0, 9))
+    sim.process(waiter("c", 0.25, 0))    # passes at once
+    sim.run()
+    return trace, sim.now, sim._seq
+
+
+def test_wait_until_matches_timeout_loop_dispatch_stream():
+    timeout_stream, timeout_result = _dispatch_stream(
+        lambda: _polling_scenario(use_poll=False))
+    poll_stream, poll_result = _dispatch_stream(
+        lambda: _polling_scenario(use_poll=True))
+    assert poll_result == timeout_result
+    assert poll_stream == timeout_stream
+    trace = poll_result[0]
+    assert any(entry[1] == "miss" for entry in trace)
+    # Ties: a bump and a poll tick land on the same timestamp.
+    bump_times = {entry[0] for entry in trace if entry[1] == "bump"}
+    assert bump_times & {entry[0] for entry in trace if entry[1] == "miss"}
+
+
+def test_wait_until_passing_check_schedules_nothing():
+    sim = Simulator()
+    calls = []
+
+    def check():
+        calls.append(sim.now)
+        return "ready"
+
+    def proc():
+        value = yield from sim.wait_until(10.0, check)
+        return value
+
+    handle = sim.process(proc())
+    sim.run()
+    assert handle.value == "ready"
+    assert calls == [0.0]
+    assert sim.now == 0.0
+    assert sim._seq == 2            # bootstrap + the process's completion
+
+
+def test_wait_until_delivers_check_value():
+    sim = Simulator()
+    ticks = []
+
+    def check():
+        ticks.append(sim.now)
+        return {"at": sim.now} if len(ticks) == 4 else None
+
+    def proc():
+        value = yield from sim.wait_until(2.5, check)
+        return value, sim.now
+
+    handle = sim.process(proc())
+    sim.run()
+    assert ticks == [0.0, 2.5, 5.0, 7.5]
+    assert handle.value == ({"at": 7.5}, 7.5)
+
+
+def test_wait_until_throws_check_error_into_waiter():
+    sim = Simulator()
+    ticks = []
+    caught = []
+
+    def check():
+        ticks.append(sim.now)
+        if len(ticks) == 3:
+            raise LookupError("starved")
+        return None
+
+    def proc():
+        try:
+            yield from sim.wait_until(1.0, check)
+        except LookupError as exc:
+            caught.append((sim.now, str(exc)))
+
+    handle = sim.process(proc())
+    sim.run()
+    assert caught == [(2.0, "starved")]
+    assert handle.triggered and sim.now == 2.0
+
+
+def test_interrupted_wait_until_dispatches_once_more_and_stops():
+    """Like a detached timeout: the pending tick still pops, once, and
+    the check never runs again."""
+    sim = Simulator()
+    ticks = []
+    events = []
+
+    def check():
+        ticks.append(sim.now)
+        return None
+
+    def victim():
+        try:
+            yield from sim.wait_until(10.0, check)
+        except Interrupt:
+            events.append(("interrupted", sim.now))
+
+    proc = sim.process(victim())
+
+    def attacker():
+        yield sim.timeout(15.0)
+        proc.interrupt()
+
+    sim.process(attacker())
+    stream, _ = _dispatch_stream(sim.run)
+    assert ticks == [0.0, 10.0]
+    assert events == [("interrupted", 15.0)]
+    # The tick armed at t=10 for t=20 is the last entry popped.
+    assert stream[-1][0] == 20.0
+    assert sim.now == 20.0 and not sim._queue
+
+
+def test_poll_rejects_manual_trigger_and_negative_interval():
+    from repro.sim import Poll
+
+    sim = Simulator()
+    poll = Poll(sim, 1.0, lambda: None)
+    with pytest.raises(SimulationError):
+        poll.trigger()
+    with pytest.raises(SimulationError):
+        poll.fail(RuntimeError())
+    with pytest.raises(ValueError):
+        Poll(sim, -1.0, lambda: None)
