@@ -129,3 +129,83 @@ def test_iter_planes_of_die():
 def test_describe_mentions_capacity():
     text = SMALL.describe()
     assert "4ch" in text and "GiB" in text
+
+
+_FIELD_NAMES = ("channels", "ways", "dies", "planes", "blocks_per_plane",
+                "pages_per_block", "page_size")
+
+
+def _named_geometries():
+    from repro.core.config import (paper_geometry, sim_geometry,
+                                   superblock_geometry)
+
+    return {
+        "sim": sim_geometry(),
+        "paper": paper_geometry(),
+        "superblock": superblock_geometry(),
+        "unit": FlashGeometry(channels=1, ways=1, dies=1, planes=1,
+                              blocks_per_plane=1, pages_per_block=1),
+    }
+
+
+@pytest.mark.parametrize("name", ["sim", "paper", "superblock", "unit"])
+def test_totals_equal_field_products(name):
+    geom = _named_geometries()[name]
+    dies = geom.channels * geom.ways * geom.dies
+    assert geom.dies_total == dies
+    assert geom.planes_total == dies * geom.planes
+    assert geom.blocks_total == dies * geom.planes * geom.blocks_per_plane
+    assert geom.pages_total == geom.blocks_total * geom.pages_per_block
+    assert geom.pages_per_plane \
+        == geom.blocks_per_plane * geom.pages_per_block
+    assert geom.capacity_bytes == geom.pages_total * geom.page_size
+    # The last page and block round-trip; one past them is rejected.
+    assert geom.ppn_of(geom.addr_of(geom.pages_total - 1)) \
+        == geom.pages_total - 1
+    assert geom.block_index(geom.block_addr_of(geom.blocks_total - 1)) \
+        == geom.blocks_total - 1
+    with pytest.raises(AddressError):
+        geom.addr_of(geom.pages_total)
+
+
+def test_dataclass_surface_is_the_seven_fields():
+    import dataclasses
+
+    geom = SMALL
+    assert tuple(f.name for f in dataclasses.fields(geom)) == _FIELD_NAMES
+    assert dataclasses.asdict(geom) == {
+        "channels": 4, "ways": 2, "dies": 2, "planes": 2,
+        "blocks_per_plane": 8, "pages_per_block": 16, "page_size": 4096}
+    assert repr(geom) == (
+        "FlashGeometry(channels=4, ways=2, dies=2, planes=2, "
+        "blocks_per_plane=8, pages_per_block=16, page_size=4096)")
+    twin = FlashGeometry(**dataclasses.asdict(geom))
+    assert twin == geom and twin is not geom
+    assert hash(twin) == hash(geom) \
+        == hash(tuple(getattr(geom, name) for name in _FIELD_NAMES))
+    assert geom != dataclasses.replace(geom, channels=8)
+    wider = dataclasses.replace(geom, channels=8)
+    assert wider.pages_total == 2 * geom.pages_total
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        geom.channels = 1
+
+
+def test_geometry_pickles_with_its_totals():
+    import pickle
+
+    clone = pickle.loads(pickle.dumps(SMALL))
+    assert clone == SMALL
+    assert clone.pages_total == SMALL.pages_total
+    assert clone.blocks_total == SMALL.blocks_total
+
+
+def test_range_error_text():
+    with pytest.raises(AddressError) as excinfo:
+        SMALL.addr_of(SMALL.pages_total)
+    assert str(excinfo.value) == "ppn 4096 out of range [0, 4096)"
+    with pytest.raises(AddressError) as excinfo:
+        SMALL.addr_of(-1)
+    assert str(excinfo.value) == "ppn -1 out of range [0, 4096)"
+    with pytest.raises(AddressError) as excinfo:
+        SMALL.block_addr_of(SMALL.blocks_total)
+    assert str(excinfo.value) == "block index 256 out of range [0, 256)"
