@@ -153,6 +153,8 @@ class FlashBackend:
             geometry.planes,
         )
         self._blocks_per_plane = geometry.blocks_per_plane
+        #: Every page offset of a block: a fully programmed block's set.
+        self._all_pages = set(range(geometry.pages_per_block))
         #: Deterministic latency rows resolved by (OP_*, channel) index;
         #: every channel shares this backend's timing preset.
         self.timing_table = TimingTable([timing] * geometry.channels)
@@ -269,8 +271,10 @@ class FlashBackend:
         Pre-conditioning hook: lets experiment setup declare prefilled
         blocks readable without simulating the fill traffic.
         """
-        state = self.block_state(addr)
-        state.programmed = set(range(self.geometry.pages_per_block))
+        self.geometry.validate(addr)
+        state = self._block_state_at(
+            self._plane_id(addr) * self._blocks_per_plane + addr[4])
+        state.programmed = self._all_pages.copy()
 
     def multiplane(self, addrs: Iterable[PhysAddr], op: str) -> Generator:
         """Execute *op* on several planes of one die as one command.

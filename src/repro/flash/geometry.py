@@ -48,6 +48,9 @@ class FlashGeometry:
     Defaults are the paper's ULL performance-evaluation device:
     8 channels x 8 ways x 1 die x 8 planes, 1384 blocks/plane,
     384 pages/block, 4 KiB pages.
+
+    The device totals ``dies_total``, ``planes_total``, ``blocks_total``
+    and ``pages_total`` are plain attributes, set at construction.
     """
 
     channels: int = 8
@@ -63,28 +66,19 @@ class FlashGeometry:
                       "blocks_per_plane", "pages_per_block", "page_size"):
             if getattr(self, field) < 1:
                 raise AddressError(f"{field} must be >= 1")
+        # Computed once, since the allocator and every poll tick read
+        # them, and stored beside the dataclass fields rather than as
+        # fields: ==, hash, repr and asdict see only the seven above.
+        dies_total = self.channels * self.ways * self.dies
+        planes_total = dies_total * self.planes
+        blocks_total = planes_total * self.blocks_per_plane
+        object.__setattr__(self, "dies_total", dies_total)
+        object.__setattr__(self, "planes_total", planes_total)
+        object.__setattr__(self, "blocks_total", blocks_total)
+        object.__setattr__(self, "pages_total",
+                           blocks_total * self.pages_per_block)
 
     # -- derived sizes -------------------------------------------------------
-
-    @property
-    def dies_total(self) -> int:
-        """Total die count across the device."""
-        return self.channels * self.ways * self.dies
-
-    @property
-    def planes_total(self) -> int:
-        """Total plane count across the device."""
-        return self.dies_total * self.planes
-
-    @property
-    def blocks_total(self) -> int:
-        """Total block count across the device."""
-        return self.planes_total * self.blocks_per_plane
-
-    @property
-    def pages_total(self) -> int:
-        """Total page count across the device."""
-        return self.blocks_total * self.pages_per_block
 
     @property
     def capacity_bytes(self) -> int:

@@ -11,7 +11,8 @@ free pool.
 from __future__ import annotations
 
 from collections import deque
-from typing import Deque, Dict, List, Optional, Set
+from itertools import product
+from typing import Deque, Dict, Iterable, List, Optional, Set
 
 from ..errors import AddressError, MappingError
 from ..flash import FlashGeometry, PhysAddr
@@ -43,7 +44,8 @@ class BlockInfo:
     __slots__ = ("addr", "state", "write_ptr", "valid", "pending")
 
     def __init__(self, addr: PhysAddr):
-        self.addr = addr.block_addr()
+        #: The block's address; its page field is zero.
+        self.addr = addr
         self.state = FREE
         self.write_ptr = 0
         self.valid: Set[int] = set()
@@ -80,9 +82,18 @@ class BlockManager:
             )
         self.geometry = geometry
         self.gc_reserve_blocks = gc_reserve_blocks
-        self.blocks: Dict[int, BlockInfo] = {}
+        blocks_per_plane = geometry.blocks_per_plane
+        # Block addresses in hierarchical order, so enumerate() yields
+        # each block's index, and every plane's free pool starts with its
+        # blocks in index order.
+        self.blocks: Dict[int, BlockInfo] = dict(enumerate(
+            BlockInfo(PhysAddr._make(position)) for position in product(
+                range(geometry.channels), range(geometry.ways),
+                range(geometry.dies), range(geometry.planes),
+                range(blocks_per_plane), (0,))))
         self._free: List[Deque[int]] = [
-            deque() for _ in range(geometry.planes_total)
+            deque(range(base, base + blocks_per_plane))
+            for base in range(0, geometry.blocks_total, blocks_per_plane)
         ]
         self._active: List[Optional[int]] = [None] * geometry.planes_total
         self._active_gc: List[Optional[int]] = [None] * geometry.planes_total
@@ -90,11 +101,6 @@ class BlockManager:
         self.free_blocks = geometry.blocks_total
         self.bad_blocks = 0
         self.spare_blocks = 0
-
-        for block_index in range(geometry.blocks_total):
-            addr = geometry.block_addr_of(block_index)
-            self.blocks[block_index] = BlockInfo(addr)
-            self._free[geometry.plane_index(addr)].append(block_index)
         self._rebuild_ready()
 
     # -- per-plane allocatability cache --------------------------------------
@@ -427,14 +433,19 @@ class BlockManager:
         Used by experiment setup to pre-condition a "fully utilized" SSD
         (paper Sec 6.1) without simulating the fill traffic.
         """
-        info = self.info(addr)
-        if info.state != FREE:
-            raise MappingError(f"prefill of non-free block {addr}")
         for offset in valid_offsets:
             if not 0 <= offset < self.geometry.pages_per_block:
                 raise AddressError(f"prefill offset {offset} out of range")
-        plane = self.geometry.plane_index(addr)
-        self._free[plane].remove(self.geometry.block_index(addr))
+        self.prefill_block_at(self.geometry.block_index(addr), valid_offsets)
+
+    def prefill_block_at(self, block_index: int,
+                         valid_offsets: Iterable[int]) -> None:
+        """:meth:`prefill_block` by block index, for in-range offsets."""
+        info = self.blocks[block_index]
+        if info.state != FREE:
+            raise MappingError(f"prefill of non-free block {info.addr}")
+        plane = block_index // self.geometry.blocks_per_plane
+        self._free[plane].remove(block_index)
         self.free_blocks -= 1
         info.state = FULL
         info.write_ptr = self.geometry.pages_per_block

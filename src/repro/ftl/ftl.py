@@ -409,7 +409,9 @@ class Ftl:
         Marks ``fill_fraction`` of all blocks FULL; each filled block
         holds ``valid_ratio`` of its pages as valid mapped LPNs and the
         rest invalid (pre-invalidated so GC has work).  Returns the
-        number of LPNs mapped.  Must run before any simulated traffic.
+        number of LPNs mapped, which are ``0 .. n - 1``.  Must run before
+        any simulated traffic: raises :class:`ConfigError` when the
+        mapping table already holds an LPN.
 
         The GC reserve is always left free: a fill fraction that rounds
         up to every block in a plane would otherwise pre-condition the
@@ -420,32 +422,42 @@ class Ftl:
             raise ConfigError(f"fill_fraction out of (0,1]: {fill_fraction}")
         if not 0.0 <= valid_ratio <= 1.0:
             raise ConfigError(f"valid_ratio out of [0,1]: {valid_ratio}")
+        if len(self.mapping):
+            raise ConfigError(
+                f"prefill needs an empty mapping table; it holds "
+                f"{len(self.mapping)} lpns")
         rng = random.Random(seed)
         geometry = self.geometry
         pages_per_block = geometry.pages_per_block
-        fill_per_plane = int(round(geometry.blocks_per_plane * fill_fraction))
-        fill_cap = geometry.blocks_per_plane - self.blocks.gc_reserve_blocks
+        blocks_per_plane = geometry.blocks_per_plane
+        fill_per_plane = int(round(blocks_per_plane * fill_fraction))
+        fill_cap = blocks_per_plane - self.blocks.gc_reserve_blocks
         fill_per_plane = min(fill_per_plane, max(fill_cap, 0))
-        lpn = 0
+        n_valid = int(round(pages_per_block * valid_ratio))
+        page_offsets = range(pages_per_block)
+        infos = self.blocks.blocks
         backend = getattr(self.datapath, "backend", None)
+        lpn = 0
         # Fill plane-by-plane so the surviving free blocks are spread
         # evenly across channels -- a linear fill would leave every free
         # block on the last channel and hotspot all future allocation.
-        for plane in range(geometry.planes_total):
-            base = plane * geometry.blocks_per_plane
-            for block_offset in range(fill_per_plane):
-                addr = geometry.block_addr_of(base + block_offset)
-                if self.blocks.info(addr).state != "free":
+        for base in range(0, geometry.blocks_total, blocks_per_plane):
+            ppns: List[int] = []
+            for block_index in range(base, base + fill_per_plane):
+                info = infos[block_index]
+                if info.state != "free":
                     continue
-                n_valid = int(round(pages_per_block * valid_ratio))
-                offsets = rng.sample(range(pages_per_block), n_valid)
-                self.blocks.prefill_block(addr, set(offsets))
-                for offset in offsets:
-                    page_addr = addr._replace(page=offset)
-                    self.mapping.bind(lpn, geometry.ppn_of(page_addr))
-                    lpn += 1
+                offsets = rng.sample(page_offsets, n_valid)
+                self.blocks.prefill_block_at(block_index, offsets)
+                # A page's hierarchical PPN, as ``geometry.ppn_of``
+                # computes it from the page's address.
+                first_ppn = block_index * pages_per_block
+                ppns.extend([first_ppn + offset for offset in offsets])
                 if backend is not None:
                     # The datapath may remap logical block positions
                     # (SRT); the *physical* block must read as written.
-                    backend.mark_block_programmed(self.datapath.remap(addr))
+                    backend.mark_block_programmed(
+                        self.datapath.remap(info.addr))
+            self.mapping.bind_run(lpn, ppns)
+            lpn += len(ppns)
         return lpn

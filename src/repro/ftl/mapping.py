@@ -7,7 +7,7 @@ LPN of a valid physical page it is about to move.
 
 from __future__ import annotations
 
-from typing import Dict, Optional
+from typing import Dict, Optional, Sequence
 
 from ..errors import MappingError
 
@@ -53,6 +53,26 @@ class PageMappingTable:
         self._forward[lpn] = ppn
         self._reverse[ppn] = lpn
         return old_ppn
+
+    def bind_run(self, first_lpn: int, ppns: Sequence[int]) -> None:
+        """Map the fresh LPNs ``first_lpn, first_lpn + 1, ...`` to *ppns*.
+
+        The bulk form of :meth:`bind` for pre-conditioning.  Every LPN
+        of the run and every PPN in *ppns* must be unbound, and no PPN
+        may repeat: otherwise :class:`MappingError` is raised and the
+        table is left unchanged.
+        """
+        # One int object per LPN, shared by both maps as in bind().
+        lpns = list(range(first_lpn, first_lpn + len(ppns)))
+        if not self._forward.keys().isdisjoint(lpns):
+            raise MappingError(f"bind_run over a bound lpn in "
+                               f"[{first_lpn}, {first_lpn + len(ppns)})")
+        if not self._reverse.keys().isdisjoint(ppns):
+            raise MappingError("bind_run onto a ppn that holds an lpn")
+        if len(set(ppns)) != len(ppns):
+            raise MappingError("bind_run maps two lpns to one ppn")
+        self._forward.update(zip(lpns, ppns))
+        self._reverse.update(zip(ppns, lpns))
 
     def unbind(self, lpn: int) -> Optional[int]:
         """Drop *lpn*'s mapping (trim); returns the freed PPN if any."""

@@ -105,3 +105,40 @@ def test_sequential_moves_preserve_lpn_set(lpns):
     for lpn in original:
         assert table.lookup(lpn) is not None
     table.check_consistency()
+
+
+def test_bind_run_maps_consecutive_lpns():
+    table = PageMappingTable()
+    table.bind_run(0, [40, 7, 12])
+    table.bind_run(3, [])
+    table.bind_run(3, [8])
+    assert [table.lookup(lpn) for lpn in range(4)] == [40, 7, 12, 8]
+    assert table.reverse_lookup(12) == 2
+    assert table.state_dict()["forward"] == [[0, 40], [1, 7], [2, 12],
+                                             [3, 8]]
+    table.check_consistency()
+
+
+def test_bind_run_equals_binds_in_lpn_order():
+    bulk, single = PageMappingTable(), PageMappingTable()
+    ppns = [9, 3, 100, 4, 55]
+    bulk.bind_run(10, ppns)
+    for lpn, ppn in enumerate(ppns, start=10):
+        single.bind(lpn, ppn)
+    assert list(bulk._forward.items()) == list(single._forward.items())
+    assert list(bulk._reverse.items()) == list(single._reverse.items())
+
+
+@pytest.mark.parametrize("first_lpn,ppns", [
+    (1, [200, 201]),     # lpn 1 already bound
+    (5, [201, 100]),     # ppn 100 already holds lpn 1
+    (5, [300, 301, 300]),  # ppn repeats within the run
+])
+def test_bind_run_is_write_once(first_lpn, ppns):
+    table = PageMappingTable()
+    table.bind(1, 100)
+    with pytest.raises(MappingError):
+        table.bind_run(first_lpn, ppns)
+    # A rejected run leaves the table as it was.
+    assert table.state_dict() == {"forward": [[1, 100]]}
+    table.check_consistency()
