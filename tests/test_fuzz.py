@@ -288,16 +288,21 @@ def test_smoke_run_reaches_pinned_edge_floor(tmp_path):
 
 
 def test_fuzz_is_deterministic_across_runs_and_jobs():
-    # 32 executions, not 24: the allocator's O(1) readiness cache
-    # removed the plane-scan loop edges, so the first mutation
-    # generation finds less *new* coverage than it used to and two
-    # seeds only diverge once the mutants get a second generation.
-    reports = [run_fuzz(seed=7, execs=32, jobs=jobs)
-               for jobs in (1, 1, 2)]
+    # 56 executions, so the run spends 38 in mutation generations: a
+    # generation sized by the worker count (2 x jobs) gave --jobs 4 a
+    # different corpus from 56 executions on, and the same one below.
+    # Two seeds diverge once the mutants get a second generation.
+    reports = [run_fuzz(seed=7, execs=56, jobs=jobs)
+               for jobs in (1, 1, 2, 4)]
     hashes = {r.corpus_hash for r in reports}
     assert len(hashes) == 1
     assert len({r.distinct_edges for r in reports}) == 1
-    assert run_fuzz(seed=8, execs=32).corpus_hash not in hashes
+    assert run_fuzz(seed=8, execs=56).corpus_hash not in hashes
+
+
+def test_fuzz_batches_never_overrun_the_exec_budget():
+    for jobs in (1, 4):
+        assert run_fuzz(seed=7, execs=3, jobs=jobs).executions == 3
 
 
 def _leave_suspended_generator_cycles():
