@@ -17,8 +17,6 @@ import math
 import random
 from typing import Dict, Optional
 
-import numpy as np
-
 from ..errors import ConfigError
 
 __all__ = ["WearModel", "PAPER_PE_MEAN", "PAPER_PE_SIGMA"]
@@ -57,13 +55,16 @@ class WearModel:
             self._limits[block_index] = limit
         return limit
 
-    def limits_array(self, n_blocks: int,
-                     seed: Optional[int] = None) -> np.ndarray:
+    def limits_array(self, n_blocks: int, seed: Optional[int] = None):
         """Vectorized draw of *n_blocks* limits (for the endurance sim).
 
-        Uses an independent numpy generator so the scalar cache keeps its
-        own stream; pass *seed* for reproducibility across runs.
+        Returns a ``numpy.ndarray`` of ``int64``.  Uses an independent
+        numpy generator so the scalar cache keeps its own stream; pass
+        *seed* for reproducibility across runs.  NumPy is imported here,
+        not with the module, so simulating a device never loads it.
         """
+        import numpy as np
+
         rng = np.random.default_rng(self._seed if seed is None else seed)
         draws = rng.normal(self.mean, self.sigma, size=n_blocks)
         return np.maximum(self.min_limit, np.rint(draws)).astype(np.int64)

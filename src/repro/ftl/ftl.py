@@ -354,7 +354,7 @@ class Ftl:
         except MappingError as exc:
             problems.append(f"mapping mirror broken: {exc}")
         mapped = len(self.mapping)
-        valid = sum(len(info.valid) for info in self.blocks.blocks.values())
+        valid = sum(info.valid_count for info in self.blocks.blocks.values())
         if mapped != valid:
             problems.append(
                 f"mapped LPNs ({mapped}) != valid flash pages ({valid})")

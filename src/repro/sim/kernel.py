@@ -573,11 +573,6 @@ class Simulator:
         self._seq += 1
         heappush(self._queue, (self._now + delay, self._seq, fn, args))
 
-    def _schedule_event(self, event: Event, delay: float = 0.0) -> None:
-        # Kept for backward compatibility; events now enqueue themselves.
-        self._seq += 1
-        heappush(self._queue, (self._now + delay, self._seq, event, _NO_ARGS))
-
     # -- execution ----------------------------------------------------------
 
     def run(self, until: Optional[float] = None) -> float:

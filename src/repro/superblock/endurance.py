@@ -26,8 +26,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
-import numpy as np
-
 from ..errors import ConfigError
 from ..flash.wear import PAPER_PE_MEAN, PAPER_PE_SIGMA
 from .tables import RecycleBlockTable, SuperblockRemapTable
@@ -124,6 +122,8 @@ class EnduranceSimulator:
     """Jump-to-next-failure wear simulation over (superblock, channel)."""
 
     def __init__(self, config: EnduranceConfig):
+        import numpy as np
+
         self.config = config
         rng = np.random.default_rng(config.seed)
         total = config.n_superblocks
@@ -167,6 +167,8 @@ class EnduranceSimulator:
 
     def run(self) -> EnduranceResult:
         """Advance failure-by-failure until the stop fraction is bad."""
+        import numpy as np
+
         config = self.config
         stop_bad = int(np.ceil(self.visible * config.stop_bad_fraction))
         sb_bytes = float(config.superblock_bytes)

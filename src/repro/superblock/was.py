@@ -20,8 +20,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import List, Tuple
 
-import numpy as np
-
 from ..errors import ConfigError
 from ..flash.wear import PAPER_PE_MEAN, PAPER_PE_SIGMA
 
@@ -95,6 +93,8 @@ def simulate_was(config: WasConfig = None, **kwargs) -> WasResult:
     result curve reports that count against bytes written, with bytes
     accumulated over the *formable* superblocks at each wear level.
     """
+    import numpy as np
+
     config = config if config is not None else WasConfig(**kwargs)
     rng = np.random.default_rng(config.seed)
     limits = np.maximum(1, np.rint(

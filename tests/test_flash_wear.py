@@ -1,6 +1,14 @@
 """Unit tests for the wear / process-variation model."""
 
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
+
 import pytest
+
+import repro
 
 from repro.errors import ConfigError
 from repro.flash import PAPER_PE_MEAN, PAPER_PE_SIGMA, WearModel
@@ -72,3 +80,36 @@ def test_invalid_parameters_rejected():
         WearModel(sigma=-1.0)
     with pytest.raises(ConfigError):
         WearModel(min_limit=0)
+
+
+def test_simulating_a_device_never_imports_numpy():
+    """Only ``limits_array`` (and the superblock endurance studies) need
+    NumPy; building, pre-conditioning and running a device -- GC, wear
+    read-retries and the reliability stack included -- must not load
+    it."""
+    code = textwrap.dedent("""
+        import sys
+        from repro.core import build_ssd, fastforward_wear, sim_geometry
+        from repro.reliability import ReliabilityConfig
+        from repro.workloads import SyntheticWorkload
+
+        geometry = sim_geometry(channels=2, ways=1, planes=2,
+                                blocks_per_plane=12, pages_per_block=16)
+        ssd = build_ssd("dssd_f", geometry=geometry, prefill_fraction=0.92,
+                        read_retry=True,
+                        reliability=ReliabilityConfig(base_rber=1e-6))
+        ssd.prefill()
+        fastforward_wear(ssd, 0.5)
+        ssd.run(SyntheticWorkload(pattern="mixed", io_size=4096,
+                                  read_fraction=0.3), max_requests=400)
+        assert ssd.gc.stats.blocks_erased > 0
+        print(sorted(name for name in sys.modules
+                     if name.split(".")[0] == "numpy"))
+    """)
+    src = str(Path(repro.__file__).resolve().parent.parent)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [src] + [p for p in [env.get("PYTHONPATH")] if p])
+    result = subprocess.run([sys.executable, "-c", code], env=env,
+                            capture_output=True, text=True, check=True)
+    assert result.stdout.strip() == "[]"

@@ -154,6 +154,24 @@ def test_prefill_block():
         mgr.prefill_block(addr, {1})
 
 
+def test_valid_is_a_read_only_view():
+    mgr = make_manager()
+    addr = GEOM.block_addr_of(2)
+    mgr.prefill_block(addr, [3, 1])
+    info = mgr.info(addr)
+    assert info.mask == 0b1010
+    assert info.valid == {1, 3} and info.valid_count == 2
+    with pytest.raises(AttributeError):
+        info.valid.add(0)
+    with pytest.raises(AttributeError):
+        info.valid.clear()
+    mgr.invalidate(addr._replace(page=3))
+    mgr.mark_valid(addr._replace(page=0))
+    assert info.valid == {0, 1}
+    info.valid = [2]
+    assert info.mask == 0b100
+
+
 def test_valid_pages_of_sorted():
     mgr = make_manager()
     addr = GEOM.block_addr_of(1)
