@@ -22,6 +22,15 @@ The values in :data:`GOLDEN` were recorded while both layers kept each
 block's pages in a Python ``set``.  A change to how block and page
 state is stored must reproduce these digests exactly.  A mismatch
 message prints the digest observed.
+
+:data:`REPORT_GOLDEN` pins what the same runs report instead: the
+system bus's io/gc byte timelines and the completed-bytes timeline,
+the bus, DRAM, plane and fNoC utilizations, and the mean I/O and GC
+latency breakdowns (which carry the queueing delay every link
+returns).  Its ``gc_drain_dssd_b`` case drives the dedicated bus.
+These were recorded while every link also kept busy-time bins,
+per-class byte counts and wait statistics; metering less must not
+move a reported number.
 """
 
 import hashlib
@@ -39,6 +48,14 @@ GOLDEN = {
     "gc_drain_baseline": "b1471533824d95f3",
     "gc_drain_dssd_f": "a2f191bdc667e0d4",
     "erase_hooks_dssd_f": "69865d014a196868",
+}
+
+#: Recorded digest of each case's run report (see the module docstring).
+REPORT_GOLDEN = {
+    "gc_drain_baseline": "bb73c7daed755b8e",
+    "gc_drain_dssd_b": "eaa906fc56396c4d",
+    "gc_drain_dssd_f": "01129ee8c55367dd",
+    "erase_hooks_dssd_f": "91bc51b370f10440",
 }
 
 #: Small enough that 1,500 write-leaning requests keep GC busy.
@@ -73,18 +90,22 @@ def _erase_hooks():
 
 CASES = {
     "gc_drain_baseline": lambda: _gc_drain("baseline"),
+    "gc_drain_dssd_b": lambda: _gc_drain("dssd_b"),
     "gc_drain_dssd_f": lambda: _gc_drain("dssd_f"),
     "erase_hooks_dssd_f": _erase_hooks,
 }
 
 
 def run_case(name):
-    """Build one case and run its load until the device drains."""
+    """Build one case and run its load until the device drains.
+
+    Returns ``(ssd, result)``: the drained device and its ``RunResult``.
+    """
     ssd = CASES[name]()
-    ssd.run(SyntheticWorkload(pattern="mixed", io_size=4096,
-                              read_fraction=0.2),
-            max_requests=_REQUESTS)
-    return ssd
+    result = ssd.run(SyntheticWorkload(pattern="mixed", io_size=4096,
+                                       read_fraction=0.2),
+                     max_requests=_REQUESTS)
+    return ssd, result
 
 
 def device_digest(ssd):
@@ -101,27 +122,55 @@ def device_digest(ssd):
         "backend_state": json.dumps(ssd.backend.state_dict(),
                                     sort_keys=True),
     }
-    blob = json.dumps(state, separators=(",", ":")).encode()
+    return _digest(state)
+
+
+def report_digest(result):
+    """sha256 (16 hex digits) of the meter-fed numbers in a run report."""
+    report = {
+        "bus_io_timeline": result.bus_io_timeline,
+        "bus_gc_timeline": result.bus_gc_timeline,
+        "bandwidth_timeline": result.bandwidth_timeline,
+        "utilization": [result.bus_utilization, result.bus_io_utilization,
+                        result.bus_gc_utilization, result.dram_utilization,
+                        result.mean_plane_utilization,
+                        result.fnoc_mean_utilization],
+        "io_breakdown": sorted(result.io_breakdown.parts.items()),
+        "gc_breakdown": sorted(result.gc_breakdown.parts.items()),
+    }
+    return _digest(report)
+
+
+def _digest(value):
+    blob = json.dumps(value, separators=(",", ":")).encode()
     return hashlib.sha256(blob).hexdigest()[:16]
 
 
-@pytest.mark.parametrize("name", sorted(CASES))
+@pytest.mark.parametrize("name", sorted(GOLDEN))
 def test_runtime_state_matches_golden(name):
-    ssd = run_case(name)
+    ssd, _ = run_case(name)
     assert not ssd.ftl.audit()
     observed = device_digest(ssd)
     assert observed == GOLDEN[name], (
         f"run-time digest of {name!r} changed: observed {observed!r}")
 
 
+@pytest.mark.parametrize("name", sorted(REPORT_GOLDEN))
+def test_run_report_matches_golden(name):
+    _, result = run_case(name)
+    observed = report_digest(result)
+    assert observed == REPORT_GOLDEN[name], (
+        f"report digest of {name!r} changed: observed {observed!r}")
+
+
 def test_cases_reach_their_features():
     """GC must erase and relocate, and the hook case must remap and
     retire, or the digests above pin nothing."""
     for name in CASES:
-        ssd = run_case(name)
+        ssd, _ = run_case(name)
         stats = ssd.gc.stats
         assert ssd.ftl.requests_completed == _REQUESTS, name
         assert stats.blocks_erased > 0 and stats.pages_moved > 0, name
-    hooks = run_case("erase_hooks_dssd_f").gc.stats
+    hooks = run_case("erase_hooks_dssd_f")[0].gc.stats
     assert hooks.blocks_remapped > 0
     assert hooks.blocks_retired > 0
