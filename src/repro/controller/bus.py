@@ -25,6 +25,8 @@ class SystemBus:
     ``bandwidth`` is bytes/us.  Traffic classes: ``"io"`` for host
     requests, ``"gc"`` for garbage-collection copies -- the experiments
     plot each class's utilization separately (paper Fig 2(c,d), 7(b)).
+    It is the one link that also keeps a per-class byte timeline, in
+    bins of *bin_width* us.
     """
 
     def __init__(self, sim: Simulator, bandwidth: float = PAPER_SYSTEM_BUS_BW,

@@ -26,7 +26,7 @@ class Dram:
 
     def __init__(self, sim: Simulator, bandwidth: float = PAPER_DRAM_BW,
                  write_buffer_pages: int = 1024,
-                 name: str = "dram", bin_width: float = 1000.0):
+                 name: str = "dram"):
         if bandwidth <= 0:
             raise ConfigError(f"DRAM bandwidth must be positive: {bandwidth}")
         if write_buffer_pages < 1:
@@ -36,10 +36,8 @@ class Dram:
         self.sim = sim
         # DDR-style duplex: independent read and write ports, each at the
         # rated bandwidth, so reads do not queue behind writes.
-        self.read_link = Link(sim, bandwidth, name=f"{name}_rd",
-                              bin_width=bin_width)
-        self.write_link = Link(sim, bandwidth, name=f"{name}_wr",
-                               bin_width=bin_width)
+        self.read_link = Link(sim, bandwidth, name=f"{name}_rd")
+        self.write_link = Link(sim, bandwidth, name=f"{name}_wr")
         self.write_buffer = TokenPool(sim, write_buffer_pages,
                                       name="write_buffer")
 

@@ -130,7 +130,6 @@ class FlashController:
         finally:
             if service_start is not None:
                 plane.busy_time += sim.now - service_start
-                plane.op_counts["read"] = plane.op_counts.get("read", 0) + 1
             plane.resource.cancel(grant)
         breakdown.add("flash_chip", (service_start - t_request) + duration)
         if injector is not None and injector.die_fault():
@@ -184,8 +183,6 @@ class FlashController:
         finally:
             if service_start is not None:
                 plane.busy_time += sim.now - service_start
-                plane.op_counts["program"] = (
-                    plane.op_counts.get("program", 0) + 1)
             plane.resource.cancel(grant)
         breakdown.add("flash_chip", (service_start - t_request) + duration)
         self.pages_programmed += 1

@@ -29,8 +29,7 @@ class HostInterface:
 
     def __init__(self, sim: Simulator, queue_depth: int = PAPER_QUEUE_DEPTH,
                  bandwidth: float = PAPER_HOST_BW,
-                 cmd_latency_us: float = DEFAULT_CMD_LATENCY_US,
-                 bin_width: float = 1000.0):
+                 cmd_latency_us: float = DEFAULT_CMD_LATENCY_US):
         if queue_depth < 1:
             raise ConfigError(f"queue depth must be >= 1: {queue_depth}")
         if bandwidth <= 0:
@@ -40,8 +39,7 @@ class HostInterface:
         self.sim = sim
         self.queue_depth = queue_depth
         self.cmd_latency_us = cmd_latency_us
-        self.link = Link(sim, bandwidth, name="host_link",
-                         bin_width=bin_width)
+        self.link = Link(sim, bandwidth, name="host_link")
         self._slots = TokenPool(sim, queue_depth, name="sq_slots")
         self.submitted = 0
         self.completed = 0

@@ -56,7 +56,7 @@ __all__ = [
 ]
 
 #: Bump on any incompatible change to the snapshot layout.
-SNAPSHOT_SCHEMA = 2
+SNAPSHOT_SCHEMA = 3
 
 #: Bump on any incompatible change to the durable-projection layout.
 DURABLE_SCHEMA = 1

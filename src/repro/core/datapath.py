@@ -138,7 +138,6 @@ class BaselineDatapath:
         finally:
             if service_start is not None:
                 plane.busy_time += sim.now - service_start
-                plane.op_counts["read"] = plane.op_counts.get("read", 0) + 1
             plane.resource.cancel(grant)
         breakdown.add("flash_chip", (service_start - t_request) + duration)
         if injector is not None and injector.die_fault():
@@ -230,8 +229,6 @@ class BaselineDatapath:
         finally:
             if service_start is not None:
                 plane.busy_time += sim.now - service_start
-                plane.op_counts["program"] = (
-                    plane.op_counts.get("program", 0) + 1)
             plane.resource.cancel(grant)
         breakdown.add("flash_chip", (service_start - t_request) + duration)
         controller.pages_programmed += 1
@@ -275,8 +272,6 @@ class BaselineDatapath:
             finally:
                 if service_start is not None:
                     plane.busy_time += sim.now - service_start
-                    plane.op_counts["read"] = (
-                        plane.op_counts.get("read", 0) + 1)
                 plane.resource.cancel(grant)
             breakdown.add("flash_chip",
                           (service_start - t_request) + duration)
@@ -352,8 +347,6 @@ class BaselineDatapath:
             finally:
                 if service_start is not None:
                     plane.busy_time += sim.now - service_start
-                    plane.op_counts["program"] = (
-                        plane.op_counts.get("program", 0) + 1)
                 plane.resource.cancel(grant)
             breakdown.add("flash_chip",
                           (service_start - t_request) + duration)
@@ -464,8 +457,6 @@ class DecoupledDatapath(BaselineDatapath):
             finally:
                 if service_start is not None:
                     plane.busy_time += sim.now - service_start
-                    plane.op_counts["read"] = (
-                        plane.op_counts.get("read", 0) + 1)
                 plane.resource.cancel(grant)
             breakdown.add("flash_chip",
                           (service_start - t_request) + duration)
@@ -545,8 +536,6 @@ class DecoupledDatapath(BaselineDatapath):
             finally:
                 if service_start is not None:
                     plane.busy_time += sim.now - service_start
-                    plane.op_counts["program"] = (
-                        plane.op_counts.get("program", 0) + 1)
                 plane.resource.cancel(grant)
             breakdown.add("flash_chip",
                           (service_start - t_request) + duration)

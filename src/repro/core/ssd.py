@@ -183,8 +183,7 @@ class SimulatedSSD:
             deterministic_timing=config.deterministic_timing,
         )
         self.channels = [
-            FlashChannel(self.sim, c, config.flash_channel_bw,
-                         bin_width=config.bin_width_us)
+            FlashChannel(self.sim, c, config.flash_channel_bw)
             for c in range(geometry.channels)
         ]
         self.controllers = [
@@ -194,12 +193,10 @@ class SimulatedSSD:
         self.bus = SystemBus(self.sim, config.system_bus_bw,
                              bin_width=config.bin_width_us)
         self.dram = Dram(self.sim, config.dram_bw,
-                         write_buffer_pages=config.write_buffer_pages,
-                         bin_width=config.bin_width_us)
+                         write_buffer_pages=config.write_buffer_pages)
         self.host = HostInterface(self.sim, config.queue_depth,
                                   config.host_bw,
-                                  config.host_cmd_latency_us,
-                                  bin_width=config.bin_width_us)
+                                  config.host_cmd_latency_us)
         self.fnoc: Optional[FNoC] = None
         self.datapath = self._build_datapath(remapper)
         if config.read_retry:
@@ -270,10 +267,8 @@ class SimulatedSSD:
         if config.arch is ArchPreset.DSSD:
             transport = SharedBusTransport(self.sim, self.bus)
         elif config.arch is ArchPreset.DSSD_B:
-            transport = DedicatedBusTransport(
-                self.sim, config.dedicated_bus_bw,
-                bin_width=config.bin_width_us,
-            )
+            transport = DedicatedBusTransport(self.sim,
+                                              config.dedicated_bus_bw)
         elif config.arch is ArchPreset.DSSD_F:
             topo_cls = _TOPOLOGIES[config.fnoc_topology]
             topology = topo_cls(config.geometry.channels)
@@ -284,7 +279,6 @@ class SimulatedSSD:
                 buffer_flits=config.fnoc_buffer_flits,
                 router_latency_us=config.fnoc_router_latency_us,
                 ni_latency_us=config.fnoc_ni_latency_us,
-                bin_width=config.bin_width_us,
             )
             transport = FnocTransport(self.sim, self.fnoc)
         else:  # pragma: no cover - enum is exhaustive

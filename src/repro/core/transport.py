@@ -66,11 +66,9 @@ class DedicatedBusTransport(CopybackTransport):
 
     name = "dedicated_bus"
 
-    def __init__(self, sim: Simulator, bandwidth: float,
-                 bin_width: float = 1000.0):
+    def __init__(self, sim: Simulator, bandwidth: float):
         self.sim = sim
-        self.link = Link(sim, bandwidth, name="dedicated_bus",
-                         bin_width=bin_width)
+        self.link = Link(sim, bandwidth, name="dedicated_bus")
 
     def move(self, src_controller: int, dst_controller: int, nbytes: int,
              breakdown: Breakdown,

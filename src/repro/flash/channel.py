@@ -27,8 +27,7 @@ class FlashChannel:
 
     def __init__(self, sim: Simulator, channel_id: int,
                  bandwidth: float = 1000.0,
-                 cmd_overhead_us: float = DEFAULT_CMD_OVERHEAD_US,
-                 bin_width: float = 1000.0):
+                 cmd_overhead_us: float = DEFAULT_CMD_OVERHEAD_US):
         if bandwidth <= 0:
             raise ConfigError(f"channel bandwidth must be positive: {bandwidth}")
         if cmd_overhead_us < 0:
@@ -36,8 +35,7 @@ class FlashChannel:
         self.sim = sim
         self.channel_id = channel_id
         self.cmd_overhead_us = cmd_overhead_us
-        self.link = Link(sim, bandwidth, name=f"flash_bus{channel_id}",
-                         bin_width=bin_width)
+        self.link = Link(sim, bandwidth, name=f"flash_bus{channel_id}")
         #: Command/address overhead expressed as bytes-equivalent bus
         #: occupancy -- resolved once (both parameters are fixed at
         #: construction) instead of per transaction on the hot path.

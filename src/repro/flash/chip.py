@@ -95,9 +95,8 @@ class FlashPlane:
         self.name = name
         self.resource = Resource(sim, capacity=1, name=name)
         self.busy_time = 0.0
-        self.op_counts: Dict[str, int] = {"read": 0, "program": 0, "erase": 0}
 
-    def occupy(self, duration: float, op: str) -> Generator:
+    def occupy(self, duration: float) -> Generator:
         """Generator: hold the plane for *duration*, yielding wait time.
 
         Interrupt-safe: the plane slot is returned (and the busy time
@@ -114,7 +113,6 @@ class FlashPlane:
         finally:
             if service_start is not None:
                 self.busy_time += self.sim.now - service_start
-                self.op_counts[op] = self.op_counts.get(op, 0) + 1
             self.resource.cancel(grant)
         return service_start - t_request
 
@@ -127,14 +125,11 @@ class FlashPlane:
         """Checkpoint the plane's meters (the slot itself must be idle)."""
         if self.resource.in_use or self.resource.queue_length:
             raise FlashError(f"cannot snapshot busy plane {self.name!r}")
-        return {"busy_time": self.busy_time,
-                "op_counts": dict(self.op_counts)}
+        return {"busy_time": self.busy_time}
 
     def load_state(self, state: dict) -> None:
         """Restore meters captured by :meth:`state_dict`."""
         self.busy_time = float(state["busy_time"])
-        self.op_counts = {op: int(count)
-                          for op, count in state["op_counts"].items()}
 
 
 class FlashBackend:
@@ -263,13 +258,13 @@ class FlashBackend:
     def read(self, addr: PhysAddr) -> Generator:
         """Read one page from the array into the plane's page register."""
         plane, duration = self.prepare_read(addr)
-        wait = yield from plane.occupy(duration, "read")
+        wait = yield from plane.occupy(duration)
         return OpBreakdown(wait, duration)
 
     def program(self, addr: PhysAddr) -> Generator:
         """Program one page (reprogram without erase is rejected)."""
         plane, duration = self.prepare_program(addr)
-        wait = yield from plane.occupy(duration, "program")
+        wait = yield from plane.occupy(duration)
         return OpBreakdown(wait, duration)
 
     def erase(self, addr: PhysAddr) -> Generator:
@@ -281,7 +276,7 @@ class FlashBackend:
         state.mask = 0
         state.erase_count += 1
         plane = self.planes[plane_id]
-        wait = yield from plane.occupy(self.timing.erase_us, "erase")
+        wait = yield from plane.occupy(self.timing.erase_us)
         return OpBreakdown(wait, self.timing.erase_us)
 
     def mark_block_programmed(self, addr: PhysAddr) -> None:
@@ -344,7 +339,7 @@ class FlashBackend:
                 state.erase_count += 1
 
         procs = [
-            self.sim.process(self.plane_of(addr).occupy(duration, op))
+            self.sim.process(self.plane_of(addr).occupy(duration))
             for addr in addr_list
         ]
         waits = yield self.sim.all_of(procs)

@@ -136,7 +136,6 @@ class FNoC:
                  buffer_flits: int = DEFAULT_BUFFER_FLITS,
                  router_latency_us: float = DEFAULT_ROUTER_LATENCY_US,
                  ni_latency_us: float = DEFAULT_NI_LATENCY_US,
-                 bin_width: float = 1000.0,
                  hol_blocking: Optional[bool] = None):
         if channel_bandwidth <= 0:
             raise ConfigError(
@@ -167,9 +166,7 @@ class FNoC:
         self._channels: Dict[Tuple[int, int], Link] = {}
         for u, v in topology.channels():
             self._channels[(u, v)] = Link(
-                sim, channel_bandwidth, name=f"noc{u}->{v}",
-                bin_width=bin_width,
-            )
+                sim, channel_bandwidth, name=f"noc{u}->{v}")
         self._guards: Dict[Tuple[int, int], Resource] = {}
         if self.hol_blocking:
             for u, v in topology.channels():

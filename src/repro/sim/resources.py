@@ -276,28 +276,27 @@ class Link:
     ``bandwidth`` is in **bytes per microsecond** (1 GB/s == 1000 B/us,
     using decimal giga to match the paper's GB/s figures).  Transfers are
     served one at a time; each occupies the link for
-    ``nbytes / bandwidth`` us.  Per-traffic-class busy time and byte
-    counts are accumulated into :class:`~repro.sim.stats.TimeBins` so the
-    experiments can plot utilization and bandwidth timelines (paper
-    Fig 2(c,d), Fig 7(b)).
+    ``nbytes / bandwidth`` us.  Every link accumulates per-traffic-class
+    busy time, from which all utilization figures are derived.  A link
+    built with a ``bin_width`` (us) also bins each class's bytes into
+    :class:`~repro.sim.stats.TimeBins` for the bandwidth timelines of
+    paper Fig 2(c,d) and Fig 7(b); only the system bus keeps one.
     """
 
     def __init__(self, sim: Simulator, bandwidth: float, name: str = "",
-                 bin_width: float = 1000.0):
+                 bin_width: Optional[float] = None):
         if bandwidth <= 0:
             raise ValueError(f"bandwidth must be positive, got {bandwidth}")
         self.sim = sim
         self.bandwidth = bandwidth
         self.name = name
+        self.bin_width = bin_width
         self._busy = False
         self._queue: List[Tuple[int, int, Transfer]] = []
         self._seq = 0
         _register(sim, self)
-        self.busy_bins = TimeBins(bin_width)
-        self.byte_bins: dict = {}
         self.busy_time: dict = {}
-        self.bytes_moved: dict = {}
-        self.wait_stats: dict = {}
+        self.byte_bins: dict = {}
         # One bound method reused for every completion push instead of a
         # fresh allocation per transfer in _start.
         self._finish_cb = self._finish
@@ -377,33 +376,23 @@ class Link:
         nbytes = item.nbytes
         duration = nbytes / self.bandwidth
         end = start + duration
-        self.busy_bins.add_interval(start, end)
         cls = item.traffic_class
         busy_time = self.busy_time
         busy_time[cls] = busy_time.get(cls, 0.0) + duration
-        bytes_moved = self.bytes_moved
-        bytes_moved[cls] = bytes_moved.get(cls, 0) + nbytes
-        bins = self.byte_bins.get(cls)
-        if bins is None:
-            bins = self.byte_bins[cls] = TimeBins(self.busy_bins.width)
-        bins.add(start, nbytes)
+        if self.bin_width is not None:
+            bins = self.byte_bins.get(cls)
+            if bins is None:
+                bins = self.byte_bins[cls] = TimeBins(self.bin_width)
+            bins.add(start, nbytes)
         sim._seq = seq = sim._seq + 1
         heappush(sim._queue, (end, seq, self._finish_cb, (item,)))
 
     def _finish(self, item: Transfer) -> None:
         self._busy = False
-        started = item.started_at
-        wait = (started if started is not None else item.enqueued_at) \
-            - item.enqueued_at
-        stats = self.wait_stats.get(item.traffic_class)
-        if stats is None:
-            stats = self.wait_stats[item.traffic_class] = [0, 0.0]
-        stats[0] += 1
-        stats[1] += wait
         if self._queue:
             _prio, _seq, nxt = heapq.heappop(self._queue)
             self._start(nxt)
-        item.done.trigger(wait)
+        item.done.trigger(item.started_at - item.enqueued_at)
 
     # -- reporting ----------------------------------------------------------
 
@@ -423,15 +412,12 @@ class Link:
             return 0.0
         return min(1.0, self.busy_time.get(traffic_class, 0.0) / horizon)
 
-    def mean_wait(self, traffic_class: str) -> float:
-        """Average queueing delay observed by one traffic class."""
-        stats = self.wait_stats.get(traffic_class)
-        if not stats or stats[0] == 0:
-            return 0.0
-        return stats[1] / stats[0]
-
     def bandwidth_timeline(self, traffic_class: str):
-        """``(times, bytes_per_us)`` series for one traffic class."""
+        """``(times, bytes_per_us)`` series for one traffic class.
+
+        Empty for a class that never moved and on a link built without
+        a ``bin_width``.
+        """
         bins = self.byte_bins.get(traffic_class)
         if bins is None:
             return [], []
@@ -454,29 +440,19 @@ class Link:
                 f"(queued={len(self._queue)})"
             )
         return {
-            "busy_bins": self.busy_bins.state_dict(),
+            "busy_time": dict(self.busy_time),
             "byte_bins": {cls: bins.state_dict()
                           for cls, bins in self.byte_bins.items()},
-            "busy_time": dict(self.busy_time),
-            "bytes_moved": dict(self.bytes_moved),
-            "wait_stats": {cls: list(stats)
-                           for cls, stats in self.wait_stats.items()},
         }
 
     def load_state(self, state: dict) -> None:
         """Restore meters captured by :meth:`state_dict`."""
-        self.busy_bins.load_state(state["busy_bins"])
-        self.byte_bins = {}
-        for cls, bins_state in state["byte_bins"].items():
-            bins = TimeBins(self.busy_bins.width)
-            bins.load_state(bins_state)
-            self.byte_bins[cls] = bins
         self.busy_time = {cls: float(v)
                           for cls, v in state["busy_time"].items()}
-        self.bytes_moved = {cls: int(v)
-                            for cls, v in state["bytes_moved"].items()}
-        self.wait_stats = {cls: [int(stats[0]), float(stats[1])]
-                           for cls, stats in state["wait_stats"].items()}
+        self.byte_bins = {}
+        for cls, bins_state in state["byte_bins"].items():
+            bins = self.byte_bins[cls] = TimeBins()
+            bins.load_state(bins_state)
 
 
 class Store:

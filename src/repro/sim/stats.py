@@ -327,11 +327,12 @@ def _snapshot(stats: LatencyStats) -> LatencyStats:
 
 
 class TimeBins:
-    """Fixed-width time bins accumulating amounts (bytes, busy-us, counts).
+    """Fixed-width time bins accumulating amounts (bytes, counts).
 
-    Used to reproduce the paper's per-millisecond I/O bandwidth and bus
-    utilization timelines (Fig 2).  ``width`` is the bin width in
-    microseconds (default 1000 us = 1 ms, matching the paper).
+    Used to reproduce the paper's per-millisecond I/O bandwidth and
+    system-bus bandwidth timelines (Fig 2, Fig 7(b)).  ``width`` is the
+    bin width in microseconds (default 1000 us = 1 ms, matching the
+    paper).
     """
 
     __slots__ = ("width", "_bins")
@@ -347,36 +348,6 @@ class TimeBins:
         index = int(time // self.width)
         bins = self._bins
         bins[index] = bins.get(index, 0.0) + amount
-
-    def add_interval(self, start: float, end: float) -> None:
-        """Spread an interval's duration across the bins it overlaps.
-
-        Used for busy-time accounting: a transfer occupying ``[start,
-        end)`` contributes its overlap length to each bin it crosses.
-        """
-        if end < start:
-            raise ValueError(f"interval end {end} before start {start}")
-        width = self.width
-        bins = self._bins
-        index = int(start // width)
-        last = int(end // width)
-        if index == last:
-            # Common case: the interval stays inside one bin.
-            if end > start:
-                bins[index] = bins.get(index, 0.0) + (end - start)
-            return
-        cursor = start
-        while index <= last:
-            bin_end = (index + 1) * width
-            chunk = min(end, bin_end) - cursor
-            if chunk > 0:
-                bins[index] = bins.get(index, 0.0) + chunk
-            cursor = bin_end
-            index += 1
-
-    def value_at(self, time: float) -> float:
-        """Accumulated amount in the bin containing *time*."""
-        return self._bins.get(int(time // self.width), 0.0)
 
     def series(self) -> Tuple[List[float], List[float]]:
         """``(bin_start_times, amounts)`` with gaps filled with zero."""

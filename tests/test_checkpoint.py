@@ -147,6 +147,29 @@ def test_resnapshot_identity(arch, requests, age, with_reliability):
     assert restored.backend.state_dict() == ssd.backend.state_dict()
 
 
+def test_only_the_system_bus_keeps_a_byte_timeline():
+    """Every link meters busy time; only the bus bins bytes over time."""
+    ssd = _build("dssd_f", prefill_fraction=0.9)
+    ssd.run(SyntheticWorkload(pattern="mixed", io_size=4096,
+                              read_fraction=0.2),
+            max_requests=PHASE_REQUESTS)
+    assert ssd.gc.stats.pages_moved > 0
+    assert any(link.busy_time.get("gc")
+               for link in ssd.fnoc._channels.values())
+
+    def binned(device):
+        return [resource for resource in device.sim._resources
+                if getattr(resource, "byte_bins", None)]
+
+    assert binned(ssd) == [ssd.bus.link]
+    restored = restore_ssd(json.loads(json.dumps(ssd.snapshot())))
+    assert binned(restored) == [restored.bus.link]
+    for cls, bins in ssd.bus.link.byte_bins.items():
+        assert restored.bus.link.byte_bins[cls].width == bins.width
+        assert (restored.bus.bandwidth_timeline(cls)
+                == ssd.bus.bandwidth_timeline(cls))
+
+
 # -- quiescence & schema guards ----------------------------------------------
 
 def test_snapshot_refuses_pending_events():

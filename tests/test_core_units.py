@@ -95,7 +95,7 @@ def test_shared_bus_transport_accounts_system_bus():
     bd = Breakdown()
     drive(sim, transport.move(0, 1, 4096, bd))
     assert bd.get("system_bus") == pytest.approx(4096 / 8000.0)
-    assert bus.link.bytes_moved["gc"] == 4096
+    assert bus.link.busy_time["gc"] == 4096 / bus.bandwidth
 
 
 def test_dedicated_bus_transport_accounts_fnoc():

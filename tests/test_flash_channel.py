@@ -76,5 +76,5 @@ def test_gc_traffic_class_accounted_separately():
 
     sim.process(mover(sim))
     sim.run()
-    assert channel.link.bytes_moved["gc"] == 1000
-    assert channel.link.bytes_moved["io"] == 2000
+    assert channel.link.busy_time["gc"] == 1000 / channel.bandwidth
+    assert channel.link.busy_time["io"] == 2000 / channel.bandwidth

@@ -129,43 +129,32 @@ def test_link_per_class_accounting():
 
     sim.process(mover(sim))
     sim.run()
-    assert link.bytes_moved["io"] == 500
-    assert link.bytes_moved["gc"] == 300
-    assert link.busy_time["io"] == pytest.approx(5.0)
-    assert link.busy_time["gc"] == pytest.approx(3.0)
+    assert link.busy_time["io"] == 500 / link.bandwidth
+    assert link.busy_time["gc"] == 300 / link.bandwidth
     assert link.utilization() == pytest.approx(1.0)
     assert link.class_utilization("gc") == pytest.approx(3.0 / 8.0)
 
 
 def test_link_bandwidth_timeline():
-    sim = Simulator()
-    link = Link(sim, bandwidth=1000.0, bin_width=10.0)
+    def timeline(bin_width):
+        sim = Simulator()
+        link = Link(sim, bandwidth=1000.0, bin_width=bin_width)
 
-    def mover(sim):
-        yield link.transfer(2000, traffic_class="io")   # finishes at 2us
-        yield sim.timeout(10.0)
-        yield link.transfer(3000, traffic_class="io")   # starts at 12us
+        def mover(sim):
+            yield link.transfer(2000, traffic_class="io")  # ends at 2us
+            yield sim.timeout(10.0)
+            yield link.transfer(3000, traffic_class="io")  # starts at 12us
 
-    sim.process(mover(sim))
-    sim.run()
-    times, rates = link.bandwidth_timeline("io")
-    assert times == [0.0, 10.0]
-    assert rates[0] == pytest.approx(200.0)
-    assert rates[1] == pytest.approx(300.0)
+        sim.process(mover(sim))
+        sim.run()
+        assert link.busy_time["io"] == 5.0
+        return link.bandwidth_timeline("io"), link.byte_bins
 
-
-def test_link_mean_wait():
-    sim = Simulator()
-    link = Link(sim, bandwidth=1000.0)
-
-    def mover(sim):
-        yield link.transfer(1000, traffic_class="io")
-
-    sim.process(mover(sim))
-    sim.process(mover(sim))
-    sim.run()
-    assert link.mean_wait("io") == pytest.approx(0.5)
-    assert link.mean_wait("absent") == 0.0
+    series, bins = timeline(10.0)
+    assert series == ([0.0, 10.0], [200.0, 300.0])
+    assert list(bins) == ["io"]
+    # Without a bin width the link meters busy time only.
+    assert timeline(None) == (([], []), {})
 
 
 def test_link_rejects_bad_args():

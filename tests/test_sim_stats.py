@@ -137,34 +137,9 @@ def test_timebins_add_and_series():
     assert bins.total() == 175.0
 
 
-def test_timebins_interval_split_across_bins():
-    bins = TimeBins(width=10.0)
-    bins.add_interval(5.0, 25.0)  # spans three bins: 5, 10, 5
-    assert bins.value_at(0.0) == pytest.approx(5.0)
-    assert bins.value_at(10.0) == pytest.approx(10.0)
-    assert bins.value_at(20.0) == pytest.approx(5.0)
-    assert bins.total() == pytest.approx(20.0)
-
-
-def test_timebins_interval_within_one_bin():
-    bins = TimeBins(width=100.0)
-    bins.add_interval(10.0, 30.0)
-    assert bins.value_at(0.0) == pytest.approx(20.0)
-
-
 def test_timebins_errors():
     with pytest.raises(ValueError):
         TimeBins(width=0.0)
-    bins = TimeBins(width=10.0)
-    with pytest.raises(ValueError):
-        bins.add_interval(5.0, 1.0)
-
-
-@given(st.floats(min_value=0, max_value=1e5), st.floats(min_value=0, max_value=1e4))
-def test_timebins_interval_total_is_duration(start, duration):
-    bins = TimeBins(width=7.0)
-    bins.add_interval(start, start + duration)
-    assert bins.total() == pytest.approx(duration, abs=1e-6)
 
 
 def test_timebins_empty_series():
