@@ -22,8 +22,8 @@ earlier record used, so committed baselines and the history stay
 comparable.  The report carries provenance (python, CPU model) so a
 baseline captured on one host is never silently compared against
 another.  ``--check`` compares like-for-like tables only (an older
-record's extra tables are skipped) and still understands committed
-schema-1 baselines.
+record's extra tables are skipped) and rejects a schema-1 baseline,
+which has no ``backends`` table to compare.
 
 ``--check`` prints a per-workload delta table (baseline vs current
 events/sec, percent change, the gate's pass/fail verdict) before the
@@ -225,21 +225,19 @@ def run_benchmarks(quick: bool = False,
 
 
 def _backend_tables(report: Dict[str, Any]) -> Dict[str, Dict[str, Any]]:
-    """Normalize schema 1 or 2 to ``{backend: {workload: entry}}``.
+    """A schema-2 report's ``{backend: {workload: entry}}`` tables.
 
-    Schema 1 stored the default-kernel numbers under ``benchmarks`` and
-    the callback-path numbers under ``legacy_path``; schema 2 keys every
-    backend uniformly under ``backends``.
+    Raises :class:`ValueError` on a report without ``backends`` (a
+    schema-1 record), so a stale baseline fails the gate instead of
+    passing it with nothing compared.
     """
-    if "backends" in report:
-        return {name: dict(entry.get("benchmarks", {}))
-                for name, entry in report["backends"].items()}
-    tables: Dict[str, Dict[str, Any]] = {}
-    if report.get("benchmarks"):
-        tables["pure"] = dict(report["benchmarks"])
-    if report.get("legacy_path"):
-        tables["legacy"] = dict(report["legacy_path"])
-    return tables
+    if "backends" not in report:
+        raise ValueError(
+            f"bench report has no 'backends' table (schema "
+            f"{report.get('schema')!r}); re-record the baseline with "
+            f"'repro bench'")
+    return {name: dict(entry.get("benchmarks", {}))
+            for name, entry in report["backends"].items()}
 
 
 def check_regression(current: Dict[str, Any], baseline: Dict[str, Any],
@@ -247,9 +245,10 @@ def check_regression(current: Dict[str, Any], baseline: Dict[str, Any],
     """Regression descriptions, comparing like-for-like tables only.
 
     A table present in the baseline but not measured now (an older
-    record's ``legacy`` or ``fast`` kernel) is skipped -- there is
-    nothing on this host to compare it with.  A *workload* missing
-    inside a shared table is still a failure.
+    record's ``fast`` kernel) is skipped -- there is nothing on this
+    host to compare it with.  A *workload* missing inside a shared
+    table is still a failure.  A baseline without ``backends`` raises
+    :class:`ValueError`.
     """
     failures = []
     current_tables = _backend_tables(current)
@@ -283,7 +282,8 @@ def delta_table(current: Dict[str, Any], baseline: Dict[str, Any],
     gate applies (``FAIL`` below ``(1 - tolerance) x baseline``).  A
     table the current run did not measure is marked ``skip``, never
     ``FAIL`` -- mirroring :func:`check_regression` exactly, so the table
-    is the human-readable form of the gate's decision.
+    is the human-readable form of the gate's decision.  A baseline
+    without ``backends`` raises :class:`ValueError`.
     """
     current_tables = _backend_tables(current)
     baseline_tables = _backend_tables(baseline)
@@ -363,9 +363,6 @@ def provenance_note(current: Dict[str, Any],
     """Warning line when the baseline came from different hardware."""
     mine = current.get("provenance", {}).get("cpu")
     theirs = baseline.get("provenance", {}).get("cpu")
-    if theirs is None:
-        return ("baseline has no provenance (schema 1); wall-clock "
-                "comparison may span different hosts")
     if mine != theirs:
         return (f"baseline CPU differs: baseline={theirs!r} "
                 f"current={mine!r}; events/sec is host-relative")
@@ -413,11 +410,12 @@ def main(quick: bool = False, output: Optional[str] = None,
     if check:
         with open(check) as handle:
             baseline = json.load(handle)
+        table = delta_table(report, baseline, tolerance)
         note = provenance_note(report, baseline)
         if note:
             print(f"[bench] NOTE {note}", file=sys.stderr)
         print()
-        print(delta_table(report, baseline, tolerance))
+        print(table)
         failures = check_regression(report, baseline, tolerance)
         if failures:
             for line in failures:

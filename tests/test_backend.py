@@ -2,24 +2,19 @@
 
 ``BENCH_kernel.json`` and ``benchmarks/history.jsonl`` key each
 kernel's numbers by name under ``backends``.  The simulator now has one
-kernel (table ``pure``), but older records also carry ``legacy`` and
-``fast`` tables; ``--check`` must compare like-for-like tables only,
-across both record schemas, and say when a baseline came from other
-hardware.
+kernel (table ``pure``), but older records also carry a ``fast``
+table; ``--check`` must compare like-for-like tables only, reject a
+schema-1 record that has no ``backends`` at all, and say when a
+baseline came from other hardware.
 """
 
 import json
 
+import pytest
+
 import repro.bench
-from repro.bench import check_regression, provenance_note, run_benchmarks
-
-
-def _schema1(rate):
-    return {"schema": 1,
-            "benchmarks": {"w": {"events": 10, "wall_s": 0.1,
-                                 "events_per_sec": rate}},
-            "legacy_path": {"w": {"events": 10, "wall_s": 0.2,
-                                  "events_per_sec": rate / 2}}}
+from repro.bench import (check_regression, delta_table, provenance_note,
+                         run_benchmarks)
 
 
 def _schema2(rate, cpu="cpu-a"):
@@ -36,23 +31,37 @@ def _schema2(rate, cpu="cpu-a"):
             }}
 
 
+def _one_kernel(rate):
+    """A current report: the ``pure`` table only."""
+    record = _schema2(rate)
+    del record["backends"]["fast"]
+    return record
+
+
 def test_check_regression_compares_like_for_like_across_schemas():
-    # Schema-2 current vs schema-1 baseline: pure maps to benchmarks,
-    # the baseline's legacy table has no counterpart here and is skipped.
-    assert check_regression(_schema2(100.0), _schema1(100.0)) == []
-    failures = check_regression(_schema2(50.0), _schema1(100.0))
+    # One-kernel current vs a two-kernel baseline: pure is compared...
+    failures = check_regression(_one_kernel(50.0), _schema2(100.0))
     assert failures and failures[0].startswith("pure/w")
-    # A baseline table the current run did not measure is not a failure...
-    assert check_regression(_schema1(100.0), _schema2(100.0)) == []
-    # ...but a missing workload within a shared table is.
+    # ...and the baseline's fast table, not measured now, is skipped.
+    assert check_regression(_one_kernel(100.0), _schema2(100.0)) == []
+    # A workload missing within a shared table is a failure.
     broken = _schema2(100.0)
     del broken["backends"]["pure"]["benchmarks"]["w"]
     assert any("missing" in f
                for f in check_regression(broken, _schema2(100.0)))
 
 
+def test_schema1_baseline_is_rejected():
+    schema1 = {"schema": 1,
+               "benchmarks": {"w": {"events": 10, "wall_s": 0.1,
+                                    "events_per_sec": 100.0}}}
+    with pytest.raises(ValueError, match="no 'backends' table"):
+        check_regression(_one_kernel(100.0), schema1)
+    with pytest.raises(ValueError, match="no 'backends' table"):
+        delta_table(_one_kernel(100.0), schema1)
+
+
 def test_provenance_note_flags_cross_host_baselines():
-    assert provenance_note(_schema2(1.0), _schema1(1.0)) is not None
     assert provenance_note(_schema2(1.0), _schema2(1.0)) is None
     note = provenance_note(_schema2(1.0, "cpu-a"), _schema2(1.0, "cpu-b"))
     assert note is not None and "cpu-b" in note

@@ -136,9 +136,14 @@ def test_cli_fuzz_repro_usage_error():
     assert main(["fuzz", "repro"]) == 2
 
 
+def _bench_record(events_per_sec):
+    return {"schema": 2, "backends": {"pure": {"benchmarks": {
+        "drain": {"events": 10, "wall_s": 0.1,
+                  "events_per_sec": events_per_sec}}}}}
+
+
 def _fake_bench_report():
-    return {"benchmarks": {"drain": {"events": 10, "wall_s": 0.1,
-                                     "events_per_sec": 100.0}}}
+    return _bench_record(100.0)
 
 
 def test_cli_bench_check_regression_exits_nonzero(tmp_path, monkeypatch,
@@ -150,8 +155,7 @@ def test_cli_bench_check_regression_exits_nonzero(tmp_path, monkeypatch,
     monkeypatch.setattr(repro.bench, "run_benchmarks",
                         lambda **kwargs: _fake_bench_report())
     baseline = tmp_path / "baseline.json"
-    baseline.write_text(json.dumps(
-        {"benchmarks": {"drain": {"events_per_sec": 1000.0}}}))
+    baseline.write_text(json.dumps(_bench_record(1000.0)))
     out = tmp_path / "out.json"
     rc = main(["bench", "--quick", "--check", str(baseline),
                "--output", str(out)])
@@ -168,8 +172,7 @@ def test_cli_bench_check_within_tolerance_exits_zero(tmp_path, monkeypatch,
     monkeypatch.setattr(repro.bench, "run_benchmarks",
                         lambda **kwargs: _fake_bench_report())
     baseline = tmp_path / "baseline.json"
-    baseline.write_text(json.dumps(
-        {"benchmarks": {"drain": {"events_per_sec": 100.0}}}))
+    baseline.write_text(json.dumps(_bench_record(100.0)))
     rc = main(["bench", "--quick", "--check", str(baseline),
                "--output", str(tmp_path / "out.json")])
     assert rc == 0
