@@ -88,6 +88,9 @@ class FuzzReport:
     #: One entry per distinct oracle tripped:
     #: ``{"oracle", "detail", "ops", "minimized_ops", "path"}``.
     violations: List[dict] = field(default_factory=list)
+    #: The main-loop genomes (seeds, then mutants) in execution order;
+    #: ddmin probes are not included.  Not part of :meth:`to_dict`.
+    executed: List[Genome] = field(default_factory=list)
 
     def to_dict(self) -> dict:
         return {
@@ -220,6 +223,7 @@ def run_fuzz(seed: int = 7,
         index += len(batch)
         outcomes = _execute_batch(batch, jobs, differential)
         report.executions += len(batch)
+        report.executed.extend(batch)
         for genome, outcome in zip(batch, outcomes):
             fold(genome, outcome)
 
@@ -232,6 +236,7 @@ def run_fuzz(seed: int = 7,
             batch.append(mutate(rng, parent, donor))
         outcomes = _execute_batch(batch, jobs, differential)
         report.executions += len(batch)
+        report.executed.extend(batch)
         for genome, outcome in zip(batch, outcomes):
             fold(genome, outcome)
 
