@@ -203,7 +203,7 @@ class SimulatedSSD:
             from ..flash import WearModel
 
             self.datapath.wear_model = WearModel(seed=config.seed)
-        self.mapping = PageMappingTable()
+        self.mapping = PageMappingTable(geometry.pages_total)
         self.blocks = BlockManager(geometry,
                                    gc_reserve_blocks=config.gc_reserve_blocks)
         self.gc = GarbageCollector(

@@ -58,8 +58,7 @@ def canonical_state(ssd, status: str, detail: str = "") -> dict:
     state = {
         "status": status,
         "error": _exception_type(detail) if status == "exception" else "",
-        "mapped_lpns": sorted(lpn for lpn, _ in
-                              ftl.mapping.state_dict()["forward"]),
+        "mapped_lpns": [lpn for lpn, _ppn in ftl.mapping.items()],
         "requests_completed": ftl.requests_completed,
         "trims_processed": ftl.trims_processed,
         "host_submitted": ssd.host.submitted,

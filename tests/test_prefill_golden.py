@@ -14,8 +14,10 @@ set-up moved onto integer block and page indices.  A mismatch message
 prints the digest actually observed.
 """
 
+import gc
 import hashlib
 import json
+import tracemalloc
 
 import pytest
 
@@ -45,7 +47,7 @@ def prefill_digest(ssd):
     blocks = ssd.blocks
     state = {
         "lpn_space": ssd.lpn_space,
-        "forward": list(ssd.mapping._forward.items()),
+        "forward": list(ssd.mapping.items()),
         "blocks": [[index, info.state, info.write_ptr, sorted(info.valid),
                     info.pending]
                    for index, info in sorted(blocks.blocks.items())],
@@ -168,3 +170,24 @@ def test_prefill_is_idempotent_on_the_device():
     first = prefill_digest(ssd)
     assert ssd.prefill() == ssd.lpn_space
     assert prefill_digest(ssd) == first
+
+
+def test_prefilled_default_device_fits_in_4_mb():
+    """The dense mapping table keeps a prefilled device small.
+
+    Two dicts with an int object per entry put the default baseline
+    device at about 10 MB after prefill; two ``array('i')`` tables of
+    ``pages_total`` slots each bring it to about 3.5 MB.
+    """
+    gc.collect()
+    tracemalloc.start()
+    try:
+        ssd = build_ssd("baseline", geometry=sim_geometry())
+        ssd.prefill()
+        gc.collect()
+        held, _peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert held <= 4 * 1024 * 1024, f"{held / 1e6:.2f} MB after prefill"
+    pages = ssd.config.geometry.pages_total
+    assert ssd.mapping.nbytes == 2 * 4 * pages
