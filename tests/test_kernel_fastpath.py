@@ -11,10 +11,11 @@ kernel, the contention layer and the datapath.
 The values in :data:`GOLDEN` were recorded while the repository still
 carried two reference implementations -- a callback-list kernel path
 and a layered generator-chain datapath -- and every scenario agreed
-across all of them.  The two poll-site scenarios
-(``preemptive_gc_quiet_wait``, ``gc_destination_stall``) were recorded
-while the FTL/GC waits were still ``yield sim.timeout(...)`` loops,
-before they moved onto kernel polls.  A mismatch message prints the
+across all of them.  The three poll-site scenarios
+(``preemptive_gc_quiet_wait``, ``gc_destination_stall``,
+``superblock_migration_claimed_wait``) were recorded while the FTL/GC
+and superblock-migration waits were still ``yield sim.timeout(...)``
+loops, before they moved onto kernel polls.  A mismatch message prints the
 fingerprint actually observed; a change that alters simulated timing on
 purpose re-records it there.
 """
@@ -61,6 +62,7 @@ GOLDEN = {
     "resource_priority_scheduling": "33951441c9e68126",
     "ssd_point": "35f069524f2a25cd",
     "store_fifo_handoff": "e719d3d73e12f300",
+    "superblock_migration_claimed_wait": "8332c7e6add2c57b",
     "timeout_tie_ordering": "3db2d70d59fdb137",
     "tokenpool_credit_flow": "f912e4549e285c52",
     "unchecked_copyback_reliability": "edb79126f22cb8d4",
@@ -689,6 +691,64 @@ def test_flat_scenarios_exercise_their_features(monkeypatch):
             assert fp["faults"]["die_faults"] > 0, name
         if overrides.get("copyback_ecc") is False:
             assert fp["unchecked_copies"] > 0, name
+
+
+def test_superblock_migration_waits_for_claimed_block():
+    """A first-failure FTL migration that meets a sub-block a GC worker
+    has claimed polls every 50 us until the worker lets it go, then
+    rescues the whole superblock."""
+    from repro.core import ArchPreset, build_ssd, sim_geometry
+    from repro.ftl.blocks import BAD, COLLECTING, FULL
+    from repro.superblock import LiveDynamicSuperblocks
+
+    geometry = sim_geometry(channels=4, ways=2, planes=2,
+                            blocks_per_plane=8, pages_per_block=8)
+
+    def run():
+        ssd = build_ssd(ArchPreset.DSSD_F, geometry=geometry,
+                        queue_depth=8)
+        live = LiveDynamicSuperblocks(ssd)
+        ssd.prefill()
+        infos = ssd.blocks.blocks
+
+        def info(superblock, channel):
+            return infos[geometry.block_index(
+                live.subblock_addr(superblock, channel))]
+
+        superblock = next(
+            sb for sb in range(live.manager.visible)
+            if all(info(sb, c).state == FULL
+                   for c in range(geometry.channels)))
+        claimed = info(superblock, 0)
+        claimed.state = COLLECTING
+        trace = []
+
+        def gc_worker():
+            yield ssd.sim.timeout(120.0)
+            trace.append(("unclaim", ssd.sim.now))
+            claimed.state = FULL
+
+        gc_move = ssd.datapath.gc_move
+
+        def traced_move(src, dst, **kwargs):
+            trace.append(("move", ssd.sim.now))
+            return (yield from gc_move(src, dst, **kwargs))
+
+        ssd.datapath.gc_move = traced_move
+        ssd.sim.process(gc_worker())
+        proc = live.inject_uncorrectable(superblock, channel=0)
+        ssd.sim.run()
+        assert proc.triggered and live.ftl_migrations == 1
+        # The wait saw the claim at 0, 50 and 100 us; the first poll
+        # after the unclaim lets the first page move start.
+        assert trace[:2] == [("unclaim", 120.0), ("move", 150.0)]
+        assert all(info(superblock, c).state == BAD
+                   and info(superblock, c).mask == 0
+                   for c in range(geometry.channels))
+        ssd.mapping.check_consistency()
+        return trace, ssd.sim.now, ssd.sim._seq, live.stats()
+
+    assert_golden("superblock_migration_claimed_wait", fingerprint(run))
 
 
 # ---------------------------------------------------------------------------
