@@ -24,7 +24,7 @@ GEOM = sim_geometry(channels=4, ways=2, planes=2, blocks_per_plane=8,
 
 def find_full_superblock(ssd, live):
     for sb in range(live.manager.visible):
-        if all(ssd.blocks.info(live.subblock_addr(sb, c)).state == "full"
+        if all(ssd.blocks.info(live.subblock_index(sb, c)).state == "full"
                for c in range(GEOM.channels)):
             return sb
     raise RuntimeError("no fully-prefilled superblock")

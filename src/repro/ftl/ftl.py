@@ -183,7 +183,7 @@ class Ftl:
             self._trim_stamp[lpn] = stamp
             ppn = self.mapping.unbind(lpn)
             if ppn is not None:
-                self.blocks.invalidate(self.geometry.addr_of(ppn))
+                self.blocks.invalidate(ppn)
         # Command processing cost only (mapping update in SRAM/DRAM).
         yield from self.datapath.io_dram_rw(64 * request.n_pages,
                                             breakdown, "write",
@@ -232,15 +232,15 @@ class Ftl:
     def _write_through_page(self, lpn: int, breakdown: Breakdown,
                             priority: int = 0, stamp: int = 0) -> Generator:
         """Write-through: the page completes only after flash program."""
-        addr = yield from self._allocate_with_gc()
-        yield from self.datapath.io_program(addr, breakdown,
-                                            priority=priority)
+        ppn = yield from self._allocate_with_gc()
+        yield from self.datapath.io_program(self.blocks.page_addr(ppn),
+                                            breakdown, priority=priority)
         if self._trim_stamp.get(lpn, 0) > stamp:
             # A later-admitted TRIM processed while the program was in
             # flight: binding now would resurrect the trimmed LPN.
-            self.blocks.commit_page(addr, valid=False)
+            self.blocks.commit_page(ppn, valid=False)
         else:
-            self._bind(lpn, addr)
+            self._bind(lpn, ppn)
         self.gc.maybe_trigger()
 
     def _read_page(self, lpn: int, breakdown: Breakdown,
@@ -257,9 +257,8 @@ class Ftl:
                                                 breakdown, "read",
                                                 priority=priority)
             return
-        addr = self.geometry.addr_of(ppn)
-        yield from self.datapath.io_read_flash(addr, breakdown,
-                                               priority=priority)
+        yield from self.datapath.io_read_flash(self.blocks.page_addr(ppn),
+                                               breakdown, priority=priority)
 
     # -- flushing -----------------------------------------------------------------
 
@@ -274,10 +273,11 @@ class Ftl:
                 self.datapath.dram.release_buffer_page()
                 continue
             stamp = self._dirty.pop(lpn)
-            addr = yield from self._allocate_with_gc()
+            ppn = yield from self._allocate_with_gc()
             breakdown = Breakdown()
             try:
-                yield from self.datapath.io_flush_write(addr, breakdown)
+                yield from self.datapath.io_flush_write(
+                    self.blocks.page_addr(ppn), breakdown)
             finally:
                 # Even if this flusher is killed mid-write, the buffer
                 # slot must come back -- host writes backpressure on it.
@@ -285,31 +285,31 @@ class Ftl:
             if self._trim_stamp.get(lpn, 0) > stamp:
                 # Trimmed while the flush program was in flight: the
                 # page lands physically but must not be mapped.
-                self.blocks.commit_page(addr, valid=False)
+                self.blocks.commit_page(ppn, valid=False)
             else:
-                self._bind(lpn, addr)
+                self._bind(lpn, ppn)
             self.gc.maybe_trigger()
 
     def _allocate_with_gc(self) -> Generator:
-        """Allocate a host page, triggering and awaiting GC if starved."""
+        """Allocate a host page (its PPN), triggering and awaiting GC if
+        starved."""
         return self.sim.wait_until(self.gc.preempt_poll_us,
                                    self._try_host_allocation)
 
     def _try_host_allocation(self):
-        """One poll of :meth:`_allocate_with_gc`: a page, or None after
+        """One poll of :meth:`_allocate_with_gc`: a PPN, or None after
         counting the stall and forcing a GC episode."""
-        addr = self.blocks.try_allocate_page(for_gc=False)
-        if addr is None:
+        ppn = self.blocks.try_allocate_page(for_gc=False)
+        if ppn is None:
             self.flush_stalls += 1
             self.gc.maybe_trigger(force=True)
-        return addr
+        return ppn
 
-    def _bind(self, lpn: int, addr) -> None:
-        ppn = self.geometry.ppn_of(addr)
+    def _bind(self, lpn: int, ppn: int) -> None:
         old_ppn = self.mapping.bind(lpn, ppn)
-        self.blocks.commit_page(addr, valid=True)
+        self.blocks.commit_page(ppn, valid=True)
         if old_ppn is not None:
-            self.blocks.invalidate(self.geometry.addr_of(old_ppn))
+            self.blocks.invalidate(old_ppn)
 
     # -- bookkeeping ---------------------------------------------------------------
 
@@ -448,9 +448,7 @@ class Ftl:
                 if info.state != "free":
                     continue
                 offsets = rng.sample(page_offsets, n_valid)
-                self.blocks.prefill_block_at(block_index, offsets)
-                # A page's hierarchical PPN, as ``geometry.ppn_of``
-                # computes it from the page's address.
+                self.blocks.prefill_block(block_index, offsets)
                 first_ppn = block_index * pages_per_block
                 ppns.extend([first_ppn + offset for offset in offsets])
                 if backend is not None:

@@ -20,7 +20,6 @@ from typing import Generator, List, Optional
 
 from ..controller import Breakdown
 from ..errors import ConfigError, MappingError
-from ..flash import PhysAddr
 from ..sim import Resource, Simulator
 from .blocks import BlockManager
 from .mapping import PageMappingTable
@@ -220,12 +219,8 @@ class GarbageCollector:
     def _channel_worker(self, channel: int) -> Generator:
         """TinyTail: all planes of one channel, gated by the channel tokens."""
         geometry = self.blocks.geometry
-        planes = [
-            geometry.plane_index(PhysAddr(channel, way, die, plane, 0, 0))
-            for way in range(geometry.ways)
-            for die in range(geometry.dies)
-            for plane in range(geometry.planes)
-        ]
+        per_channel = geometry.planes_total // geometry.channels
+        planes = range(channel * per_channel, (channel + 1) * per_channel)
         while self._should_collect():
             progressed = False
             for plane in planes:
@@ -241,8 +236,8 @@ class GarbageCollector:
 
     # -- block collection ---------------------------------------------------------
 
-    def _collect_block(self, victim: PhysAddr, gated: bool = False) -> Generator:
-        """Move the victim's valid pages, erase it, return it to the pool.
+    def _collect_block(self, victim: int, gated: bool = False) -> Generator:
+        """Move block *victim*'s valid pages, erase it, return it to the pool.
 
         Page moves are issued ``pipeline_depth`` at a time (mirroring
         PaGC's plane-parallel bursts); the TinyTail policy instead holds
@@ -268,12 +263,13 @@ class GarbageCollector:
                 if grant is not None:
                     self._tt_tokens.cancel(grant)
 
+        victim_addr = self.blocks.info(victim).addr
         grant = (self._tt_tokens.request(owner="gc-tinytail-erase")
                  if gated else None)
         try:
             if grant is not None:
                 yield grant
-            yield from self.datapath.gc_erase(victim)
+            yield from self.datapath.gc_erase(victim_addr)
         finally:
             if grant is not None:
                 self._tt_tokens.cancel(grant)
@@ -283,7 +279,7 @@ class GarbageCollector:
         reliability = getattr(self.datapath, "reliability", None)
         verdict = "ok"
         if reliability is not None:
-            verdict = reliability.after_erase(victim)
+            verdict = reliability.after_erase(victim_addr)
         if verdict == "retired":
             self.stats.blocks_retired += 1
         else:
@@ -292,30 +288,29 @@ class GarbageCollector:
             self.blocks.release_block(victim)
         self.stats.blocks_erased += 1
 
-    def _move_page(self, src: PhysAddr) -> Generator:
-        geometry = self.blocks.geometry
-        src_ppn = geometry.ppn_of(src)
+    def _move_page(self, src: int) -> Generator:
+        """Relocate the valid page with PPN *src* to a GC-stream page."""
+        blocks = self.blocks
         dst = yield from self.sim.wait_until(
-            self.preempt_poll_us, self._destination_poll(src, src_ppn))
+            self.preempt_poll_us, self._destination_poll(src))
         if dst is _DROPPED:
             return
-        breakdown = yield from self.datapath.gc_move(src, dst)
-        dst_ppn = geometry.ppn_of(dst)
-        if self.mapping.reverse_lookup(src_ppn) is not None:
-            self.mapping.move(src_ppn, dst_ppn)
-            self.blocks.commit_page(dst, valid=True)
-            self.blocks.invalidate(src)
+        breakdown = yield from self.datapath.gc_move(blocks.page_addr(src),
+                                                     blocks.page_addr(dst))
+        if self.mapping.reverse_lookup(src) is not None:
+            self.mapping.move(src, dst)
+            blocks.commit_page(dst, valid=True)
             self.stats.pages_moved += 1
         else:
             # Invalidated while the copy was in flight: the copied page
             # is dead on arrival and will be reclaimed by a later GC.
-            self.blocks.commit_page(dst, valid=False)
-            self.blocks.invalidate(src)
+            blocks.commit_page(dst, valid=False)
             self.stats.pages_dropped += 1
+        blocks.invalidate(src)
         if len(self.stats.move_breakdowns) < self.sample_breakdowns:
             self.stats.move_breakdowns.append(breakdown)
 
-    def _destination_poll(self, src: PhysAddr, src_ppn: int):
+    def _destination_poll(self, src: int):
         """The poll check of one page move's destination wait.
 
         Each call is one tick of the wait: drop the move if the host
@@ -332,7 +327,7 @@ class GarbageCollector:
 
         def tick():
             nonlocal polls_left
-            if self.mapping.reverse_lookup(src_ppn) is None:
+            if self.mapping.reverse_lookup(src) is None:
                 # Host overwrote this LPN since the victim scan.
                 self.blocks.invalidate(src)
                 self.stats.pages_dropped += 1
@@ -344,7 +339,7 @@ class GarbageCollector:
                     raise MappingError(
                         f"gc destination starvation: no erase completed "
                         f"in {_STARVATION_POLLS * self.preempt_poll_us:.0f}"
-                        f"us while relocating {src}"
+                        f"us while relocating {self.blocks.page_addr(src)}"
                     )
                 polls_left -= 1
             return dst

@@ -18,7 +18,7 @@ from __future__ import annotations
 from typing import Generator, Optional
 
 from ..errors import ConfigError, MappingError
-from ..flash import FlashBackend, PhysAddr
+from ..flash import FlashBackend
 from ..sim import Simulator
 from .blocks import BlockManager, FULL
 from .mapping import PageMappingTable
@@ -72,16 +72,17 @@ class StaticWearLeveler:
             return 0
         return max(counts) - min(counts)
 
-    def coldest_victim(self) -> Optional[PhysAddr]:
-        """FULL block with the lowest erase count and no pending pages."""
+    def coldest_victim(self) -> Optional[int]:
+        """Index of the FULL block with the lowest erase count and no
+        pending pages."""
         best = None
         best_count = None
-        for info in self.blocks.blocks.values():
+        for index, info in self.blocks.blocks.items():
             if info.state != FULL or info.pending > 0:
                 continue
             count = self.backend.erase_count(info.addr)
             if best_count is None or count < best_count:
-                best, best_count = info.addr, count
+                best, best_count = index, count
         return best
 
     # -- background process ------------------------------------------------
@@ -104,36 +105,35 @@ class StaticWearLeveler:
                     break
                 yield from self._migrate_block(victim)
 
-    def _migrate_block(self, victim: PhysAddr) -> Generator:
-        """Move the victim's valid pages and recycle the block."""
-        geometry = self.blocks.geometry
-        self.blocks.claim_for_collection(victim)
-        for src in self.blocks.valid_pages_of(victim):
-            src_ppn = geometry.ppn_of(src)
-            if self.mapping.reverse_lookup(src_ppn) is None:
-                self.blocks.invalidate(src)
+    def _migrate_block(self, victim: int) -> Generator:
+        """Move block *victim*'s valid pages and recycle the block."""
+        blocks = self.blocks
+        blocks.claim_for_collection(victim)
+        for src in blocks.valid_pages_of(victim):
+            if self.mapping.reverse_lookup(src) is None:
+                blocks.invalidate(src)
                 continue
             try:
-                dst = self.blocks.allocate_page(for_gc=True)
+                dst = blocks.allocate_page(for_gc=True)
             except MappingError:
                 # Pool emptied under us: abort and retry another round.
-                self.blocks.unclaim(victim)
+                blocks.unclaim(victim)
                 self.aborted_migrations += 1
                 return
-            yield from self.datapath.gc_move(src, dst)
-            if self.mapping.reverse_lookup(src_ppn) is not None:
-                self.mapping.move(src_ppn, geometry.ppn_of(dst))
-                self.blocks.commit_page(dst, valid=True)
-                self.blocks.invalidate(src)
+            yield from self.datapath.gc_move(blocks.page_addr(src),
+                                             blocks.page_addr(dst))
+            moved = self.mapping.reverse_lookup(src) is not None
+            if moved:
+                self.mapping.move(src, dst)
                 self.pages_migrated += 1
-            else:
-                self.blocks.commit_page(dst, valid=False)
-                self.blocks.invalidate(src)
-        yield from self.datapath.gc_erase(victim)
+            blocks.commit_page(dst, valid=moved)
+            blocks.invalidate(src)
+        victim_addr = blocks.info(victim).addr
+        yield from self.datapath.gc_erase(victim_addr)
         reliability = getattr(self.datapath, "reliability", None)
         verdict = "ok"
         if reliability is not None:
-            verdict = reliability.after_erase(victim)
+            verdict = reliability.after_erase(victim_addr)
         if verdict != "retired":
-            self.blocks.release_block(victim)
+            blocks.release_block(victim)
         self.migrations += 1

@@ -72,7 +72,7 @@ class BadBlockManager:
                 plane = planes[round_idx % len(planes)]
                 spare = self.blocks.withdraw_spare(plane)
                 if spare is not None:
-                    self.rbt[channel].add(spare)
+                    self.rbt[channel].add(self.blocks.info(spare).addr)
                     taken += 1
                     self.spares_provisioned += 1
 
@@ -111,8 +111,8 @@ class BadBlockManager:
             # Table full: the spare cannot be wired in; keep it for a
             # position that still has (or can get) an entry.
             self.rbt[channel].add(spare)
-        self.blocks.mark_bad(mark_bad_addr if mark_bad_addr is not None
-                             else logical)
+        self.blocks.mark_bad(self.geometry.block_index(
+            mark_bad_addr if mark_bad_addr is not None else logical))
         self.retired_blocks += 1
         return "retired"
 

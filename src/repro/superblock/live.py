@@ -24,6 +24,7 @@ from typing import Dict, Generator, Optional, Set, Tuple
 
 from ..errors import ConfigError, MappingError
 from ..flash import PhysAddr
+from ..ftl.blocks import COLLECTING
 from .manager import DynamicSuperblockManager
 
 __all__ = ["LiveDynamicSuperblocks"]
@@ -62,7 +63,7 @@ class LiveDynamicSuperblocks:
         # Reserved superblocks are invisible to the FTL from day one.
         for sb in range(self.manager.visible, self.n_superblocks):
             for channel in range(geometry.channels):
-                ssd.blocks.mark_bad(self.subblock_addr(sb, channel))
+                ssd.blocks.mark_bad(self.subblock_index(sb, channel))
 
         self._chained = ssd.datapath.remapper
         ssd.datapath.remapper = self.remap
@@ -85,6 +86,15 @@ class LiveDynamicSuperblocks:
         index, plane = divmod(index, geometry.planes)
         way, die = divmod(index, geometry.dies)
         return PhysAddr(channel, way, die, plane, block, page)
+
+    def subblock_index(self, superblock: int, channel: int) -> int:
+        """Block index of (superblock, channel) in the FTL's numbering.
+
+        A superblock id is the block's position below its channel, so
+        channel ``c``'s sub-blocks occupy indices ``c * n_superblocks``
+        onwards.
+        """
+        return channel * self.n_superblocks + superblock
 
     def remap(self, addr: PhysAddr) -> PhysAddr:
         """The hardware SRT lookup applied to every flash access."""
@@ -126,7 +136,7 @@ class LiveDynamicSuperblocks:
         target_sb, _ch = self.manager.resolve(superblock, channel)
         old_block = self.subblock_addr(superblock, channel)
         new_block = self.subblock_addr(target_sb, channel)
-        info = self.ssd.blocks.info(old_block)
+        info = self.ssd.blocks.info(self.subblock_index(superblock, channel))
         datapath = self.ssd.datapath
         backend = datapath.backend
         # The recycled block still holds its previous superblock's data:
@@ -144,30 +154,28 @@ class LiveDynamicSuperblocks:
 
     def _ftl_migration(self, superblock: int) -> Generator:
         """First-failure path: the FTL rescues the whole superblock."""
-        geometry = self.geometry
         blocks = self.ssd.blocks
         mapping = self.ssd.mapping
         datapath = self.ssd.datapath
-        for channel in range(geometry.channels):
-            block_addr = self.subblock_addr(superblock, channel)
+        for channel in range(self.geometry.channels):
+            block = self.subblock_index(superblock, channel)
+            info = blocks.info(block)
             # A GC worker may own the block right now; let it finish.
-            while blocks.info(block_addr).state == "collecting":
-                yield self.ssd.sim.timeout(50.0)
-            for src in blocks.valid_pages_of(block_addr):
-                src_ppn = geometry.ppn_of(src)
-                if mapping.reverse_lookup(src_ppn) is None:
+            yield from self.ssd.sim.wait_until(
+                50.0, lambda: None if info.state == COLLECTING else info)
+            for src in blocks.valid_pages_of(block):
+                if mapping.reverse_lookup(src) is None:
                     blocks.invalidate(src)
                     continue
                 dst = blocks.allocate_page(for_gc=True)
-                yield from datapath.gc_move(src, dst)
-                if mapping.reverse_lookup(src_ppn) is not None:
-                    mapping.move(src_ppn, geometry.ppn_of(dst))
-                    blocks.commit_page(dst, valid=True)
-                    blocks.invalidate(src)
-                else:
-                    blocks.commit_page(dst, valid=False)
-                    blocks.invalidate(src)
-            blocks.mark_bad(block_addr)
+                yield from datapath.gc_move(blocks.page_addr(src),
+                                            blocks.page_addr(dst))
+                moved = mapping.reverse_lookup(src) is not None
+                if moved:
+                    mapping.move(src, dst)
+                blocks.commit_page(dst, valid=moved)
+                blocks.invalidate(src)
+            blocks.mark_bad(block)
         self.ftl_migrations += 1
 
     # -- reporting -----------------------------------------------------------------

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.errors import MappingError
+from repro.errors import AddressError, MappingError
 from repro.flash import FlashGeometry, PhysAddr
 from repro.ftl import BlockManager
 from repro.ftl.blocks import ACTIVE, BAD, FREE, FULL
@@ -18,6 +18,16 @@ def make_manager(**kwargs):
     return BlockManager(GEOM, **kwargs)
 
 
+def block_of(ppn):
+    """Block index of the page with PPN *ppn*."""
+    return ppn // GEOM.pages_per_block
+
+
+def page_of(ppn):
+    """Offset within its block of the page with PPN *ppn*."""
+    return ppn % GEOM.pages_per_block
+
+
 def test_initial_state_all_free():
     mgr = make_manager()
     assert mgr.free_blocks == GEOM.blocks_total
@@ -28,15 +38,15 @@ def test_initial_state_all_free():
 def test_allocation_round_robins_planes():
     mgr = make_manager()
     addrs = [mgr.allocate_page() for _ in range(GEOM.planes_total)]
-    planes = [GEOM.plane_index(a) for a in addrs]
+    planes = [GEOM.plane_index(GEOM.addr_of(a)) for a in addrs]
     assert sorted(planes) == list(range(GEOM.planes_total))
 
 
 def test_allocation_fills_block_sequentially():
     mgr = make_manager()
     addrs = [mgr.allocate_page(plane=0) for _ in range(4)]
-    assert [a.page for a in addrs] == [0, 1, 2, 3]
-    info = mgr.info(addrs[0])
+    assert [page_of(a) for a in addrs] == [0, 1, 2, 3]
+    info = mgr.info(block_of(addrs[0]))
     assert info.state == FULL
     assert info.pending == 4
 
@@ -45,15 +55,16 @@ def test_commit_clears_pending_and_marks_valid():
     mgr = make_manager()
     addr = mgr.allocate_page()
     mgr.commit_page(addr, valid=True)
-    info = mgr.info(addr)
+    info = mgr.info(block_of(addr))
     assert info.pending == 0
-    assert addr.page in info.valid
+    assert page_of(addr) in info.valid
 
 
 def test_commit_without_allocation_rejected():
     mgr = make_manager()
     with pytest.raises(MappingError):
-        mgr.commit_page(PhysAddr(0, 0, 0, 0, 0, 0), valid=False)
+        mgr.commit_page(GEOM.ppn_of(PhysAddr(0, 0, 0, 0, 0, 0)),
+                        valid=False)
 
 
 def test_host_allocation_respects_gc_reserve():
@@ -65,11 +76,11 @@ def test_host_allocation_respects_gc_reserve():
     # Plane has 3 free blocks, 2 reserved: host can open only one block.
     a = mgr.allocate_page()
     b = mgr.allocate_page()
-    assert a.block == b.block
+    assert a // 2 == b // 2          # 2 pages per block
     with pytest.raises(MappingError):
         mgr.allocate_page()          # host starved at the reserve
     gc_addr = mgr.allocate_page(for_gc=True)   # GC may dip into it
-    assert gc_addr.block != a.block
+    assert gc_addr // 2 != a // 2
 
 
 def test_pick_victim_greedy_fewest_valid():
@@ -81,7 +92,7 @@ def test_pick_victim_greedy_fewest_valid():
     for index, addr in enumerate(second):
         mgr.commit_page(addr, valid=index == 0)  # only one valid page
     victim = mgr.pick_victim(0)
-    assert victim.block == second[0].block
+    assert victim == block_of(second[0])
 
 
 def test_pick_victim_skips_pending_blocks():
@@ -117,9 +128,9 @@ def test_release_block_returns_to_pool():
     for addr in addrs:
         mgr.commit_page(addr, valid=False)
     free_before = mgr.free_blocks
-    mgr.release_block(addrs[0])
+    mgr.release_block(block_of(addrs[0]))
     assert mgr.free_blocks == free_before + 1
-    assert mgr.info(addrs[0]).state == FREE
+    assert mgr.info(block_of(addrs[0])).state == FREE
 
 
 def test_release_block_with_valid_pages_rejected():
@@ -128,45 +139,51 @@ def test_release_block_with_valid_pages_rejected():
     for addr in addrs:
         mgr.commit_page(addr, valid=True)
     with pytest.raises(MappingError):
-        mgr.release_block(addrs[0])
+        mgr.release_block(block_of(addrs[0]))
 
 
 def test_mark_bad_removes_from_pool():
     mgr = make_manager()
-    addr = GEOM.block_addr_of(0)
-    mgr.mark_bad(addr)
-    assert mgr.info(addr).state == BAD
+    mgr.mark_bad(0)
+    assert mgr.info(0).state == BAD
     assert mgr.bad_blocks == 1
     assert mgr.free_blocks == GEOM.blocks_total - 1
     with pytest.raises(MappingError):
-        mgr.release_block(addr)
+        mgr.release_block(0)
 
 
 def test_prefill_block():
     mgr = make_manager()
-    addr = GEOM.block_addr_of(2)
-    mgr.prefill_block(addr, {0, 2})
-    info = mgr.info(addr)
+    mgr.prefill_block(2, {0, 2})
+    info = mgr.info(2)
     assert info.state == FULL
     assert info.valid == {0, 2}
     assert mgr.free_blocks == GEOM.blocks_total - 1
     with pytest.raises(MappingError):
-        mgr.prefill_block(addr, {1})
+        mgr.prefill_block(2, {1})
+
+
+@pytest.mark.parametrize("offset", [-1, GEOM.pages_per_block])
+def test_prefill_block_rejects_offsets_outside_the_block(offset):
+    mgr = make_manager()
+    with pytest.raises(AddressError):
+        mgr.prefill_block(2, {0, offset})
+    assert mgr.info(2).state == FREE
 
 
 def test_valid_is_a_read_only_view():
     mgr = make_manager()
-    addr = GEOM.block_addr_of(2)
-    mgr.prefill_block(addr, [3, 1])
-    info = mgr.info(addr)
+    mgr.prefill_block(2, [3, 1])
+    info = mgr.info(2)
     assert info.mask == 0b1010
     assert info.valid == {1, 3} and info.valid_count == 2
     with pytest.raises(AttributeError):
         info.valid.add(0)
     with pytest.raises(AttributeError):
         info.valid.clear()
-    mgr.invalidate(addr._replace(page=3))
-    mgr.mark_valid(addr._replace(page=0))
+    first = 2 * GEOM.pages_per_block
+    mgr.invalidate(first + 3)
+    mgr.mark_valid(first + 0)
     assert info.valid == {0, 1}
     info.valid = [2]
     assert info.mask == 0b100
@@ -174,10 +191,10 @@ def test_valid_is_a_read_only_view():
 
 def test_valid_pages_of_sorted():
     mgr = make_manager()
-    addr = GEOM.block_addr_of(1)
-    mgr.prefill_block(addr, {3, 0, 1})
-    pages = mgr.valid_pages_of(addr)
-    assert [p.page for p in pages] == [0, 1, 3]
+    mgr.prefill_block(1, {3, 0, 1})
+    pages = mgr.valid_pages_of(1)
+    assert [page_of(p) for p in pages] == [0, 1, 3]
+    assert all(block_of(p) == 1 for p in pages)
 
 
 def test_invalid_reserve_configs():
@@ -229,20 +246,18 @@ def test_host_never_drains_gc_opened_active_block():
         mgr.allocate_page(for_gc=False, plane=0)
     # GC keeps writing into its own stream.
     second = mgr.allocate_page(for_gc=True, plane=0)
-    assert second.block_addr() == gc_addr.block_addr()
+    assert block_of(second) == block_of(gc_addr)
 
 
 def test_pick_victim_skips_fully_valid_blocks():
     """Collecting a 100%-valid block frees nothing: never pick one."""
     mgr = make_manager()
-    full_valid = GEOM.block_addr_of(0)
-    mgr.prefill_block(full_valid, set(range(GEOM.pages_per_block)))
+    mgr.prefill_block(0, set(range(GEOM.pages_per_block)))
     assert mgr.pick_victim(0) is None
-    partial = GEOM.block_addr_of(1)
-    mgr.prefill_block(partial, {0, 1})
+    mgr.prefill_block(1, {0, 1})
     victim = mgr.pick_victim(0)
     assert victim is not None
-    assert victim.block_addr() == partial.block_addr()
+    assert victim == 1
 
 
 def test_state_roundtrip_preserves_gc_stream():
@@ -255,3 +270,114 @@ def test_state_roundtrip_preserves_gc_stream():
     clone.load_state(state)
     assert clone._active_gc == mgr._active_gc
     assert clone._active == mgr._active
+
+
+#: Every integer-taking entry point, with the bound its argument must
+#: stay below.  -1 must raise, not wrap into Python's negative indexing.
+_INTEGER_ENTRY_POINTS = [
+    ("info", lambda mgr, n: mgr.info(n), "blocks_total"),
+    ("valid_pages_of", lambda mgr, n: mgr.valid_pages_of(n), "blocks_total"),
+    ("claim_for_collection", lambda mgr, n: mgr.claim_for_collection(n),
+     "blocks_total"),
+    ("unclaim", lambda mgr, n: mgr.unclaim(n), "blocks_total"),
+    ("release_block", lambda mgr, n: mgr.release_block(n), "blocks_total"),
+    ("mark_bad", lambda mgr, n: mgr.mark_bad(n), "blocks_total"),
+    ("prefill_block", lambda mgr, n: mgr.prefill_block(n, {0}),
+     "blocks_total"),
+    ("page_addr", lambda mgr, n: mgr.page_addr(n), "pages_total"),
+    ("mark_valid", lambda mgr, n: mgr.mark_valid(n), "pages_total"),
+    ("commit_page", lambda mgr, n: mgr.commit_page(n, valid=True),
+     "pages_total"),
+    ("invalidate", lambda mgr, n: mgr.invalidate(n), "pages_total"),
+    ("allocate_page", lambda mgr, n: mgr.allocate_page(plane=n),
+     "planes_total"),
+    ("pick_victim", lambda mgr, n: mgr.pick_victim(n), "planes_total"),
+    ("withdraw_spare", lambda mgr, n: mgr.withdraw_spare(n), "planes_total"),
+    ("plane_free_blocks", lambda mgr, n: mgr.plane_free_blocks(n),
+     "planes_total"),
+]
+
+
+@pytest.mark.parametrize("bound", ["negative", "limit"])
+@pytest.mark.parametrize(
+    "call,limit", [entry[1:] for entry in _INTEGER_ENTRY_POINTS],
+    ids=[entry[0] for entry in _INTEGER_ENTRY_POINTS])
+def test_integer_entry_points_range_check(call, limit, bound):
+    """-1 and the first index past the device raise AddressError and
+    leave the manager untouched."""
+    mgr = make_manager()
+    page = mgr.allocate_page(plane=GEOM.planes_total - 1)
+    mgr.commit_page(page, valid=True)
+    before = mgr.state_dict()
+    with pytest.raises(AddressError):
+        call(mgr, -1 if bound == "negative" else getattr(GEOM, limit))
+    assert mgr.state_dict() == before
+
+
+# -- corrupt checkpoints -------------------------------------------------------
+
+GEOM8 = FlashGeometry(channels=1, ways=1, dies=1, planes=2,
+                      blocks_per_plane=4, pages_per_block=8)
+
+
+def _checkpoint():
+    """A checkpoint with a FULL block (0) and an ACTIVE one (4)."""
+    mgr = BlockManager(GEOM8, gc_reserve_blocks=1)
+    mgr.prefill_block(0, {1, 5})
+    page = mgr.allocate_page(plane=1)
+    mgr.commit_page(page, valid=True)
+    return mgr.state_dict()
+
+
+def _corrupt_free_pool_other_plane(state):
+    state["free"][0].append(state["free"][1].pop())
+
+
+def _corrupt_free_pool_repeat(state):
+    state["free"][1].append(state["free"][1][0])
+
+
+def _corrupt_negative_free_block(state):
+    state["free"][0].append(-1)
+
+
+def _corrupt_negative_active_block(state):
+    state["active"][0] = -1
+
+
+def _corrupt_write_ptr(state):
+    state["blocks"][0][2] = 99
+
+
+def _corrupt_valid_offset(state):
+    state["blocks"][0][3].append(40)
+
+
+@pytest.mark.parametrize("corrupt", [
+    _corrupt_free_pool_other_plane,
+    _corrupt_free_pool_repeat,
+    _corrupt_negative_free_block,
+    _corrupt_negative_active_block,
+    _corrupt_write_ptr,
+    _corrupt_valid_offset,
+], ids=lambda corrupt: corrupt.__name__[len("_corrupt_"):])
+def test_load_state_rejects_corrupt_checkpoint(corrupt):
+    """Each corruption raises MappingError and leaves the manager as
+    it was -- here, mid-way through its own traffic."""
+    state = _checkpoint()
+    corrupt(state)
+    mgr = BlockManager(GEOM8, gc_reserve_blocks=1)
+    page = mgr.allocate_page(plane=0)
+    mgr.commit_page(page, valid=True)
+    before = mgr.state_dict()
+    with pytest.raises(MappingError):
+        mgr.load_state(state)
+    assert mgr.state_dict() == before
+    assert mgr.allocate_page(plane=0) == page + 1
+
+
+def test_load_state_accepts_the_uncorrupted_checkpoint():
+    state = _checkpoint()
+    mgr = BlockManager(GEOM8, gc_reserve_blocks=1)
+    mgr.load_state(state)
+    assert mgr.state_dict() == state

@@ -50,11 +50,11 @@ def make_world(policy="pagc", valid_per_block=2, filled_fraction=0.9,
         for offset in range(GEOM.blocks_per_plane):
             if filled >= n_fill:
                 break
-            addr = GEOM.block_addr_of(plane * GEOM.blocks_per_plane + offset)
+            block = plane * GEOM.blocks_per_plane + offset
             offsets = set(range(valid_per_block))
-            blocks.prefill_block(addr, offsets)
+            blocks.prefill_block(block, offsets)
             for page in offsets:
-                mapping.bind(lpn, GEOM.ppn_of(addr._replace(page=page)))
+                mapping.bind(lpn, block * GEOM.pages_per_block + page)
                 lpn += 1
             filled += 1
     gc = GarbageCollector(sim, mapping, blocks, datapath, host=StubHost(),
@@ -118,7 +118,7 @@ def test_gc_skips_pages_invalidated_before_move():
         ppn = mapping.lookup(lpn)
         if ppn is not None:
             mapping.unbind(lpn)
-            blocks.invalidate(GEOM.addr_of(ppn))
+            blocks.invalidate(ppn)
     gc.maybe_trigger()
     sim.run()
     mapping.check_consistency()
@@ -187,7 +187,7 @@ def _starved_move(poll_us):
     sim, mapping, blocks, _d, gc = make_world(filled_fraction=1.0,
                                               preempt_poll_us=poll_us)
     assert not blocks.host_allocatable() and blocks.free_blocks == 0
-    src = GEOM.block_addr_of(0)._replace(page=0)
+    src = GEOM.ppn_of(GEOM.block_addr_of(0)._replace(page=0))
     sim.process(gc._move_page(src))
     return sim, mapping, blocks, gc, src
 
@@ -210,7 +210,7 @@ def test_gc_destination_wait_drops_overwritten_source():
     """A host overwrite during the wait ends it at the next poll, before
     that poll tries to allocate."""
     sim, mapping, blocks, gc, src = _starved_move(0.3)
-    lpn = mapping.reverse_lookup(GEOM.ppn_of(src))
+    lpn = mapping.reverse_lookup(src)
 
     def overwrite():
         yield sim.timeout(1.0)
@@ -221,7 +221,8 @@ def test_gc_destination_wait_drops_overwritten_source():
     assert sim.now == 1.2
     assert gc.stats.pages_dropped == 1
     assert gc.stats.alloc_stalls == 4
-    assert src.page not in blocks.info(src).valid
+    assert src % GEOM.pages_per_block not in blocks.info(
+        src // GEOM.pages_per_block).valid
 
 
 def test_finished_device_is_freed_by_one_collection():

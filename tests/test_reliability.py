@@ -447,9 +447,9 @@ class TestSpareWithdrawal:
     def test_withdraw_marks_spare_and_respects_reserve(self):
         geometry = _tiny_geometry()
         blocks = BlockManager(geometry, gc_reserve_blocks=2)
-        addr = blocks.withdraw_spare(0)
-        assert addr is not None
-        assert blocks.info(addr).state == SPARE
+        block = blocks.withdraw_spare(0)
+        assert block is not None
+        assert blocks.info(block).state == SPARE
         assert blocks.spare_blocks == 1
         assert blocks.free_blocks == geometry.blocks_total - 1
         # Drain the plane to the reserve floor: no more spares.
@@ -485,7 +485,7 @@ class TestBadBlockManager:
         other = PhysAddr(0, 0, 0, 0, 1, 0)
         verdict = manager.retire(other, mark_bad_addr=other)
         assert verdict == "retired"
-        assert blocks.info(other).state == "bad"
+        assert blocks.info(geometry.block_index(other)).state == "bad"
 
     def test_retire_chain_replaces_entry(self):
         geometry = _tiny_geometry()

@@ -20,10 +20,15 @@ def make_live(reserved=0, srt_capacity=64):
     return ssd, live
 
 
+def subblock_info(ssd, live, sb, channel):
+    """The FTL's block info for sub-block (sb, channel)."""
+    return ssd.blocks.info(GEOM.block_index(live.subblock_addr(sb, channel)))
+
+
 def full_superblock(ssd, live):
     """Find a superblock whose sub-blocks are all FULL (prefilled)."""
     for sb in range(live.manager.visible):
-        if all(ssd.blocks.info(live.subblock_addr(sb, c)).state == "full"
+        if all(subblock_info(ssd, live, sb, c).state == "full"
                for c in range(GEOM.channels)):
             return sb
     raise AssertionError("no fully-prefilled superblock found")
@@ -37,13 +42,14 @@ def test_addressing_roundtrip():
             assert live.superblock_of(addr) == sb
             assert addr.channel == channel
             assert addr.page == 3
+            assert live.subblock_index(sb, channel) == GEOM.block_index(addr)
 
 
 def test_first_failure_migrates_and_marks_bad():
     ssd, live = make_live()
     sb = full_superblock(ssd, live)
     valid_before = sum(
-        ssd.blocks.info(live.subblock_addr(sb, c)).valid_count
+        subblock_info(ssd, live, sb, c).valid_count
         for c in range(GEOM.channels)
     )
     assert valid_before > 0
@@ -54,7 +60,7 @@ def test_first_failure_migrates_and_marks_bad():
     assert live.bad_superblocks == 1
     ssd.mapping.check_consistency()
     for channel in range(GEOM.channels):
-        info = ssd.blocks.info(live.subblock_addr(sb, channel))
+        info = subblock_info(ssd, live, sb, channel)
         assert info.state == "bad"
         assert info.valid_count == 0
     # Survivor sub-blocks were recycled (all channels except the failed).
