@@ -16,20 +16,22 @@ kernel's scheduled-callback count (``Simulator`` sequence counter, which
 equals the number of executed heap entries once the queue drains) by the
 best-of-N wall time.
 
-Schema 2: the simulator has one kernel, and its numbers live under
-``report["backends"]["pure"]["benchmarks"]`` -- the table name every
-earlier record used, so committed baselines and the history stay
-comparable.  The report carries provenance (python, CPU model) so a
-baseline captured on one host is never silently compared against
-another.  ``--check`` compares like-for-like tables only (an older
-record's extra tables are skipped) and rejects a schema-1 baseline,
-which has no ``backends`` table to compare.
+Schema 3, one flat record::
+
+    {"schema": 3, "quick": bool, "provenance": {python, platform, ...},
+     "benchmarks": {workload: {"events", "wall_s", "events_per_sec"}}}
+
+The provenance (python, CPU model) keeps a baseline captured on one
+host from being silently compared against another.  ``--check``
+rejects a baseline of any other schema with a re-record message, and
+fails a workload that is slower than the tolerance allows, missing from
+the current run, or absent from the baseline.
 
 ``--check`` prints a per-workload delta table (baseline vs current
 events/sec, percent change, the gate's pass/fail verdict) before the
 exit-code decision, and every full (non-``--quick``) run appends its
-schema-2 report plus the git commit to ``benchmarks/history.jsonl`` so
-the perf timeline survives baseline overwrites (``load_history``).
+report plus the git commit to ``benchmarks/history.jsonl`` so the perf
+timeline survives baseline overwrites (``load_history``).
 """
 
 from __future__ import annotations
@@ -53,6 +55,9 @@ BENCH_FILE = "BENCH_kernel.json"
 
 #: Append-only JSONL log of full (non-quick) runs, one record per run.
 HISTORY_FILE = "benchmarks/history.jsonl"
+
+#: Version of the report layout written by :func:`run_benchmarks`.
+SCHEMA = 3
 
 
 # ---------------------------------------------------------------------------
@@ -214,102 +219,98 @@ def run_benchmarks(quick: bool = False,
     """Run the full suite; returns the report dict (not yet written)."""
     repeats = repeats if repeats else (2 if quick else 3)
     return {
-        "schema": 2,
+        "schema": SCHEMA,
         "quick": quick,
         "provenance": provenance(),
-        "backends": {"pure": {"benchmarks": {
-            name: _measure(fn, quick, repeats)
-            for name, fn in WORKLOADS.items()
-        }}},
+        "benchmarks": {name: _measure(fn, quick, repeats)
+                       for name, fn in WORKLOADS.items()},
     }
 
 
-def _backend_tables(report: Dict[str, Any]) -> Dict[str, Dict[str, Any]]:
-    """A schema-2 report's ``{backend: {workload: entry}}`` tables.
+def _benchmarks(report: Dict[str, Any]) -> Dict[str, Any]:
+    """A report's ``{workload: entry}`` table.
 
-    Raises :class:`ValueError` on a report without ``backends`` (a
-    schema-1 record), so a stale baseline fails the gate instead of
-    passing it with nothing compared.
+    Raises :class:`ValueError` on any other schema, so a stale baseline
+    fails the gate instead of passing it with nothing compared.
     """
-    if "backends" not in report:
+    if report.get("schema") != SCHEMA:
         raise ValueError(
-            f"bench report has no 'backends' table (schema "
-            f"{report.get('schema')!r}); re-record the baseline with "
-            f"'repro bench'")
-    return {name: dict(entry.get("benchmarks", {}))
-            for name, entry in report["backends"].items()}
+            f"bench report is schema {report.get('schema')!r}, not "
+            f"{SCHEMA}; re-record the baseline with 'repro bench'")
+    return report["benchmarks"]
+
+
+#: ``(workload, base events/sec, now events/sec, failure)``.
+_Verdict = Tuple[str, Optional[float], Optional[float], Optional[str]]
+
+
+def _verdicts(current: Dict[str, Any], baseline: Dict[str, Any],
+              tolerance: float) -> List[_Verdict]:
+    """One verdict per workload in either report, by name.
+
+    *base* is ``None`` for a workload the baseline never recorded and
+    *now* is ``None`` for one the current run did not measure; both
+    fail.  *failure* is ``None`` when the gate passes the workload.
+    """
+    observed = _benchmarks(current)
+    recorded = _benchmarks(baseline)
+    rows: List[_Verdict] = []
+    for name in sorted(set(recorded) | set(observed)):
+        base = recorded[name].get("events_per_sec", 0.0) \
+            if name in recorded else None
+        cur = observed[name]["events_per_sec"] if name in observed \
+            else None
+        failure: Optional[str] = None
+        if base is None:
+            failure = "not in baseline; re-record"
+        elif cur is None:
+            failure = "missing from current run"
+        elif cur < (1.0 - tolerance) * base:
+            failure = (f"{cur:.0f} events/s < "
+                       f"{(1.0 - tolerance) * base:.0f} (baseline "
+                       f"{base:.0f} - {tolerance:.0%})")
+        rows.append((name, base, cur, failure))
+    return rows
 
 
 def check_regression(current: Dict[str, Any], baseline: Dict[str, Any],
                      tolerance: float = 0.30) -> List[str]:
-    """Regression descriptions, comparing like-for-like tables only.
+    """Regression descriptions, one per failing workload.
 
-    A table present in the baseline but not measured now (an older
-    record's ``fast`` kernel) is skipped -- there is nothing on this
-    host to compare it with.  A *workload* missing inside a shared
-    table is still a failure.  A baseline without ``backends`` raises
-    :class:`ValueError`.
+    A workload fails when its events/sec falls below
+    ``(1 - tolerance) x baseline``, when the current run did not
+    measure it, or when the baseline never recorded it (so a new
+    workload is gated from the run that adds it).  A report that is
+    not schema 3 raises :class:`ValueError`.
     """
-    failures = []
-    current_tables = _backend_tables(current)
-    baseline_tables = _backend_tables(baseline)
-    for backend in sorted(baseline_tables):
-        if backend not in current_tables:
-            continue
-        observed = current_tables[backend]
-        for name, entry in baseline_tables[backend].items():
-            cur = observed.get(name)
-            label = f"{backend}/{name}"
-            if cur is None:
-                failures.append(f"{label}: missing from current run")
-                continue
-            floor = (1.0 - tolerance) * entry.get("events_per_sec", 0.0)
-            if cur["events_per_sec"] < floor:
-                failures.append(
-                    f"{label}: {cur['events_per_sec']:.0f} events/s < "
-                    f"{floor:.0f} (baseline {entry['events_per_sec']:.0f} "
-                    f"- {tolerance:.0%})"
-                )
-    return failures
+    return [f"{name}: {failure}"
+            for name, _base, _cur, failure in
+            _verdicts(current, baseline, tolerance) if failure]
 
 
 def delta_table(current: Dict[str, Any], baseline: Dict[str, Any],
                 tolerance: float = 0.30) -> str:
     """Per-workload baseline-vs-current comparison, as printable text.
 
-    One row per ``(backend, workload)`` in the baseline: baseline and
-    current events/sec, percent change, and the verdict the regression
-    gate applies (``FAIL`` below ``(1 - tolerance) x baseline``).  A
-    table the current run did not measure is marked ``skip``, never
-    ``FAIL`` -- mirroring :func:`check_regression` exactly, so the table
-    is the human-readable form of the gate's decision.  A baseline
-    without ``backends`` raises :class:`ValueError`.
+    One row per workload: baseline and current events/sec, percent
+    change, and the verdict :func:`check_regression` reaches for it, so
+    the table is the human-readable form of the gate's decision.
     """
-    current_tables = _backend_tables(current)
-    baseline_tables = _backend_tables(baseline)
-    rows: List[Tuple[str, str, str, str, str]] = []
-    for backend in sorted(baseline_tables):
-        measured = current_tables.get(backend)
-        for name in sorted(baseline_tables[backend]):
-            base = baseline_tables[backend][name].get("events_per_sec", 0.0)
-            label = f"{base:.0f}"
-            if measured is None:
-                rows.append((backend, name, label, "-",
-                             "skip (backend not measured)"))
-                continue
-            entry = measured.get(name)
-            if entry is None:
-                rows.append((backend, name, label, "-", "FAIL (missing)"))
-                continue
-            cur = entry["events_per_sec"]
+    rows: List[Tuple[str, str, str, str]] = []
+    for name, base, cur, failure in _verdicts(current, baseline, tolerance):
+        if base is None:
+            rows.append((name, "-", f"{cur:.0f}",
+                         "FAIL (not in baseline; re-record)"))
+        elif cur is None:
+            rows.append((name, f"{base:.0f}", "-", "FAIL (missing)"))
+        else:
             delta = f"{(cur - base) / base * 100.0:+.1f}%" if base > 0 \
                 else "n/a"
-            ok = cur >= (1.0 - tolerance) * base
-            rows.append((backend, name, label, f"{cur:.0f}",
-                         f"{delta} {'ok' if ok else 'FAIL'}"))
-    headers = ("backend", "workload", "base ev/s", "now ev/s", "delta")
+            rows.append((name, f"{base:.0f}", f"{cur:.0f}",
+                         f"{delta} {'FAIL' if failure else 'ok'}"))
+    headers = ("workload", "base ev/s", "now ev/s", "delta")
     widths = [max(len(headers[col]), *(len(row[col]) for row in rows))
-              if rows else len(headers[col]) for col in range(5)]
+              if rows else len(headers[col]) for col in range(4)]
     lines = [" | ".join(h.ljust(w) for h, w in zip(headers, widths)),
              "-+-".join("-" * w for w in widths)]
     for row in rows:
@@ -333,7 +334,7 @@ def append_history(report: Dict[str, Any],
                    path: str = HISTORY_FILE) -> Dict[str, Any]:
     """Append one run record to the JSONL history; returns the record.
 
-    The record is the full schema-2 report plus the git commit it was
+    The record is the full report plus the git commit it was
     measured at, so a perf timeline can be reconstructed offline
     (``load_history``) without re-running anything.
     """
@@ -386,20 +387,14 @@ def main(quick: bool = False, output: Optional[str] = None,
     are (CI smoke numbers would drown the timeline in noise).
     """
     report = run_benchmarks(quick=quick, repeats=repeats)
-    tables = _backend_tables(report)
-    width = max(len(name) for table in tables.values() for name in table)
-    bwidth = max(len(name) for name in tables)
-    print(f"{'benchmark':<{width}} | {'backend':<{bwidth}} | "
-          f"{'events':>9} | {'wall_s':>8} | {'events/sec':>12}")
-    print("-" * (width + bwidth + 43))
-    for name in next(iter(tables.values())):
-        for backend, table in tables.items():
-            entry = table.get(name)
-            if entry is None:
-                continue
-            print(f"{name:<{width}} | {backend:<{bwidth}} | "
-                  f"{entry['events']:>9} | {entry['wall_s']:>8.4f} | "
-                  f"{entry['events_per_sec']:>12.0f}")
+    table = report["benchmarks"]
+    width = max(len(name) for name in table)
+    print(f"{'benchmark':<{width}} | {'events':>9} | {'wall_s':>8} | "
+          f"{'events/sec':>12}")
+    print("-" * (width + 40))
+    for name, entry in table.items():
+        print(f"{name:<{width}} | {entry['events']:>9} | "
+              f"{entry['wall_s']:>8.4f} | {entry['events_per_sec']:>12.0f}")
     if output:
         write_report(report, output)
         print(f"[bench] wrote {output}", file=sys.stderr)
@@ -410,7 +405,11 @@ def main(quick: bool = False, output: Optional[str] = None,
     if check:
         with open(check) as handle:
             baseline = json.load(handle)
-        table = delta_table(report, baseline, tolerance)
+        try:
+            table = delta_table(report, baseline, tolerance)
+        except ValueError as exc:
+            print(f"[bench] ERROR {exc}", file=sys.stderr)
+            return 1
         note = provenance_note(report, baseline)
         if note:
             print(f"[bench] NOTE {note}", file=sys.stderr)

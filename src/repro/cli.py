@@ -16,7 +16,6 @@ Usage::
     python -m repro fuzz --smoke         # coverage-guided fuzzer, CI gate
     python -m repro fuzz repro case.json # replay a minimized fuzz repro
     python -m repro profile ssd_point    # cProfile a bench workload
-    python -m repro profile ssd_point --svg flame.svg   # + icicle chart
 
 Sweep points fan out over ``--jobs`` worker processes (default: every
 CPU core) and completed points are cached under ``~/.cache/repro-dssd/``

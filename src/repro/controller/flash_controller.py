@@ -22,7 +22,7 @@ pay the detection timeout and backoff before each retry.
 
 from __future__ import annotations
 
-from typing import Generator, List, Sequence
+from typing import Generator
 
 from ..errors import AddressError
 from ..flash import FlashBackend, FlashChannel, PhysAddr
@@ -197,58 +197,3 @@ class FlashController:
         breakdown.add("flash_chip", op.total)
         self.blocks_erased += 1
         return breakdown
-
-    # -- multi-plane operations -------------------------------------------------
-
-    def read_multiplane(self, addrs: Sequence[PhysAddr],
-                        traffic_class: str = "io",
-                        breakdown: Breakdown = None) -> Generator:
-        """Generator: one multi-plane array read, then per-page transfers.
-
-        The array time is paid once across the planes; the channel bus
-        still serializes each page's data movement -- exactly why
-        multi-plane commands shift the bottleneck to the buses (Sec 1).
-        """
-        addr_list = self._as_list(addrs)
-        breakdown = breakdown if breakdown is not None else Breakdown()
-        op = yield from self.backend.multiplane(addr_list, "read")
-        breakdown.add("flash_chip", op.total)
-        t0 = self.sim.now
-        for _addr in addr_list:
-            yield from self.channel.transfer(self.page_size, traffic_class)
-        breakdown.add("flash_bus", self.sim.now - t0)
-        self.pages_read += len(addr_list)
-        return breakdown
-
-    def program_multiplane(self, addrs: Sequence[PhysAddr],
-                           traffic_class: str = "io",
-                           breakdown: Breakdown = None) -> Generator:
-        """Generator: per-page register loads, then one multi-plane program."""
-        addr_list = self._as_list(addrs)
-        breakdown = breakdown if breakdown is not None else Breakdown()
-        t0 = self.sim.now
-        for _addr in addr_list:
-            yield from self.channel.transfer(self.page_size, traffic_class)
-        breakdown.add("flash_bus", self.sim.now - t0)
-        op = yield from self.backend.multiplane(addr_list, "program")
-        breakdown.add("flash_chip", op.total)
-        self.pages_programmed += len(addr_list)
-        return breakdown
-
-    def erase_multiplane(self, addrs: Sequence[PhysAddr],
-                         breakdown: Breakdown = None) -> Generator:
-        """Generator: erase blocks across several planes as one command."""
-        addr_list = self._as_list(addrs)
-        breakdown = breakdown if breakdown is not None else Breakdown()
-        op = yield from self.backend.multiplane(addr_list, "erase")
-        breakdown.add("flash_chip", op.total)
-        self.blocks_erased += len(addr_list)
-        return breakdown
-
-    def _as_list(self, addrs: Sequence[PhysAddr]) -> List[PhysAddr]:
-        addr_list = list(addrs)
-        if not addr_list:
-            raise AddressError("empty multi-plane address list")
-        for addr in addr_list:
-            self._check_owns(addr)
-        return addr_list

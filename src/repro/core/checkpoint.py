@@ -31,7 +31,7 @@ import gzip
 import json
 import os
 from pathlib import Path
-from typing import Optional, Union
+from typing import List, Optional, Union
 
 from ..errors import SnapshotError
 from ..flash import FlashGeometry, FlashTiming, PhysAddr
@@ -383,8 +383,6 @@ def recover_ssd(state: dict):
     parked; it must pass :meth:`~repro.ftl.ftl.Ftl.audit` and accept
     new traffic.
     """
-    from collections import deque
-
     from ..ftl.blocks import ACTIVE, BAD, FREE, SPARE
     from .ssd import SimulatedSSD
 
@@ -397,46 +395,46 @@ def recover_ssd(state: dict):
     ssd = SimulatedSSD(config)
     ssd.backend.load_state(state["backend"])
 
-    manager = ssd.blocks
-    geometry = config.geometry
-    free_pools = [[] for _ in range(geometry.planes_total)]
+    blocks_per_plane = config.geometry.blocks_per_plane
+    planes_total = config.geometry.planes_total
+    free_pools: List[List[int]] = [[] for _ in range(planes_total)]
     # A plane may surface up to two partially-written blocks at mount:
     # the host-stream and the GC-stream active block.  Which was which
     # is not durable (and does not matter); assign them in block-index
     # scan order so recovery stays deterministic.
-    active = [None] * geometry.planes_total
-    active_gc = [None] * geometry.planes_total
-    free_count = bad_count = spare_count = 0
-    for index, block_state, write_ptr, valid in state["blocks"]:
-        info = manager.blocks[int(index)]
-        info.state = block_state
-        info.write_ptr = int(write_ptr)
-        info.valid = set(int(page) for page in valid)
-        info.pending = 0
-        plane = geometry.plane_index(info.addr)
+    active: List[Optional[int]] = [None] * planes_total
+    active_gc: List[Optional[int]] = [None] * planes_total
+    counts = {FREE: 0, BAD: 0, SPARE: 0}
+    for index, block_state, _write_ptr, _valid in sorted(
+            state["blocks"], key=lambda entry: int(entry[0])):
+        index = int(index)
+        plane = index // blocks_per_plane
+        if not 0 <= plane < planes_total:
+            continue  # load_state rejects the block by name
         if block_state == FREE:
-            free_pools[plane].append(int(index))
-            free_count += 1
+            free_pools[plane].append(index)
         elif block_state == ACTIVE:
             if active[plane] is None:
-                active[plane] = int(index)
+                active[plane] = index
             elif active_gc[plane] is None:
-                active_gc[plane] = int(index)
+                active_gc[plane] = index
             else:
                 raise SnapshotError(
                     f"durable state names three ACTIVE blocks in plane "
                     f"{plane}")
-        elif block_state == BAD:
-            bad_count += 1
-        elif block_state == SPARE:
-            spare_count += 1
-    manager._free = [deque(pool) for pool in free_pools]
-    manager._active = active
-    manager._active_gc = active_gc
-    manager._cursor = 0
-    manager.free_blocks = free_count
-    manager.bad_blocks = bad_count
-    manager.spare_blocks = spare_count
+        if block_state in counts:
+            counts[block_state] += 1
+    # The allocator checks the derived layout and rebuilds its caches.
+    ssd.blocks.load_state({
+        "blocks": state["blocks"],
+        "free": free_pools,
+        "active": active,
+        "active_gc": active_gc,
+        "cursor": 0,
+        "free_blocks": counts[FREE],
+        "bad_blocks": counts[BAD],
+        "spare_blocks": counts[SPARE],
+    })
 
     ssd.ftl.mapping.load_state(state["mapping"])
     if state["reliability"] is not None:

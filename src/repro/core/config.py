@@ -203,11 +203,6 @@ class SSDConfig:
         return self.extra_onchip_bw
 
     @property
-    def fnoc_bisection_bw(self) -> float:
-        """fNoC bisection bandwidth budget (dSSD_f)."""
-        return self.extra_onchip_bw
-
-    @property
     def effective_fnoc_channel_bw(self) -> float:
         """Router channel bandwidth (paper rule: 2x flash channel)."""
         if self.fnoc_channel_bw is not None:

@@ -1,9 +1,7 @@
 """Flash die / plane behavioural model.
 
 Each *plane* is a single-operation server: one array operation (read,
-program, erase) occupies it for the technology latency.  Multi-plane
-commands (paper Sec 1, PaGC) occupy several planes of the same die
-concurrently for a single array time.
+program, erase) occupies it for the technology latency.
 
 The model enforces NAND programming discipline per block -- a page may
 be programmed exactly once between erases -- with one int bitmask of
@@ -289,61 +287,6 @@ class FlashBackend:
         state = self._block_state_at(
             self._plane_id(addr) * self._blocks_per_plane + addr[4])
         state.mask = self._full_mask
-
-    def multiplane(self, addrs: Iterable[PhysAddr], op: str) -> Generator:
-        """Execute *op* on several planes of one die as one command.
-
-        All addresses must live on the same die and on distinct planes;
-        the command occupies every plane concurrently for one array time.
-        Returns an :class:`OpBreakdown` with the worst-case plane wait.
-        """
-        addr_list = list(addrs)
-        if not addr_list:
-            raise AddressError("multiplane command with no addresses")
-        die = self.geometry.die_index(addr_list[0])
-        plane_ids = set()
-        for addr in addr_list:
-            self.geometry.validate(addr)
-            if self.geometry.die_index(addr) != die:
-                raise AddressError("multiplane command spans dies")
-            plane_id = self.geometry.plane_index(addr)
-            if plane_id in plane_ids:
-                raise AddressError("multiplane command reuses a plane")
-            plane_ids.add(plane_id)
-
-        if op == "read":
-            duration = self._read_latency()
-        elif op == "program":
-            duration = self._program_latency()
-        elif op == "erase":
-            duration = self.timing.erase_us
-        else:
-            raise FlashError(f"unknown multiplane op {op!r}")
-
-        if self.enforce_discipline:
-            for addr in addr_list:
-                programmed = self.block_state(addr).mask >> addr.page & 1
-                if op == "program" and programmed:
-                    raise FlashError(
-                        f"multiplane reprogram without erase: {addr}"
-                    )
-                if op == "read" and not programmed:
-                    raise FlashError(f"multiplane read of unwritten {addr}")
-        if op == "program":
-            for addr in addr_list:
-                self.block_state(addr).mask |= 1 << addr.page
-        elif op == "erase":
-            for addr in addr_list:
-                state = self.block_state(addr)
-                state.mask = 0
-                state.erase_count += 1
-
-        procs = [
-            self.sim.process(self.plane_of(addr).occupy(duration))
-            for addr in addr_list
-        ]
-        waits = yield self.sim.all_of(procs)
-        return OpBreakdown(max(waits), duration)
 
     # -- checkpointing -----------------------------------------------------------
 

@@ -78,17 +78,6 @@ class FlashTiming:
         low, high = self.program_us
         return rng.uniform(low, high)
 
-    def page_write_bandwidth(self) -> float:
-        """Single-plane program bandwidth in bytes/us.
-
-        For the ULL preset this is 4096 B / 80 us... note the paper quotes
-        51.2 MB/s per 1-plane chip, i.e. 4 KiB / 80 us including command
-        overheads; with the raw 50 us program time the array-only figure is
-        81.9 MB/s.  Experiments use the full pipeline, so only relative
-        shapes matter.
-        """
-        return self.page_size / self.program_mid
-
 
 class TimingTable:
     """Flat per-``(op, channel)`` deterministic latency rows.

@@ -4,10 +4,11 @@ Two signals feed the corpus scheduler:
 
 * **Line edges** -- ``(previous line -> current line)`` pairs inside the
   watched subsystems (``ftl/``, ``host/qos``, ``reliability/``,
-  ``core/datapath``), collected with :mod:`sys.monitoring` on Python
-  3.12+ and a :func:`sys.settrace` local tracer everywhere else.  Edges
-  are encoded as stable strings (``"ftl/gc.py:241->252"``) so they
-  compare identically across processes and runs.
+  ``core/datapath``), collected by a :func:`sys.settrace` local tracer
+  that keeps the previous line per frame, so interleaved generator
+  frames of one module never form an edge between them.  Edges are
+  encoded as stable strings (``"ftl/gc.py:241->252"``) so they compare
+  identically across processes and runs.
 
 * **Semantic features** -- bucketed device-state observations after a
   run (GC episode depth, ECC ladder level reached, spare-block
@@ -45,10 +46,6 @@ from ..reliability import (  # noqa: E402,F401  (placement is the point)
     rber as _rber,
 )
 
-#: sys.monitoring tool slot (3.12+); PROFILER_ID is free in our runs.
-_TOOL_NAME = "repro-fuzz-coverage"
-
-
 def _watch_key(filename: str) -> Optional[str]:
     """Relative module key for a watched file, else None."""
     if not filename.startswith(_PACKAGE_ROOT):
@@ -71,63 +68,13 @@ class CoverageCollector:
     def __init__(self) -> None:
         self.edges: Set[str] = set()
         self._keys: dict = {}   # code object -> watch key or None
-        self._last: dict = {}   # watch key -> last line (monitoring mode)
-        self._mode = "off"
-        self._tool_id: Optional[int] = None
         self._gc_was_enabled = True
-
-    # -- shared helpers ------------------------------------------------------
 
     def _key_for(self, code) -> Optional[str]:
         key = self._keys.get(code)
         if key is None and code not in self._keys:
             key = self._keys[code] = _watch_key(code.co_filename)
         return key
-
-    # -- sys.monitoring path (Python 3.12+) ----------------------------------
-
-    def _try_start_monitoring(self) -> bool:
-        monitoring = getattr(sys, "monitoring", None)
-        if monitoring is None:
-            return False
-        try:
-            tool_id = monitoring.PROFILER_ID
-            monitoring.use_tool_id(tool_id, _TOOL_NAME)
-            monitoring.register_callback(
-                tool_id, monitoring.events.LINE, self._on_line)
-            monitoring.set_events(tool_id, monitoring.events.LINE)
-        except Exception:
-            try:
-                monitoring.free_tool_id(monitoring.PROFILER_ID)
-            except Exception:
-                pass
-            return False
-        self._tool_id = tool_id
-        self._mode = "monitoring"
-        return True
-
-    def _on_line(self, code, line_number):
-        key = self._key_for(code)
-        if key is None:
-            disable = getattr(sys.monitoring, "DISABLE", None)
-            return disable
-        last = self._last.get(key)
-        if last is not None:
-            self.edges.add(f"{key}:{last}->{line_number}")
-        self._last[key] = line_number
-        return None
-
-    def _stop_monitoring(self) -> None:
-        monitoring = sys.monitoring
-        try:
-            monitoring.set_events(self._tool_id, 0)
-            monitoring.register_callback(
-                self._tool_id, monitoring.events.LINE, None)
-            monitoring.free_tool_id(self._tool_id)
-        except Exception:
-            pass
-
-    # -- sys.settrace fallback ----------------------------------------------
 
     def _global_trace(self, frame, event, arg):
         if event != "call":
@@ -161,17 +108,11 @@ class CoverageCollector:
         gc.collect()
         self._gc_was_enabled = gc.isenabled()
         gc.disable()
-        if not self._try_start_monitoring():
-            sys.settrace(self._global_trace)
-            self._mode = "settrace"
+        sys.settrace(self._global_trace)
         return self
 
     def __exit__(self, *exc_info) -> None:
-        if self._mode == "monitoring":
-            self._stop_monitoring()
-        elif self._mode == "settrace":
-            sys.settrace(None)
-        self._mode = "off"
+        sys.settrace(None)
         if self._gc_was_enabled:
             gc.enable()
 

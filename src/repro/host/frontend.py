@@ -80,13 +80,6 @@ class MultiQueueFrontend:
         """Commands dispatched to the FTL and not yet completed."""
         return self._inflight
 
-    def stats_for(self, name: str) -> TenantStats:
-        """The current stats recorder of tenant *name*."""
-        for spec, stats in zip(self.tenants, self.stats):
-            if spec.name == name:
-                return stats
-        raise ConfigError(f"unknown tenant {name!r}")
-
     def reset_stats(self) -> None:
         """Start fresh per-tenant recorders (end of the warmup window)."""
         self.stats = [TenantStats(spec.name) for spec in self.tenants]

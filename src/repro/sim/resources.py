@@ -306,11 +306,6 @@ class Link:
         """Number of transfers waiting behind the in-flight one."""
         return len(self._queue)
 
-    @property
-    def is_busy(self) -> bool:
-        """Whether a transfer is currently occupying the link."""
-        return self._busy
-
     def outstanding_summary(self) -> Optional[str]:
         """One-line description of in-flight work, or None if idle."""
         if not self._busy and not self._queue:

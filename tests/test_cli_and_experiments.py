@@ -137,9 +137,9 @@ def test_cli_fuzz_repro_usage_error():
 
 
 def _bench_record(events_per_sec):
-    return {"schema": 2, "backends": {"pure": {"benchmarks": {
+    return {"schema": 3, "benchmarks": {
         "drain": {"events": 10, "wall_s": 0.1,
-                  "events_per_sec": events_per_sec}}}}}
+                  "events_per_sec": events_per_sec}}}
 
 
 def _fake_bench_report():
@@ -161,6 +161,23 @@ def test_cli_bench_check_regression_exits_nonzero(tmp_path, monkeypatch,
                "--output", str(out)])
     assert rc == 1
     capsys.readouterr()
+
+
+def test_cli_bench_check_rejects_old_schema_baseline(tmp_path, monkeypatch,
+                                                    capsys):
+    import json
+
+    import repro.bench
+
+    monkeypatch.setattr(repro.bench, "run_benchmarks",
+                        lambda **kwargs: _fake_bench_report())
+    baseline = tmp_path / "baseline.json"
+    old = {"schema": 2, "backends": {"pure": _fake_bench_report()}}
+    baseline.write_text(json.dumps(old))
+    rc = main(["bench", "--quick", "--check", str(baseline),
+               "--output", str(tmp_path / "out.json")])
+    assert rc == 1
+    assert "re-record" in capsys.readouterr().err
 
 
 def test_cli_bench_check_within_tolerance_exits_zero(tmp_path, monkeypatch,

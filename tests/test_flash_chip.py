@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.errors import AddressError, FlashError
+from repro.errors import FlashError
 from repro.flash import (
     FlashBackend,
     FlashGeometry,
@@ -130,54 +130,6 @@ def test_different_planes_run_in_parallel():
     assert done == [pytest.approx(50.0), pytest.approx(50.0)]
 
 
-def test_multiplane_program_occupies_all_planes_once():
-    sim = Simulator()
-    backend = make_backend(sim)
-    addrs = [PhysAddr(0, 0, 0, 0, 0, 0), PhysAddr(0, 0, 0, 1, 0, 0)]
-    breakdown = run_op(backend, backend.multiplane(addrs, "program"))
-    assert breakdown.array_time == pytest.approx(50.0)
-    assert sim.now == pytest.approx(50.0)
-    for addr in addrs:
-        assert backend.block_state(addr).write_ptr == 1
-
-
-def test_multiplane_rejects_cross_die():
-    sim = Simulator()
-    backend = make_backend(sim)
-    addrs = [PhysAddr(0, 0, 0, 0, 0, 0), PhysAddr(1, 0, 0, 1, 0, 0)]
-    with pytest.raises(AddressError):
-        run_op(backend, backend.multiplane(addrs, "program"))
-
-
-def test_multiplane_rejects_duplicate_plane():
-    sim = Simulator()
-    backend = make_backend(sim)
-    addrs = [PhysAddr(0, 0, 0, 0, 0, 0), PhysAddr(0, 0, 0, 0, 1, 0)]
-    with pytest.raises(AddressError):
-        run_op(backend, backend.multiplane(addrs, "program"))
-
-
-def test_multiplane_rejects_empty_and_bad_op():
-    sim = Simulator()
-    backend = make_backend(sim)
-    with pytest.raises(AddressError):
-        run_op(backend, backend.multiplane([], "program"))
-    with pytest.raises(FlashError):
-        run_op(backend, backend.multiplane(
-            [PhysAddr(0, 0, 0, 0, 0, 0)], "refresh"))
-
-
-def test_multiplane_erase_resets_blocks():
-    sim = Simulator()
-    backend = make_backend(sim)
-    addrs = [PhysAddr(0, 0, 0, 0, 2, 0), PhysAddr(0, 0, 0, 1, 2, 0)]
-    run_op(backend, backend.multiplane(addrs, "program"))
-    run_op(backend, backend.multiplane(addrs, "erase"))
-    for addr in addrs:
-        assert backend.erase_count(addr) == 1
-        assert backend.block_state(addr).write_ptr == 0
-
-
 def _assert_fully_programmed(backend, addr):
     state = backend.block_state(addr)
     assert state.write_ptr == GEOM.pages_per_block
@@ -205,19 +157,6 @@ def test_prefilled_blocks_share_no_page_state():
     _assert_fully_programmed(backend, second)
     backend.mark_block_programmed(first)
     _assert_fully_programmed(backend, first)
-
-
-def test_multiplane_erase_leaves_other_prefilled_blocks_alone():
-    sim = Simulator()
-    backend = make_backend(sim)
-    erased = [PhysAddr(0, 0, 0, 0, 1, 0), PhysAddr(0, 0, 0, 1, 1, 0)]
-    kept = PhysAddr(0, 0, 0, 0, 2, 0)
-    for addr in erased + [kept]:
-        backend.mark_block_programmed(addr)
-    run_op(backend, backend.multiplane(erased, "erase"))
-    for addr in erased:
-        assert backend.block_state(addr).write_ptr == 0
-    _assert_fully_programmed(backend, kept)
 
 
 def test_programmed_is_a_read_only_view():

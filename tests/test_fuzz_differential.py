@@ -164,6 +164,23 @@ def test_durable_state_roundtrip_preserves_logical_contents():
     assert recovered.sim.now == 0.0
 
 
+def test_recover_ssd_rebuilds_allocator_readiness():
+    # At 90% prefill no plane can serve a host page; a recovered device
+    # must agree, or GC reads a stale host_allocatable() and idles.
+    from repro.core.ssd import SimulatedSSD
+
+    ssd = SimulatedSSD(build_config(GenomeConfig(prefill_fraction=0.9)))
+    ssd.prefill()
+    ssd.ftl.start()
+    ssd.sim.run()
+    recovered = recover_ssd(json.loads(json.dumps(durable_state(ssd))))
+    assert ssd.blocks.host_allocatable() is False
+    assert recovered.blocks.host_allocatable() is False
+    assert (recovered.blocks.state_dict()["free"]
+            == [sorted(pool) for pool in ssd.blocks.state_dict()["free"]])
+    recovered.ftl.audit()
+
+
 def test_recover_ssd_rejects_wrong_schema():
     with pytest.raises(SnapshotError):
         recover_ssd({"schema": DURABLE_SCHEMA + 1})
