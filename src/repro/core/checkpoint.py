@@ -145,7 +145,7 @@ def quiescence_report(ssd) -> list:
     """
     report = []
     sim = ssd.sim
-    if sim._queue:
+    if sim.peek() is not None:
         report.extend(sim.pending_summary())
     report.extend(sim.outstanding_holds())
     outstanding = ssd.host.outstanding
@@ -179,7 +179,7 @@ def snapshot_ssd(ssd) -> dict:
     # and raises SimulationError with the pending-callback enumeration.
     sim_state = ssd.sim.snapshot_state()
     # The queue can be empty while slots stay held (a leaked hold with
-    # no waiter parks nothing in the heap) -- name the leaks explicitly
+    # no waiter parks nothing in the queue) -- name the leaks explicitly
     # rather than letting a component state_dict fail opaquely later.
     leaks = quiescence_report(ssd)
     if leaks:
@@ -305,7 +305,7 @@ def restore_ssd(state: dict):
 
     # Respawn the flusher pool at time zero and let the workers park on
     # the (empty) flush queue -- the bootstrap events drain and leave no
-    # heap entries, exactly the state the original device's flushers
+    # queue entries, exactly the state the original device's flushers
     # were in at the quiescent point.  Only *then* rewind the clock and
     # the event sequence counter, so phase-two events get the same
     # (time, seq) keys as in an uninterrupted run.
@@ -361,13 +361,7 @@ def durable_state(ssd) -> dict:
         "reliability": None,
     }
     if ssd.reliability is not None:
-        from ..sim import int_key_pairs
-
-        state["reliability"] = {
-            "pages": int_key_pairs(ssd.reliability._pages, list),
-            "wear": ssd.reliability.rber_model.wear.state_dict(),
-            "badblocks": ssd.reliability.badblocks.state_dict(),
-        }
+        state["reliability"] = ssd.reliability.media_state()
     return state
 
 
@@ -442,14 +436,7 @@ def recover_ssd(state: dict):
             raise SnapshotError(
                 "durable state carries reliability records but the "
                 "config builds no reliability engine")
-        from ..sim import pairs_to_int_dict
-
-        rel = state["reliability"]
-        ssd.reliability._pages = pairs_to_int_dict(
-            rel["pages"],
-            lambda rec: (int(rec[0]), int(rec[1]), float(rec[2])))
-        ssd.reliability.rber_model.wear.load_state(rel["wear"])
-        ssd.reliability.badblocks.load_state(rel["badblocks"])
+        ssd.reliability.load_media_state(state["reliability"])
 
     ssd._prefilled = bool(state["prefilled"])
     ssd.lpn_space = int(state["lpn_space"])

@@ -270,39 +270,59 @@ class ReliabilityEngine:
         "copy_errors_propagated", "survivors_ge2", "max_generation",
     )
 
-    def state_dict(self) -> dict:
-        """JSON-able checkpoint of the whole reliability state machine.
+    def media_state(self) -> dict:
+        """JSON-able state of the flash media itself.
 
-        Covers per-page error records, all counters, the transient-error
-        RNG, the RBER model's wear-limit cache, the fault injector and
-        the bad-block tables.  The datapath wiring (:meth:`attach`) is
-        structural and re-established at rebuild, not snapshotted.
+        Per-page error records, the RBER model's wear-limit cache and
+        the bad-block tables: what survives a power cut, so both the
+        full checkpoint and the durable projection
+        (:func:`~repro.core.checkpoint.durable_state`) carry it.
         """
-        from ..sim import int_key_pairs, rng_state_dict
+        from ..sim import int_key_pairs
 
         return {
             "pages": int_key_pairs(self._pages, list),
-            "counters": {name: getattr(self, name)
-                         for name in self._COUNTERS},
-            "rng": rng_state_dict(self._rng),
             "wear": self.rber_model.wear.state_dict(),
-            "faults": self.faults.state_dict(),
             "badblocks": self.badblocks.state_dict(),
         }
 
-    def load_state(self, state: dict) -> None:
-        """Restore a :meth:`state_dict` checkpoint (same config)."""
-        from ..sim import pairs_to_int_dict, rng_load_state
+    def load_media_state(self, state: dict) -> None:
+        """Restore a :meth:`media_state` projection (same config)."""
+        from ..sim import pairs_to_int_dict
 
         self._pages = pairs_to_int_dict(
             state["pages"],
             lambda rec: (int(rec[0]), int(rec[1]), float(rec[2])))
+        self.rber_model.wear.load_state(state["wear"])
+        self.badblocks.load_state(state["badblocks"])
+
+    def state_dict(self) -> dict:
+        """JSON-able checkpoint of the whole reliability state machine.
+
+        Covers the :meth:`media_state`, all counters, the
+        transient-error RNG and the fault injector.  The datapath wiring
+        (:meth:`attach`) is structural and re-established at rebuild,
+        not snapshotted.
+        """
+        from ..sim import rng_state_dict
+
+        return {
+            **self.media_state(),
+            "counters": {name: getattr(self, name)
+                         for name in self._COUNTERS},
+            "rng": rng_state_dict(self._rng),
+            "faults": self.faults.state_dict(),
+        }
+
+    def load_state(self, state: dict) -> None:
+        """Restore a :meth:`state_dict` checkpoint (same config)."""
+        from ..sim import rng_load_state
+
+        self.load_media_state(state)
         for name in self._COUNTERS:
             setattr(self, name, int(state["counters"][name]))
         rng_load_state(self._rng, state["rng"])
-        self.rber_model.wear.load_state(state["wear"])
         self.faults.load_state(state["faults"])
-        self.badblocks.load_state(state["badblocks"])
 
     # -- reporting ---------------------------------------------------------------------
 

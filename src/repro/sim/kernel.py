@@ -43,8 +43,13 @@ optimization must preserve"):
   is only allocated once a *second* waiter (or a non-process callback)
   appears; dispatch runs the direct waiter first, which is exactly
   registration order.
-* ``Timeout`` initializes its slots inline and pushes its own heap
-  entry, skipping the ``Event.__init__``/``schedule`` call chain.
+* ``Timeout`` initializes its slots inline and pushes its own entry,
+  skipping the ``Event.__init__``/``schedule`` call chain.
+* An entry due at the current instant goes on the *same-instant
+  lane*, a FIFO ``deque``, not the heap: its ``seq`` tops everything
+  queued, so FIFO order is ``(time, seq)`` order (see
+  :meth:`Simulator.run`).  Delays route on ``now + delay == now``, not
+  on ``delay == 0``, so a delay a large float ``now`` absorbs is due now.
 * A ``while not ready: yield sim.timeout(interval)`` loop is served by
   :meth:`Simulator.wait_until`: its :class:`Poll` re-runs the check
   from the dispatch itself and re-arms, so a failed tick resumes no
@@ -52,15 +57,15 @@ optimization must preserve"):
 
 None of this changes *when* anything runs: every trigger, timeout,
 poll tick, process bootstrap and late waiter still pushes exactly one
-heap entry, in program order, so the ``(time, seq)`` dispatch order is
-the one a callback list per event would give.
+entry, heap or lane, in program order, so the ``(time, seq)`` dispatch
+order is the one a callback list per event would give.
 ``tests/test_kernel_fastpath.py`` pins that stream for its scenarios to
 recorded fingerprints.
 """
 
 from __future__ import annotations
 
-import heapq
+from collections import deque
 from heapq import heappush, heappop
 from typing import Any, Callable, Generator, Iterable, List, Optional
 
@@ -80,12 +85,8 @@ __all__ = [
 _DISPATCHED = object()
 
 
-#: Shared empty args tuple for event heap entries.
+#: Shared empty args tuple for event queue entries.
 _NO_ARGS = ()
-
-#: Same-timestamp entries dispatched straight off the heap before the
-#: run loop switches to drain-mode batching (see :meth:`Simulator.run`).
-_BATCH_INLINE = 8
 
 
 class SimulationError(RuntimeError):
@@ -153,7 +154,7 @@ class Event:
         self._value = value
         sim = self.sim
         sim._seq = seq = sim._seq + 1
-        heappush(sim._queue, (sim._now, seq, self, _NO_ARGS))
+        sim._lane.append((sim._now, seq, self, _NO_ARGS))
         return self
 
     def fail(self, exception: BaseException) -> "Event":
@@ -165,20 +166,20 @@ class Event:
         self._value = exception
         sim = self.sim
         sim._seq = seq = sim._seq + 1
-        heappush(sim._queue, (sim._now, seq, self, _NO_ARGS))
+        sim._lane.append((sim._now, seq, self, _NO_ARGS))
         return self
 
     def add_callback(self, fn: Callable[["Event"], None]) -> None:
         """Run *fn(event)* when the event fires (immediately if it has)."""
         cbs = self.callbacks
         if cbs is _DISPATCHED:
-            # Already dispatched: run at the current time via the queue so
+            # Already dispatched: run at the current time via the lane so
             # ordering relative to other scheduled work stays consistent.
             # Pushed directly (no schedule() wrapper, no closure) -- the
             # same entry shape the direct-resume path uses.
             sim = self.sim
             sim._seq = seq = sim._seq + 1
-            heappush(sim._queue, (sim._now, seq, fn, (self,)))
+            sim._lane.append((sim._now, seq, fn, (self,)))
         elif cbs is None:
             self.callbacks = [fn]
         else:
@@ -212,7 +213,7 @@ class Event:
             for fn in callbacks:
                 fn(self)
 
-    #: Events are callable so a heap entry can hold the event itself.
+    #: Events are callable so a queue entry can hold the event itself.
     __call__ = _dispatch
 
 
@@ -239,8 +240,13 @@ class Timeout(Event):
         self._value = value
         self._ok = True
         self._triggered = False
+        now = sim._now
+        when = now + delay
         sim._seq = seq = sim._seq + 1
-        heappush(sim._queue, (sim._now + delay, seq, self, _NO_ARGS))
+        if when == now:
+            sim._lane.append((when, seq, self, _NO_ARGS))
+        else:
+            heappush(sim._queue, (when, seq, self, _NO_ARGS))
 
     def trigger(self, value: Any = None) -> "Event":
         raise SimulationError("a Timeout fires by itself; trigger() is "
@@ -273,10 +279,11 @@ class Poll(Event):
     Created by :meth:`Simulator.wait_until` after the inline first check
     has failed; only that helper's frame waits on it.  Each dispatch is
     one tick.  It runs ``check()`` right in the dispatch: ``None`` means
-    "not yet" and re-arms the poll with exactly one heap entry at
-    ``now + interval`` -- the entry a ``yield sim.timeout(interval)``
-    would push -- and any other value fires the poll and resumes the
-    waiter straight from the same dispatch.  An exception raised by
+    "not yet" and re-arms the poll with exactly one entry at ``now +
+    interval``, on the heap or the same-instant lane -- the entry a
+    ``yield sim.timeout(interval)`` would push -- and any other value
+    fires the poll and resumes the waiter straight from the same
+    dispatch.  An exception raised by
     ``check()`` is thrown into the waiter at its ``yield``.  A failed
     tick therefore resumes no generator and allocates no event.
 
@@ -300,8 +307,7 @@ class Poll(Event):
         self._value = None
         self._ok = True
         self._triggered = False
-        sim._seq = seq = sim._seq + 1
-        heappush(sim._queue, (sim._now + interval, seq, self, _NO_ARGS))
+        sim.schedule(interval, self)
 
     def trigger(self, value: Any = None) -> "Event":
         raise SimulationError("a Poll fires by itself; trigger() is "
@@ -323,9 +329,13 @@ class Poll(Event):
             return
         if value is None:
             sim = self.sim
+            now = sim._now
+            when = now + self.interval
             sim._seq = seq = sim._seq + 1
-            heappush(sim._queue,
-                     (sim._now + self.interval, seq, self, _NO_ARGS))
+            if when == now:
+                sim._lane.append((when, seq, self, _NO_ARGS))
+            else:
+                heappush(sim._queue, (when, seq, self, _NO_ARGS))
             return
         self._finish(waiter, value, True)
 
@@ -361,7 +371,7 @@ class Process(Event):
         self._waiting_on: Optional[Event] = None
         # Bootstrap: start the generator at the current time.
         sim._seq = seq = sim._seq + 1
-        heappush(sim._queue, (sim._now, seq, self._resume, (None, None)))
+        sim._lane.append((sim._now, seq, self._resume, (None, None)))
 
     @property
     def is_alive(self) -> bool:
@@ -497,6 +507,9 @@ class AnyOf(Event):
 class Simulator:
     """The event loop: a time-ordered queue of callbacks.
 
+    Entries are ``(time, seq, fn, args)`` tuples run in ``(time, seq)``
+    order: on a heap, or on a FIFO lane when due at the current instant.
+
     All model components hold a reference to one ``Simulator`` and use
     :meth:`timeout`, :meth:`event`, and :meth:`process` to build behaviour.
     """
@@ -508,6 +521,7 @@ class Simulator:
         self.now = 0.0
         self._now = 0.0
         self._queue: List[tuple] = []
+        self._lane: deque = deque()
         self._seq = 0
         self._running = False
         self._resources: List[Any] = []
@@ -542,9 +556,9 @@ class Simulator:
         in place of ``while not ready: yield sim.timeout(interval)``.
         ``check()`` runs once inline; a non-None result returns at once
         with nothing scheduled.  Otherwise a :class:`Poll` re-runs it
-        from the dispatch every *interval* us, pushing one heap entry
-        per failed tick -- the ``(time, seq)`` stream of the timeout
-        loop -- and resumes this frame only with the first non-None
+        from the dispatch every *interval* us, pushing one entry per
+        failed tick -- the ``(time, seq)`` stream of the timeout loop --
+        and resumes this frame only with the first non-None
         result, which becomes the value of the ``yield from``.  An
         exception from ``check()`` propagates out of the ``yield from``.
 
@@ -561,7 +575,7 @@ class Simulator:
         finally:
             # Drop the closure when this frame closes (interrupt, error,
             # or a finished simulator being collected), so a poll left
-            # on the heap holds no reference into the model.
+            # queued holds no reference into the model.
             poll.check = None
 
     # -- scheduling ---------------------------------------------------------
@@ -570,8 +584,12 @@ class Simulator:
         """Run ``fn(*args)`` after *delay* microseconds."""
         if delay < 0:
             raise ValueError(f"negative delay: {delay}")
-        self._seq += 1
-        heappush(self._queue, (self._now + delay, self._seq, fn, args))
+        when = self._now + delay
+        self._seq = seq = self._seq + 1
+        if when == self._now:
+            self._lane.append((when, seq, fn, args))
+        else:
+            heappush(self._queue, (when, seq, fn, args))
 
     # -- execution ----------------------------------------------------------
 
@@ -580,76 +598,50 @@ class Simulator:
 
         Returns the simulation time at which execution stopped.
 
-        Crowded timestamps dispatch in *batches*: once more than
-        ``_BATCH_INLINE`` entries share the current time, the rest of
-        the batch is drained off the heap into a flat list first, then
-        the list is walked and dispatched.  Entries pushed at the
-        current time *during* the walk carry strictly higher sequence
-        numbers than everything drained before them (the counter only
-        ever increments), so re-draining after the walk preserves the
-        exact global ``(time, seq)`` order the one-pop-at-a-time loop
-        produced -- batching changes how entries are pulled, never when
-        their callbacks run.
+        The loop repeats three steps: dispatch the heap entries due at
+        ``now``, drain the same-instant lane (entries appended during
+        the drain join its tail), then set ``now`` to the heap's next
+        time.  That is exact ``(time, seq)`` order.  An entry pushed at
+        ``now`` carries a higher ``seq`` than everything already
+        queued, so the lane is in order by itself.  A heap entry due at
+        ``now`` was pushed before the clock got there -- pushes at
+        ``now`` go to the lane -- so it precedes every lane entry.  A
+        callback that raises leaves the undispatched entries queued; the
+        next ``run()`` or :meth:`step` resumes the same order.
         """
         if self._running:
             raise SimulationError("simulator is already running")
+        queue = self._queue
+        lane = self._lane
+        time = self._now
+        if until is not None and until < time:
+            if queue or lane:
+                # Winding the clock back puts the lane in the future.
+                for entry in lane:
+                    heappush(queue, entry)
+                lane.clear()
+                self.now = self._now = until
+            return self._now
         self._running = True
         try:
-            queue = self._queue
             pop = heappop
-            batch: List[tuple] = []
-            append = batch.append
-            while queue:
-                time = queue[0][0]
-                if until is not None and time > until:
-                    self.now = self._now = until
-                    break
-                self.now = self._now = time
-                # Small batches (the common case on sparse-timestamp
-                # workloads) dispatch straight off the heap, exactly
-                # like the pre-batching loop.  Once a timestamp proves
-                # crowded, switch to drain mode: pull the rest of the
-                # batch into a flat list back to back -- popping
-                # without interleaved pushes keeps the heap shrinking
-                # monotonically, which is where the batch win comes
-                # from -- then walk the list.
-                entry = pop(queue)
-                entry[2](*entry[3])
-                count = 0
+            popleft = lane.popleft
+            while True:
                 while queue and queue[0][0] == time:
                     entry = pop(queue)
                     entry[2](*entry[3])
-                    count += 1
-                    if count == _BATCH_INLINE:
-                        break
-                else:
-                    continue
-                while True:
-                    while queue and queue[0][0] == time:
-                        append(pop(queue))
-                    if not batch:
-                        break
-                    try:
-                        for entry in batch:
-                            entry[2](*entry[3])
-                    except BaseException:
-                        # A dispatch raised mid-batch: put the entries
-                        # that never ran back on the heap so the queue
-                        # holds exactly what the one-pop-at-a-time loop
-                        # would have left behind.
-                        raised_by = entry
-                        restore = False
-                        for entry in batch:
-                            if restore:
-                                heappush(queue, entry)
-                            elif entry is raised_by:
-                                restore = True
-                        del batch[:]
-                        raise
-                    del batch[:]
-            else:
-                if until is not None and until > self._now:
+                while lane:
+                    entry = popleft()
+                    entry[2](*entry[3])
+                if not queue:
+                    break
+                time = queue[0][0]
+                if until is not None and time > until:
                     self.now = self._now = until
+                    return until
+                self.now = self._now = time
+            if until is not None and until > time:
+                self.now = self._now = until
         finally:
             self._running = False
         return self._now
@@ -686,10 +678,10 @@ class Simulator:
         failed quiescence check reports *who* still has work queued
         rather than just a count.
         """
-        entries = sorted(self._queue)[:limit]
+        pending = sorted([*self._queue, *self._lane])
         lines = [f"t={time:.3f}us {self._describe_callback(fn)}"
-                 for time, _seq, fn, _args in entries]
-        extra = len(self._queue) - len(entries)
+                 for time, _seq, fn, _args in pending[:limit]]
+        extra = len(pending) - limit
         if extra > 0:
             lines.append(f"... and {extra} more")
         return lines
@@ -726,9 +718,10 @@ class Simulator:
         scheduled after the restore carry the same ``(time, seq)`` keys
         as they would in an uninterrupted run.
         """
-        if self._queue:
+        pending = len(self._queue) + len(self._lane)
+        if pending:
             message = (
-                f"cannot snapshot: {len(self._queue)} callback(s) still "
+                f"cannot snapshot: {pending} callback(s) still "
                 "scheduled (snapshot only at a quiescent point -- run the "
                 "simulation to completion first); pending: "
                 + "; ".join(self.pending_summary())
@@ -748,7 +741,7 @@ class Simulator:
         e.g. freshly respawned background processes -- so their entries
         do not carry pre-restore sequence numbers into the future).
         """
-        if self._queue:
+        if self._queue or self._lane:
             raise SimulationError(
                 "cannot restore into a simulator with scheduled callbacks"
             )
@@ -756,14 +749,20 @@ class Simulator:
         self._seq = int(state["seq"])
 
     def step(self) -> bool:
-        """Execute a single queued callback; return False if queue empty."""
-        if not self._queue:
+        """Execute the next callback in :meth:`run`'s order; False if none."""
+        queue = self._queue
+        if self._lane and not (queue and queue[0][0] == self._now):
+            entry = self._lane.popleft()
+        elif queue:
+            entry = heappop(queue)
+            self.now = self._now = entry[0]
+        else:
             return False
-        time, _seq, fn, args = heapq.heappop(self._queue)
-        self.now = self._now = time
-        fn(*args)
+        entry[2](*entry[3])
         return True
 
     def peek(self) -> Optional[float]:
         """Time of the next queued callback, or None if the queue is empty."""
+        if self._lane:
+            return self._now
         return self._queue[0][0] if self._queue else None

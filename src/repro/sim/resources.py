@@ -380,7 +380,10 @@ class Link:
                 bins = self.byte_bins[cls] = TimeBins(self.bin_width)
             bins.add(start, nbytes)
         sim._seq = seq = sim._seq + 1
-        heappush(sim._queue, (end, seq, self._finish_cb, (item,)))
+        if end == start:  # a duration the float clock absorbs
+            sim._lane.append((end, seq, self._finish_cb, (item,)))
+        else:
+            heappush(sim._queue, (end, seq, self._finish_cb, (item,)))
 
     def _finish(self, item: Transfer) -> None:
         self._busy = False

@@ -176,7 +176,7 @@ def test_snapshot_refuses_pending_events():
     """A duration-bounded run can stop mid-request; snapshot must refuse."""
     ssd = _build("baseline")
     ssd.run(_workload(), duration_us=40.0)
-    if ssd.sim._queue:
+    if ssd.sim.peek() is not None:
         with pytest.raises(SimulationError):
             ssd.snapshot()
     else:  # pragma: no cover - only if 40us happens to drain fully
@@ -311,6 +311,35 @@ def test_fastforward_wear_zero_is_noop():
     assert ssd.backend._block_state_at(0).erase_count == 0
 
 
+def test_durable_state_recovers_reliability_media():
+    """Page records, wear limits and the SRT/RBT tables survive a power
+    cut: ``recover_ssd`` rebuilds them from ``durable_state``."""
+    from repro.core.checkpoint import durable_state, recover_ssd
+
+    reliability = ReliabilityConfig(base_rber=1e-4, pe_mean=3.0,
+                                    pe_sigma=0.5, spare_blocks_per_channel=1)
+    geometry = sim_geometry(channels=2, ways=2, planes=2,
+                            blocks_per_plane=10, pages_per_block=16)
+    ssd = build_ssd("baseline", geometry=geometry, reliability=reliability,
+                    seed=5)
+    ssd.prefill()
+    fastforward_wear(ssd, 0.5)
+    result = ssd.run(SyntheticWorkload(pattern="rand_write",
+                                       working_set_fraction=0.5),
+                     duration_us=25_000.0)
+    assert result.extras["rel_blocks_remapped"] > 0
+    assert result.extras["rel_blocks_retired"] > 0
+    recovered = recover_ssd(json.loads(json.dumps(durable_state(ssd))))
+    original = ssd.reliability.state_dict()
+    restored = recovered.reliability.state_dict()
+    fresh = build_ssd("baseline", geometry=geometry,
+                      reliability=reliability, seed=5).reliability
+    for key in ("pages", "wear", "badblocks"):
+        assert restored[key] == original[key], key
+        assert fresh.state_dict()[key] != original[key], key
+    recovered.ftl.audit()
+
+
 def test_pending_event_refusal_names_the_culprit():
     """The quiescence error enumerates what is still pending."""
     ssd = _build("baseline", wear_leveling=True)
@@ -329,7 +358,7 @@ def test_quiescence_report_lists_inflight_work():
     ssd.run(_workload(), max_requests=30)
     assert quiescence_report(ssd) == []
     ssd.run(_workload(), duration_us=40.0)
-    if ssd.sim._queue:
+    if ssd.sim.peek() is not None:
         report = quiescence_report(ssd)
         assert report, "mid-request device reported quiescent"
         assert any("pending" in line or "in flight" in line

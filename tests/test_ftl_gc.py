@@ -252,7 +252,7 @@ def test_finished_device_is_freed_by_one_collection():
                               read_fraction=0.2), duration_us=3000.0)
     # Mid-episode, with flushers still polling for a host page.
     assert ssd.gc.active and ssd.ftl.flush_stalls > 0
-    assert ssd.sim._queue
+    assert ssd.sim.peek() is not None
     blocks_id = id(ssd.ftl.blocks)
     del ssd
     cyclic_gc.collect()

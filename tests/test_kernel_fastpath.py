@@ -1,8 +1,8 @@
 """Golden dispatch fingerprints for the kernel and the datapath.
 
 Every scenario here is pinned to a recorded *fingerprint*: a hash of
-the ``(time, seq)`` key of every heap entry the kernel's run loop
-dispatches, plus the scenario's end state (see :func:`fingerprint`).
+the ``(time, seq)`` key of every entry the kernel dispatches, off its
+heap or its same-instant lane, plus the scenario's end state (see :func:`fingerprint`).
 Same event orderings, same ``sim.now`` traces, same interrupt and
 preemption semantics, same sequence-counter advance -- the invariant
 that keeps experiment outputs byte-identical across refactors of the
@@ -32,8 +32,8 @@ from repro.flash.geometry import PhysAddr
 from repro.reliability import FaultInjector, ReliabilityConfig
 from repro.sim import (Interrupt, Link, Resource, Simulator, Store,
                        TokenPool)
-from repro.sim import kernel as kernel_module
 from repro.sim.kernel import SimulationError
+from tests.dispatch_recorder import record_dispatch
 
 #: Recorded fingerprint per scenario (see the module docstring).
 GOLDEN = {
@@ -75,24 +75,15 @@ _KEY = struct.Struct("<dq").pack
 def fingerprint(run):
     """Hash of the dispatched ``(time, seq)`` stream plus *run()*'s result.
 
-    Every entry the kernel's run loop pops off its heap is fed to the
-    hash in dispatch order; *run* returns the scenario's end state,
-    whose ``repr`` closes the hash.
+    Every entry the kernel dispatches, from its heap or its
+    same-instant lane, is fed to the hash in dispatch order; *run*
+    builds its simulator and returns the scenario's end state, whose
+    ``repr`` closes the hash.
     """
     digest = hashlib.sha256()
     update = digest.update
-    pop = kernel_module.heappop
-
-    def recording_pop(queue):
-        entry = pop(queue)
-        update(_KEY(entry[0], entry[1]))
-        return entry
-
-    kernel_module.heappop = recording_pop
-    try:
+    with record_dispatch(lambda entry: update(_KEY(entry[0], entry[1]))):
         end_state = run()
-    finally:
-        kernel_module.heappop = pop
     update(repr(end_state).encode())
     return digest.hexdigest()[:16]
 
@@ -104,9 +95,9 @@ def assert_golden(name, observed):
 
 def assert_golden_scenario(name, scenario):
     """Run *scenario* on a fresh kernel; its fingerprint must be golden."""
-    sim = Simulator()
 
     def run():
+        sim = Simulator()
         trace = []
         scenario(sim, trace)
         sim.run()

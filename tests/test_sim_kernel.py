@@ -1,8 +1,14 @@
 """Unit tests for the DES kernel (events, processes, conditions)."""
 
+import contextlib
+import heapq
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.sim import Interrupt, SimulationError, Simulator
+from tests.dispatch_recorder import record_dispatch
 
 
 def test_timeout_advances_clock():
@@ -307,22 +313,10 @@ def test_callback_after_trigger_still_runs():
 # ---------------------------------------------------------------------------
 
 def _dispatch_stream(scenario):
-    """``(time, seq)`` of every entry the run loop pops, and the result."""
-    from repro.sim import kernel as kernel_module
-
+    """``(time, seq)`` of every entry dispatched, and the result."""
     stream = []
-    pop = kernel_module.heappop
-
-    def recording_pop(queue):
-        entry = pop(queue)
-        stream.append(entry[:2])
-        return entry
-
-    kernel_module.heappop = recording_pop
-    try:
+    with record_dispatch(lambda entry: stream.append(entry[:2])):
         result = scenario()
-    finally:
-        kernel_module.heappop = pop
     return stream, result
 
 
@@ -454,33 +448,38 @@ def test_wait_until_throws_check_error_into_waiter():
 def test_interrupted_wait_until_dispatches_once_more_and_stops():
     """Like a detached timeout: the pending tick still pops, once, and
     the check never runs again."""
-    sim = Simulator()
     ticks = []
     events = []
 
-    def check():
-        ticks.append(sim.now)
-        return None
+    def scenario():
+        sim = Simulator()
 
-    def victim():
-        try:
-            yield from sim.wait_until(10.0, check)
-        except Interrupt:
-            events.append(("interrupted", sim.now))
+        def check():
+            ticks.append(sim.now)
+            return None
 
-    proc = sim.process(victim())
+        def victim():
+            try:
+                yield from sim.wait_until(10.0, check)
+            except Interrupt:
+                events.append(("interrupted", sim.now))
 
-    def attacker():
-        yield sim.timeout(15.0)
-        proc.interrupt()
+        proc = sim.process(victim())
 
-    sim.process(attacker())
-    stream, _ = _dispatch_stream(sim.run)
+        def attacker():
+            yield sim.timeout(15.0)
+            proc.interrupt()
+
+        sim.process(attacker())
+        sim.run()
+        return sim
+
+    stream, sim = _dispatch_stream(scenario)
     assert ticks == [0.0, 10.0]
     assert events == [("interrupted", 15.0)]
     # The tick armed at t=10 for t=20 is the last entry popped.
     assert stream[-1][0] == 20.0
-    assert sim.now == 20.0 and not sim._queue
+    assert sim.now == 20.0 and sim.peek() is None
 
 
 def test_poll_rejects_manual_trigger_and_negative_interval():
@@ -494,3 +493,265 @@ def test_poll_rejects_manual_trigger_and_negative_interval():
         poll.fail(RuntimeError())
     with pytest.raises(ValueError):
         Poll(sim, -1.0, lambda: None)
+
+
+# ---------------------------------------------------------------------------
+# The same-instant lane: entries due at ``now`` skip the heap.
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("resume", ["run", "step"])
+def test_raise_mid_heap_instant_keeps_heap_entries_before_lane(resume):
+    """Heap entries A, B at t=1; A pushes lane entry L, then raises."""
+    sim = Simulator()
+    order = []
+    done = sim.event()
+    done.add_callback(lambda event: order.append("L"))
+
+    def first():
+        order.append("A")
+        done.trigger()
+        raise KeyError("A")
+
+    sim.schedule(1.0, first)
+    sim.schedule(1.0, order.append, "B")
+    sim.schedule(2.0, order.append, "C")
+    with pytest.raises(KeyError):
+        sim.run()
+    assert order == ["A"] and sim.now == 1.0
+    if resume == "run":
+        sim.run()
+    else:
+        while sim.step():
+            pass
+    assert order == ["A", "B", "L", "C"]
+
+
+@pytest.mark.parametrize("resume", ["run", "step"])
+def test_raise_mid_lane_leaves_the_rest_queued(resume):
+    sim = Simulator()
+    order = []
+
+    def entry(tag):
+        order.append(tag)
+        if tag == 2 and order.count(2) == 1:
+            raise KeyError(tag)
+
+    sim.schedule(4.0, order.append, "later")
+    for tag in range(5):
+        sim.schedule(0.0, entry, tag)
+    with pytest.raises(KeyError):
+        sim.run()
+    assert order == [0, 1, 2]
+    assert sim.peek() == sim.now == 0.0
+    assert len(sim.pending_summary()) == 3
+    if resume == "run":
+        sim.run()
+    else:
+        while sim.step():
+            pass
+    assert order == [0, 1, 2, 3, 4, "later"]
+    assert sim.now == 4.0
+
+
+def test_snapshot_refuses_lane_only_queue_and_names_it():
+    sim = Simulator()
+
+    def worker():
+        yield sim.timeout(1.0)
+
+    sim.process(worker(), name="worker")
+    assert not sim._queue and sim.peek() == 0.0
+    with pytest.raises(SimulationError,
+                       match="1 callback.*process 'worker' resume"):
+        sim.snapshot_state()
+    with pytest.raises(SimulationError):
+        sim.restore_state({"now": 0.0, "seq": 0})
+
+
+def test_peek_returns_now_while_lane_holds_entries():
+    sim = Simulator()
+    sim.schedule(5.0, lambda: None)
+    sim.schedule(10.0, lambda: None)
+    sim.step()
+    assert sim.peek() == 10.0
+    sim.event().trigger()
+    assert sim.peek() == sim.now == 5.0
+
+
+def test_step_takes_heap_entries_at_now_before_lane():
+    sim = Simulator()
+    order = []
+
+    def first():
+        order.append("A")
+        sim.schedule(0.0, order.append, "L")
+
+    sim.schedule(3.0, first)
+    sim.schedule(3.0, order.append, "B")
+    assert sim.step() and order == ["A"]
+    assert sim.step() and order == ["A", "B"]
+    assert sim.step() and order == ["A", "B", "L"]
+    assert not sim.step()
+
+
+def test_run_until_in_the_past_keeps_lane_entries_for_their_time():
+    """A stop before ``now`` winds the clock back, as it always has; a
+    lane entry then waits on the heap for its own time."""
+    sim = Simulator()
+    seen = []
+    sim.schedule(5.0, lambda: sim.schedule(0.0, lambda: seen.append(
+        sim.now)))
+    assert sim.step() and sim.peek() == 5.0
+    assert sim.run(until=2.0) == 2.0 and seen == []
+    assert sim.peek() == 5.0
+    sim.run()
+    assert seen == [5.0]
+
+
+def test_absorbed_delay_dispatches_in_seq_order():
+    """``now + delay == now`` is due now, behind earlier lane entries."""
+    sim = Simulator()
+    order = []
+    big = 2.0 ** 53
+
+    def proc():
+        yield sim.timeout(big)
+        sim.schedule(0.0, order.append, "zero")
+        sim.schedule(1.0, order.append, "absorbed")    # rounds to now
+        sim.schedule(3.0, order.append, "later")       # rounds up
+        sim.event().trigger()
+        sim.schedule(0.0, order.append, "last")
+
+    sim.process(proc())
+    sim.run()
+    assert order == ["zero", "absorbed", "last", "later"]
+    assert sim.now == big + 4.0
+
+
+# -- property: lane + heap dispatch == one heap ordered by (time, seq) -------
+
+_DELAYS = st.sampled_from([0.0, 0.0, 0.5, 1.0, 2.5, 3.0])
+_SLOT = st.integers(0, 2)
+_OP = st.one_of(
+    st.tuples(st.just("timeout"), _DELAYS),
+    st.tuples(st.just("trigger"), _SLOT),
+    st.tuples(st.just("fail"), _SLOT),
+    st.tuples(st.just("wait"), _SLOT),
+    st.tuples(st.just("late_callback"), _SLOT),
+    st.tuples(st.just("spawn"), st.integers(0, 3)),
+    st.tuples(st.just("interrupt"), st.integers(0, 7)),
+    st.tuples(st.just("schedule"), _DELAYS),
+    st.tuples(st.just("poll"), _DELAYS, st.integers(1, 3)),
+)
+
+
+def _reference_run(sim, record):
+    """Heap-only dispatch: every entry, lane or not, by ``(time, seq)``."""
+    queue = sim._queue
+    lane = sim._lane
+    while True:
+        while lane:
+            heapq.heappush(queue, lane.popleft())
+        if not queue:
+            return
+        entry = heapq.heappop(queue)
+        sim.now = sim._now = entry[0]
+        record(entry)
+        entry[2](*entry[3])
+
+
+def _run_program(programs, big_clock, drive):
+    """Run *programs* (op lists, one per process) on a fresh kernel.
+
+    *drive* is ``"run"``, ``"step"`` or ``"reference"``.  Returns the
+    ``(time, seq, label)`` of every dispatched entry, the program's own
+    trace and the final sequence counter.
+    """
+    stream = []
+    trace = []
+
+    def record(entry):
+        stream.append((entry[0], entry[1],
+                       Simulator._describe_callback(entry[2])))
+
+    watch = (contextlib.nullcontext() if drive == "reference"
+             else record_dispatch(record))
+    with watch:
+        sim = Simulator()
+        slots = [sim.event() for _ in range(3)]
+        procs = []
+        budget = [12]
+
+        def note(*what):
+            trace.append((sim.now,) + what)
+
+        def actor(index, ops):
+            for op in ops:
+                kind = op[0]
+                try:
+                    if kind == "timeout":
+                        yield sim.timeout(op[1])
+                    elif kind in ("trigger", "fail"):
+                        event = slots[op[1]]
+                        if not event.triggered:
+                            if kind == "trigger":
+                                event.trigger(index)
+                            else:
+                                event.fail(RuntimeError(index))
+                    elif kind == "wait":
+                        value = yield slots[op[1]]
+                        note(index, "woke", value)
+                    elif kind == "late_callback":
+                        slots[op[1]].add_callback(
+                            lambda event, i=index: note(i, "callback"))
+                    elif kind == "spawn" and budget[0] > 0:
+                        budget[0] -= 1
+                        spawn(op[1])
+                    elif kind == "interrupt" and procs:
+                        target = procs[op[1] % len(procs)]
+                        if target is not procs[index]:
+                            target.interrupt(index)
+                    elif kind == "schedule":
+                        sim.schedule(op[1], note, index, "scheduled")
+                    elif kind == "poll":
+                        ticks = iter(range(op[2]))
+                        value = yield from sim.wait_until(
+                            op[1], lambda: None if next(ticks, None)
+                            is not None else "ready")
+                        note(index, "polled", value)
+                except (Interrupt, RuntimeError) as exc:
+                    note(index, "caught", type(exc).__name__)
+            note(index, "done")
+
+        def spawn(program):
+            index = len(procs)
+            procs.append(sim.process(
+                actor(index, programs[program % len(programs)]),
+                name=f"p{index}"))
+
+        def root():
+            if big_clock:
+                yield sim.timeout(2.0 ** 53)
+            for program in range(len(programs)):
+                spawn(program)
+
+        sim.process(root(), name="root")
+        if drive == "run":
+            sim.run()
+        elif drive == "step":
+            while sim.step():
+                pass
+        else:
+            _reference_run(sim, record)
+    return stream, trace, sim._seq
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(programs=st.lists(st.lists(_OP, max_size=8), min_size=1,
+                         max_size=4),
+       big_clock=st.booleans())
+def test_lane_dispatch_matches_heap_only_reference(programs, big_clock):
+    reference = _run_program(programs, big_clock, "reference")
+    assert _run_program(programs, big_clock, "run") == reference
+    assert _run_program(programs, big_clock, "step") == reference
+    assert reference[0], "a program always dispatches its bootstrap"
