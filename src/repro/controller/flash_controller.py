@@ -11,11 +11,13 @@ Order of phases follows ONFI:
 * program: bus transfer in (register load), then array program;
 * erase:   array only, no data on the bus.
 
-Hot-path layout: ``read_page`` / ``program_page`` each run in one
-generator frame -- the plane grant, the array timeout and the channel
-transfer are driven inline rather than through the ``backend.read`` ->
-``plane.occupy`` sub-generator chain.  A fault injector, when attached,
-is a branch of that frame: a transient fault hands over to
+Hot-path layout: ``read_page`` / ``program_page`` are the only
+implementation of a page read or program; every datapath op calls them.
+Each validates and draws its latency through
+``backend.prepare_read``/``prepare_program``, holds the plane through
+:meth:`~repro.flash.FlashPlane.occupy` and drives the channel transfer
+in its own frame.  A fault injector, when attached, is a branch of that
+frame: a transient fault hands over to
 :meth:`FlashController.reissue_read` / :meth:`repeat_transfer`, which
 pay the detection timeout and backoff before each retry.
 """
@@ -120,18 +122,8 @@ class FlashController:
             breakdown = Breakdown()
         injector = self.fault_injector
         plane, duration = self.backend.prepare_read(addr)
-        t_request = sim.now
-        grant = plane.resource.request()
-        service_start = None
-        try:
-            yield grant
-            service_start = sim.now
-            yield sim.timeout(duration)
-        finally:
-            if service_start is not None:
-                plane.busy_time += sim.now - service_start
-            plane.resource.cancel(grant)
-        breakdown.add("flash_chip", (service_start - t_request) + duration)
+        wait = yield from plane.occupy(duration)
+        breakdown.add("flash_chip", wait + duration)
         if injector is not None and injector.die_fault():
             yield from self.reissue_read(addr, breakdown)
         channel = self.channel
@@ -173,18 +165,8 @@ class FlashController:
             yield from self.repeat_transfer(traffic_class, priority,
                                             breakdown)
         plane, duration = self.backend.prepare_program(addr)
-        t_request = sim.now
-        grant = plane.resource.request()
-        service_start = None
-        try:
-            yield grant
-            service_start = sim.now
-            yield sim.timeout(duration)
-        finally:
-            if service_start is not None:
-                plane.busy_time += sim.now - service_start
-            plane.resource.cancel(grant)
-        breakdown.add("flash_chip", (service_start - t_request) + duration)
+        wait = yield from plane.occupy(duration)
+        breakdown.add("flash_chip", wait + duration)
         self.pages_programmed += 1
         return breakdown
 
