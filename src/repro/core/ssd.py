@@ -322,6 +322,13 @@ class SimulatedSSD:
         if self.frontend is not None:
             self.frontend.reset_stats()
 
+    def _check_deadline(self, duration_us: Optional[float]) -> None:
+        """*duration_us* is an absolute stop time; it may not be past."""
+        if duration_us is not None and duration_us < self.sim.now:
+            raise ConfigError(
+                f"duration_us={duration_us} is before the device clock "
+                f"({self.sim.now} us); it is an absolute stop time")
+
     def run(self, workload, duration_us: Optional[float] = None,
             max_requests: Optional[int] = None,
             trigger_gc: bool = True,
@@ -330,7 +337,8 @@ class SimulatedSSD:
 
         The driver is closed-loop: ``queue_depth`` driver processes each
         keep one request in flight, matching the paper's QD-64 setup.
-        Stops at *duration_us* of simulated time or after
+        Stops when the device clock reaches *duration_us* (an absolute
+        time, so never one the clock has passed) or after
         *max_requests* completions, whichever comes first.  Statistics
         gathered before *warmup_us* are discarded, so steady-state
         metrics exclude the initial fill/ramp transient.
@@ -339,6 +347,7 @@ class SimulatedSSD:
             raise ConfigError("need duration_us and/or max_requests")
         if warmup_us and duration_us is not None and warmup_us >= duration_us:
             raise ConfigError("warmup_us must be below duration_us")
+        self._check_deadline(duration_us)
         self.prefill()
         self.ftl.start()
         if self.wear_leveler is not None:
@@ -393,6 +402,7 @@ class SimulatedSSD:
             raise ConfigError("warmup_us must be below duration_us")
         if self.frontend is not None:
             raise ConfigError("run_tenants called twice on one SSD instance")
+        self._check_deadline(duration_us)
         self.prefill()
         self.ftl.start()
         if self.wear_leveler is not None:

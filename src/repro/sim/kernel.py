@@ -608,6 +608,9 @@ class Simulator:
         ``now`` go to the lane -- so it precedes every lane entry.  A
         callback that raises leaves the undispatched entries queued; the
         next ``run()`` or :meth:`step` resumes the same order.
+
+        The clock never runs backwards: an *until* before ``now`` raises
+        :class:`SimulationError` and leaves every queued entry in place.
         """
         if self._running:
             raise SimulationError("simulator is already running")
@@ -615,13 +618,8 @@ class Simulator:
         lane = self._lane
         time = self._now
         if until is not None and until < time:
-            if queue or lane:
-                # Winding the clock back puts the lane in the future.
-                for entry in lane:
-                    heappush(queue, entry)
-                lane.clear()
-                self.now = self._now = until
-            return self._now
+            raise SimulationError(
+                f"run(until={until}) is before the current time {time}")
         self._running = True
         try:
             pop = heappop

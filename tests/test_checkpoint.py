@@ -357,9 +357,9 @@ def test_quiescence_report_lists_inflight_work():
     ssd = _build("baseline")
     ssd.run(_workload(), max_requests=30)
     assert quiescence_report(ssd) == []
-    ssd.run(_workload(), duration_us=40.0)
-    if ssd.sim.peek() is not None:
-        report = quiescence_report(ssd)
-        assert report, "mid-request device reported quiescent"
-        assert any("pending" in line or "in flight" in line
-                   or "t=" in line for line in report)
+    ssd.run(_workload(), duration_us=ssd.sim.now + 40.0)
+    assert ssd.sim.peek() is not None
+    report = quiescence_report(ssd)
+    assert report, "mid-request device reported quiescent"
+    assert any("pending" in line or "in flight" in line
+               or "t=" in line for line in report)

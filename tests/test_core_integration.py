@@ -73,6 +73,18 @@ def test_run_requires_budget():
         ssd.run(workload)
 
 
+def test_run_refuses_a_deadline_behind_the_clock():
+    """``duration_us`` is absolute: a second run may not end before the
+    first one did, and the refusal schedules nothing."""
+    ssd = tiny_ssd("baseline")
+    ssd.run(SyntheticWorkload(), max_requests=20)
+    now, seq = ssd.sim.now, ssd.sim._seq
+    assert now > 10.0 and ssd.sim.peek() is None
+    with pytest.raises(ConfigError, match="before the device clock"):
+        ssd.run(SyntheticWorkload(), duration_us=now - 10.0)
+    assert (ssd.sim.now, ssd.sim._seq, ssd.sim.peek()) == (now, seq, None)
+
+
 # ---------------------------------------------------------------- behaviour
 
 

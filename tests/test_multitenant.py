@@ -218,6 +218,17 @@ def test_run_tenants_guards():
         ssd.run_tenants([spec], duration_us=200.0)   # single use
 
 
+def test_run_tenants_refuses_a_deadline_behind_the_clock():
+    ssd = small_ssd()
+    ssd.run(writer(), max_requests=20)
+    now, seq = ssd.sim.now, ssd.sim._seq
+    spec = TenantSpec(name="t", workload=writer())
+    with pytest.raises(ConfigError, match="before the device clock"):
+        ssd.run_tenants([spec], duration_us=now / 2)
+    assert (ssd.sim.now, ssd.sim._seq, ssd.sim.peek()) == (now, seq, None)
+    assert ssd.frontend is None
+
+
 def test_arbiter_config_knobs_validated():
     with pytest.raises(ConfigError):
         build_ssd("baseline", arbiter="lottery")

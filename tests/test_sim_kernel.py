@@ -594,18 +594,23 @@ def test_step_takes_heap_entries_at_now_before_lane():
     assert not sim.step()
 
 
-def test_run_until_in_the_past_keeps_lane_entries_for_their_time():
-    """A stop before ``now`` winds the clock back, as it always has; a
-    lane entry then waits on the heap for its own time."""
+def test_run_until_in_the_past_raises_and_keeps_the_queue():
+    """The clock never runs backwards: a stop before ``now`` raises and
+    leaves the heap and the same-instant lane as they were."""
     sim = Simulator()
     seen = []
     sim.schedule(5.0, lambda: sim.schedule(0.0, lambda: seen.append(
         sim.now)))
+    sim.schedule(7.0, seen.append, "later")
     assert sim.step() and sim.peek() == 5.0
-    assert sim.run(until=2.0) == 2.0 and seen == []
-    assert sim.peek() == 5.0
+    heap, lane = list(sim._queue), list(sim._lane)
+    with pytest.raises(SimulationError, match="before the current time"):
+        sim.run(until=2.0)
+    assert sim.now == 5.0 and seen == []
+    assert sim._queue == heap and list(sim._lane) == lane
+    assert sim.run(until=5.0) == 5.0 and seen == [5.0]
     sim.run()
-    assert seen == [5.0]
+    assert seen == [5.0, "later"]
 
 
 def test_absorbed_delay_dispatches_in_seq_order():
