@@ -217,7 +217,7 @@ def _measure(fn: Callable[[bool], Tuple[int, float]], quick: bool,
 def run_benchmarks(quick: bool = False,
                    repeats: Optional[int] = None) -> Dict[str, Any]:
     """Run the full suite; returns the report dict (not yet written)."""
-    repeats = repeats if repeats else (2 if quick else 3)
+    repeats = repeats if repeats else (5 if quick else 3)
     return {
         "schema": SCHEMA,
         "quick": quick,

@@ -90,7 +90,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         "bench options", "only used with the 'bench' experiment")
     bench_group.add_argument(
         "--quick", action="store_true",
-        help="bench: smaller workloads and fewer repeats (CI smoke mode)",
+        help="bench: smaller workloads, best of 5 repeats (CI smoke mode)",
     )
     bench_group.add_argument(
         "--output", metavar="FILE", default=None,
@@ -110,7 +110,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     bench_group.add_argument(
         "--repeats", type=int, default=None, metavar="N",
         help="bench: best-of-N wall-time measurement "
-             "(default: 3, or 2 with --quick)",
+             "(default: 3, or 5 with --quick)",
     )
     bench_group.add_argument(
         "--no-history", action="store_true",
