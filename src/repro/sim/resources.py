@@ -27,14 +27,6 @@ from .stats import TimeBins
 __all__ = ["Resource", "Link", "Store", "Transfer", "TokenPool"]
 
 
-def _register(sim: Simulator, resource: Any) -> None:
-    # Register for quiescence diagnostics; guarded so duck-typed test
-    # doubles without a registry still work.
-    register = getattr(sim, "register_resource", None)
-    if register is not None:
-        register(resource)
-
-
 class Resource:
     """A counting semaphore with priority-ordered FIFO queueing.
 
@@ -53,7 +45,7 @@ class Resource:
         self._cancelled: set = set()
         self._seq = 0
         self._owners: dict = {}
-        _register(sim, self)
+        sim.register_resource(self)
 
     @property
     def in_use(self) -> int:
@@ -121,10 +113,6 @@ class Resource:
         elif grant not in self._cancelled:
             self._cancelled.add(grant)
 
-    def acquire(self, priority: int = 0):
-        """Generator helper: ``yield from resource.acquire()``."""
-        yield self.request(priority)
-
     def outstanding_summary(self) -> Optional[str]:
         """One-line description of held slots/waiters, or None if idle."""
         queued = self.queue_length
@@ -158,7 +146,7 @@ class TokenPool:
         self._available = capacity
         self._waiters: Deque[Tuple[int, Event]] = deque()
         self._owners: dict = {}
-        _register(sim, self)
+        sim.register_resource(self)
 
     @property
     def available(self) -> int:
@@ -294,7 +282,7 @@ class Link:
         self._busy = False
         self._queue: List[Tuple[int, int, Transfer]] = []
         self._seq = 0
-        _register(sim, self)
+        sim.register_resource(self)
         self.busy_time: dict = {}
         self.byte_bins: dict = {}
         # One bound method reused for every completion push instead of a
@@ -465,7 +453,7 @@ class Store:
         self.name = name
         self._items: Deque[Any] = deque()
         self._getters: Deque[Event] = deque()
-        _register(sim, self)
+        sim.register_resource(self)
 
     def __len__(self) -> int:
         return len(self._items)
