@@ -329,6 +329,15 @@ class SimulatedSSD:
                 f"duration_us={duration_us} is before the device clock "
                 f"({self.sim.now} us); it is an absolute stop time")
 
+    def _check_warmup(self, warmup_us: float, duration_us: float) -> None:
+        """The warmup, a delay from now, must end before the absolute
+        stop time *duration_us*."""
+        if warmup_us and self.sim.now + warmup_us >= duration_us:
+            raise ConfigError(
+                f"warmup_us={warmup_us} from the device clock "
+                f"({self.sim.now} us) must end before duration_us="
+                f"{duration_us}")
+
     def run(self, workload, duration_us: Optional[float] = None,
             max_requests: Optional[int] = None,
             trigger_gc: bool = True,
@@ -340,13 +349,14 @@ class SimulatedSSD:
         Stops when the device clock reaches *duration_us* (an absolute
         time, so never one the clock has passed) or after
         *max_requests* completions, whichever comes first.  Statistics
-        gathered before *warmup_us* are discarded, so steady-state
-        metrics exclude the initial fill/ramp transient.
+        gathered in the first *warmup_us* of the run (a delay from the
+        current clock) are discarded, so steady-state metrics exclude
+        the initial fill/ramp transient.
         """
         if duration_us is None and max_requests is None:
             raise ConfigError("need duration_us and/or max_requests")
-        if warmup_us and duration_us is not None and warmup_us >= duration_us:
-            raise ConfigError("warmup_us must be below duration_us")
+        if duration_us is not None:
+            self._check_warmup(warmup_us, duration_us)
         self._check_deadline(duration_us)
         self.prefill()
         self.ftl.start()
@@ -393,13 +403,12 @@ class SimulatedSSD:
         the FTL.  Tenants may be closed-loop (the paper's model) or
         open-loop (Poisson / trace-timestamp arrivals), each carrying
         its own QoS policy (token-bucket rate limit, WRR weight,
-        priority, admission control).  Statistics before *warmup_us*
-        are discarded, as in :meth:`run`.
+        priority, admission control).  Statistics in the first
+        *warmup_us* are discarded, as in :meth:`run`.
         """
         if duration_us is None or duration_us <= 0:
             raise ConfigError(f"duration_us must be positive: {duration_us}")
-        if warmup_us and warmup_us >= duration_us:
-            raise ConfigError("warmup_us must be below duration_us")
+        self._check_warmup(warmup_us, duration_us)
         if self.frontend is not None:
             raise ConfigError("run_tenants called twice on one SSD instance")
         self._check_deadline(duration_us)

@@ -154,7 +154,7 @@ class BlockManager:
                 or free_len > self.gc_reserve_blocks)
         if host != self._host_ready[plane]:
             self._host_ready[plane] = host
-            self._host_ready_count += 1 if host else -1
+            self.host_ready_count += 1 if host else -1
         gc = self._active_gc[plane] is not None or free_len > 0
         if gc != self._gc_ready[plane]:
             self._gc_ready[plane] = gc
@@ -172,7 +172,10 @@ class BlockManager:
             self._active_gc[plane] is not None or len(self._free[plane]) > 0
             for plane in range(self.geometry.planes_total)
         ]
-        self._host_ready_count = sum(self._host_ready)
+        #: Planes that can serve a host allocation now.  Read-only: the
+        #: readiness flags keep it; the FTL's allocation poll tests it
+        #: before it calls :meth:`try_allocate_page`.
+        self.host_ready_count = sum(self._host_ready)
         self._gc_ready_count = sum(self._gc_ready)
 
     # -- queries ----------------------------------------------------------
@@ -214,7 +217,7 @@ class BlockManager:
 
     def host_allocatable(self) -> bool:
         """Whether any plane can currently serve a host allocation."""
-        return self._host_ready_count > 0
+        return self.host_ready_count > 0
 
     def valid_pages_of(self, block: int) -> List[int]:
         """PPNs of all currently valid pages in *block*, ascending."""
@@ -253,7 +256,7 @@ class BlockManager:
         starved device answers with one counter test -- no plane scan,
         no exception.
         """
-        if not (self._gc_ready_count if for_gc else self._host_ready_count):
+        if not (self._gc_ready_count if for_gc else self.host_ready_count):
             return None
         planes_total = self.geometry.planes_total
         ready = self._gc_ready if for_gc else self._host_ready

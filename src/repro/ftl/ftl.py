@@ -298,12 +298,22 @@ class Ftl:
 
     def _try_host_allocation(self):
         """One poll of :meth:`_allocate_with_gc`: a PPN, or None after
-        counting the stall and forcing a GC episode."""
-        ppn = self.blocks.try_allocate_page(for_gc=False)
-        if ppn is None:
-            self.flush_stalls += 1
-            self.gc.maybe_trigger(force=True)
-        return ppn
+        counting the stall and forcing a GC episode.
+
+        A starved device fails this tick every poll interval; while a
+        GC episode runs, the failure reads two counters and calls
+        nothing.
+        """
+        blocks = self.blocks
+        if blocks.host_ready_count:
+            ppn = blocks.try_allocate_page(for_gc=False)
+            if ppn is not None:
+                return ppn
+        self.flush_stalls += 1
+        gc = self.gc
+        if not gc.active:
+            gc.maybe_trigger(force=True)
+        return None
 
     def _bind(self, lpn: int, ppn: int) -> None:
         old_ppn = self.mapping.bind(lpn, ppn)

@@ -54,11 +54,18 @@ optimization must preserve"):
   :meth:`Simulator.wait_until`: its :class:`Poll` re-runs the check
   from the dispatch itself and re-arms, so a failed tick resumes no
   generator and allocates no ``Timeout``.
+* A poll tick goes on the *poll lane*, a second ``deque``, when it
+  lands at or after the lane's tail time; otherwise on the heap.  A
+  tick's ``seq`` tops everything queued, so the poll lane stays in
+  ``(time, seq)`` order, and polls sharing an interval never touch the
+  heap.  Only a shorter interval behind a longer one's tick falls back
+  to the heap.
 
 None of this changes *when* anything runs: every trigger, timeout,
 poll tick, process bootstrap and late waiter still pushes exactly one
-entry, heap or lane, in program order, so the ``(time, seq)`` dispatch
-order is the one a callback list per event would give.
+entry, on the heap or one of the two lanes, in program order, so the
+``(time, seq)`` dispatch order is the one a callback list per event
+would give.
 ``tests/test_kernel_fastpath.py`` pins that stream for its scenarios to
 recorded fingerprints.
 """
@@ -280,8 +287,9 @@ class Poll(Event):
     has failed; only that helper's frame waits on it.  Each dispatch is
     one tick.  It runs ``check()`` right in the dispatch: ``None`` means
     "not yet" and re-arms the poll with exactly one entry at ``now +
-    interval``, on the heap or the same-instant lane -- the entry a
-    ``yield sim.timeout(interval)`` would push -- and any other value
+    interval``, on the heap, the poll lane or the same-instant lane --
+    with the ``(time, seq)`` key a ``yield sim.timeout(interval)``
+    would push -- and any other value
     fires the poll and resumes the waiter straight from the same
     dispatch.  An exception raised by
     ``check()`` is thrown into the waiter at its ``yield``.  A failed
@@ -307,7 +315,7 @@ class Poll(Event):
         self._value = None
         self._ok = True
         self._triggered = False
-        sim.schedule(interval, self)
+        self._arm()
 
     def trigger(self, value: Any = None) -> "Event":
         raise SimulationError("a Poll fires by itself; trigger() is "
@@ -328,6 +336,8 @@ class Poll(Event):
             self._finish(waiter, exc, False)
             return
         if value is None:
+            # _arm, inlined: a failed tick is the poll's hot path, and
+            # the call cost 5-8% of one on CPython 3.11.
             sim = self.sim
             now = sim._now
             when = now + self.interval
@@ -335,9 +345,33 @@ class Poll(Event):
             if when == now:
                 sim._lane.append((when, seq, self, _NO_ARGS))
             else:
-                heappush(sim._queue, (when, seq, self, _NO_ARGS))
+                polls = sim._polls
+                if not polls or when >= polls[-1][0]:
+                    polls.append((when, seq, self, _NO_ARGS))
+                else:
+                    heappush(sim._queue, (when, seq, self, _NO_ARGS))
             return
         self._finish(waiter, value, True)
+
+    def _arm(self) -> None:
+        """Push this poll's next tick at ``now + interval``.
+
+        Due now, it goes on the same-instant lane; at or after the
+        poll lane's tail, on the poll lane; otherwise (a shorter
+        interval behind a longer one's tick) on the heap.
+        """
+        sim = self.sim
+        now = sim._now
+        when = now + self.interval
+        sim._seq = seq = sim._seq + 1
+        if when == now:
+            sim._lane.append((when, seq, self, _NO_ARGS))
+        else:
+            polls = sim._polls
+            if not polls or when >= polls[-1][0]:
+                polls.append((when, seq, self, _NO_ARGS))
+            else:
+                heappush(sim._queue, (when, seq, self, _NO_ARGS))
 
     def _finish(self, waiter: "Process", value: Any, ok: bool) -> None:
         self._triggered = True
@@ -508,7 +542,9 @@ class Simulator:
     """The event loop: a time-ordered queue of callbacks.
 
     Entries are ``(time, seq, fn, args)`` tuples run in ``(time, seq)``
-    order: on a heap, or on a FIFO lane when due at the current instant.
+    order.  They sit on a heap; on the same-instant lane, a FIFO, when
+    due at the current instant; or, for poll ticks at or after its
+    tail, on the sorted poll lane.
 
     All model components hold a reference to one ``Simulator`` and use
     :meth:`timeout`, :meth:`event`, and :meth:`process` to build behaviour.
@@ -522,6 +558,7 @@ class Simulator:
         self._now = 0.0
         self._queue: List[tuple] = []
         self._lane: deque = deque()
+        self._polls: deque = deque()
         self._seq = 0
         self._running = False
         self._resources: List[Any] = []
@@ -598,16 +635,20 @@ class Simulator:
 
         Returns the simulation time at which execution stopped.
 
-        The loop repeats three steps: dispatch the heap entries due at
-        ``now``, drain the same-instant lane (entries appended during
-        the drain join its tail), then set ``now`` to the heap's next
-        time.  That is exact ``(time, seq)`` order.  An entry pushed at
-        ``now`` carries a higher ``seq`` than everything already
-        queued, so the lane is in order by itself.  A heap entry due at
+        The loop repeats three steps: dispatch the heap and poll-lane
+        entries due at ``now``, merged by ``seq``; drain the
+        same-instant lane (entries appended during the drain join its
+        tail); then set ``now`` to the earlier of the heap's and the
+        poll lane's next times.  That is exact ``(time, seq)`` order.
+        An entry pushed at ``now`` carries a higher ``seq`` than
+        everything already queued, so the same-instant lane is in order
+        by itself, and so is the poll lane, which only takes a tick at
+        or after its tail's time.  A heap or poll-lane entry due at
         ``now`` was pushed before the clock got there -- pushes at
-        ``now`` go to the lane -- so it precedes every lane entry.  A
-        callback that raises leaves the undispatched entries queued; the
-        next ``run()`` or :meth:`step` resumes the same order.
+        ``now`` go to the same-instant lane -- so it precedes every
+        same-instant entry.  A callback that raises leaves the
+        undispatched entries queued; the next ``run()`` or :meth:`step`
+        resumes the same order.
 
         The clock never runs backwards: an *until* before ``now`` raises
         :class:`SimulationError` and leaves every queued entry in place.
@@ -616,6 +657,7 @@ class Simulator:
             raise SimulationError("simulator is already running")
         queue = self._queue
         lane = self._lane
+        polls = self._polls
         time = self._now
         if until is not None and until < time:
             raise SimulationError(
@@ -624,16 +666,30 @@ class Simulator:
         try:
             pop = heappop
             popleft = lane.popleft
+            poll_popleft = polls.popleft
             while True:
+                # Poll-lane ticks due now, each after the heap entries
+                # due now with a lower seq; then the rest of the heap's.
+                while polls and polls[0][0] == time:
+                    if queue and queue[0] < polls[0]:
+                        entry = pop(queue)
+                    else:
+                        entry = poll_popleft()
+                    entry[2](*entry[3])
                 while queue and queue[0][0] == time:
                     entry = pop(queue)
                     entry[2](*entry[3])
                 while lane:
                     entry = popleft()
                     entry[2](*entry[3])
-                if not queue:
+                if queue:
+                    time = queue[0][0]
+                    if polls and polls[0][0] < time:
+                        time = polls[0][0]
+                elif polls:
+                    time = polls[0][0]
+                else:
                     break
-                time = queue[0][0]
                 if until is not None and time > until:
                     self.now = self._now = until
                     return until
@@ -676,7 +732,7 @@ class Simulator:
         failed quiescence check reports *who* still has work queued
         rather than just a count.
         """
-        pending = sorted([*self._queue, *self._lane])
+        pending = sorted([*self._queue, *self._lane, *self._polls])
         lines = [f"t={time:.3f}us {self._describe_callback(fn)}"
                  for time, _seq, fn, _args in pending[:limit]]
         extra = len(pending) - limit
@@ -716,7 +772,7 @@ class Simulator:
         scheduled after the restore carry the same ``(time, seq)`` keys
         as they would in an uninterrupted run.
         """
-        pending = len(self._queue) + len(self._lane)
+        pending = len(self._queue) + len(self._lane) + len(self._polls)
         if pending:
             message = (
                 f"cannot snapshot: {pending} callback(s) still "
@@ -739,7 +795,7 @@ class Simulator:
         e.g. freshly respawned background processes -- so their entries
         do not carry pre-restore sequence numbers into the future).
         """
-        if self._queue or self._lane:
+        if self._queue or self._lane or self._polls:
             raise SimulationError(
                 "cannot restore into a simulator with scheduled callbacks"
             )
@@ -747,15 +803,23 @@ class Simulator:
         self._seq = int(state["seq"])
 
     def step(self) -> bool:
-        """Execute the next callback in :meth:`run`'s order; False if none."""
+        """Execute the next callback in :meth:`run`'s order; False if none.
+
+        The earlier of the heap and poll-lane heads goes first when it
+        is due now; else the same-instant lane's head; else that
+        earlier head, advancing the clock to its time.
+        """
         queue = self._queue
-        if self._lane and not (queue and queue[0][0] == self._now):
+        polls = self._polls
+        from_polls = bool(polls) and (not queue or polls[0] < queue[0])
+        head = polls[0] if from_polls else queue[0] if queue else None
+        if self._lane and (head is None or head[0] != self._now):
             entry = self._lane.popleft()
-        elif queue:
-            entry = heappop(queue)
-            self.now = self._now = entry[0]
-        else:
+        elif head is None:
             return False
+        else:
+            entry = polls.popleft() if from_polls else heappop(queue)
+            self.now = self._now = entry[0]
         entry[2](*entry[3])
         return True
 
@@ -763,4 +827,6 @@ class Simulator:
         """Time of the next queued callback, or None if the queue is empty."""
         if self._lane:
             return self._now
-        return self._queue[0][0] if self._queue else None
+        times = [entries[0][0] for entries in (self._queue, self._polls)
+                 if entries]
+        return min(times) if times else None

@@ -173,6 +173,23 @@ def test_warmup_resets_measurements():
     assert result.requests_completed > 0
 
 
+def test_second_run_warmup_is_a_delay_from_the_clock():
+    """``warmup_us`` counts from the current clock, ``duration_us`` is
+    absolute: the guard compares the warmup's end with the deadline."""
+    ssd = build_ssd("baseline")
+    ssd.run(SyntheticWorkload(), max_requests=200)
+    now, seq = ssd.sim.now, ssd.sim._seq
+    assert now > 100.0
+    with pytest.raises(ConfigError, match="warmup_us"):
+        ssd.run(SyntheticWorkload(), duration_us=now + 400,
+                warmup_us=now + 100)
+    assert (ssd.sim.now, ssd.sim._seq, ssd.sim.peek()) == (now, seq, None)
+    result = ssd.run(SyntheticWorkload(), duration_us=now + 400,
+                     warmup_us=100)
+    assert result.duration_us == pytest.approx(300.0)
+    assert result.requests_completed > 0
+
+
 def test_max_requests_stop_condition():
     ssd = tiny_ssd("baseline")
     workload = SyntheticWorkload(pattern="seq_write", io_size=4096)

@@ -26,6 +26,7 @@ import struct
 import pytest
 
 from repro.controller import FlashController
+from repro.errors import FlashError
 from repro.flash import FlashBackend, FlashChannel, FlashGeometry
 from repro.flash.timing import ULL_TIMING
 from repro.flash.geometry import PhysAddr
@@ -671,6 +672,20 @@ def test_datapath_meters_under_contention(name, arch, duration, overrides):
     observed = _meter_digest(ssd)
     assert observed == METER_GOLDEN.get(name), \
         f"{name}: meter digest {observed} != golden {METER_GOLDEN.get(name)}"
+
+
+@pytest.mark.xfail(strict=True, raises=FlashError,
+                   reason="known host-read vs GC-erase race: a read that "
+                   "looked up its page before GC erased the block reads "
+                   "an unwritten page")
+def test_wear_retry_faults_on_a_near_full_device():
+    """``wear_retry_faults`` on the tiny near-full device, so GC runs
+    beside the reads.  It must pass once the race is fixed; strict, so
+    that fix has to drop this mark."""
+    arch, overrides = next((arch, overrides)
+                           for name, arch, _, overrides in _DATAPATH_SCENARIOS
+                           if name == "wear_retry_faults")
+    _run_datapath_scenario(arch, 3000.0, **dict(overrides, tiny=True, seed=1))
 
 
 def test_flat_scenarios_exercise_their_features(monkeypatch):

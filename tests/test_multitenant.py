@@ -229,6 +229,20 @@ def test_run_tenants_refuses_a_deadline_behind_the_clock():
     assert ssd.frontend is None
 
 
+def test_run_tenants_warmup_is_a_delay_from_the_clock():
+    ssd = small_ssd()
+    ssd.run(writer(), max_requests=20)
+    now = ssd.sim.now
+    spec = TenantSpec(name="t", workload=writer())
+    with pytest.raises(ConfigError, match="warmup_us"):
+        ssd.run_tenants([spec], duration_us=now + 400.0,
+                        warmup_us=now + 100.0)
+    assert ssd.frontend is None
+    result = ssd.run_tenants([spec], duration_us=now + 400.0,
+                             warmup_us=100.0)
+    assert result.device.duration_us == pytest.approx(300.0)
+
+
 def test_arbiter_config_knobs_validated():
     with pytest.raises(ConfigError):
         build_ssd("baseline", arbiter="lottery")

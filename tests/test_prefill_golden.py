@@ -57,7 +57,7 @@ def prefill_digest(ssd):
         "cursor": blocks._cursor,
         "counts": [blocks.free_blocks, blocks.bad_blocks,
                    blocks.spare_blocks],
-        "ready": [blocks._host_ready_count, blocks._gc_ready_count,
+        "ready": [blocks.host_ready_count, blocks._gc_ready_count,
                   blocks._host_ready, blocks._gc_ready],
         "programmed": [[index, sorted(block.programmed), block.erase_count]
                        for index, block in sorted(

@@ -7,7 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.sim import Interrupt, SimulationError, Simulator
+from repro.sim import Interrupt, Poll, SimulationError, Simulator
+from repro.sim import kernel as kernel_module
 from tests.dispatch_recorder import record_dispatch
 
 
@@ -651,12 +652,16 @@ _OP = st.one_of(
 
 
 def _reference_run(sim, record):
-    """Heap-only dispatch: every entry, lane or not, by ``(time, seq)``."""
+    """Heap-only dispatch: every entry, from either lane or the heap, by
+    ``(time, seq)``."""
     queue = sim._queue
     lane = sim._lane
+    polls = sim._polls
     while True:
         while lane:
             heapq.heappush(queue, lane.popleft())
+        while polls:
+            heapq.heappush(queue, polls.popleft())
         if not queue:
             return
         entry = heapq.heappop(queue)
@@ -760,3 +765,165 @@ def test_lane_dispatch_matches_heap_only_reference(programs, big_clock):
     assert _run_program(programs, big_clock, "run") == reference
     assert _run_program(programs, big_clock, "step") == reference
     assert reference[0], "a program always dispatches its bootstrap"
+
+
+# ---------------------------------------------------------------------------
+# The poll lane: poll ticks at or after its tail's time skip the heap.
+# ---------------------------------------------------------------------------
+
+#: 10 us polls beside 50 us ones, with timeouts and scheduled callbacks
+#: that land exactly on the 10 us grid.
+_GRID_PROGRAMS = [
+    [("poll", 10.0, 7), ("timeout", 10.0), ("poll", 10.0, 3)],
+    [("poll", 50.0, 2), ("schedule", 20.0), ("poll", 10.0, 4)],
+    [("timeout", 30.0), ("poll", 10.0, 5), ("schedule", 10.0),
+     ("timeout", 50.0)],
+    [("schedule", 40.0), ("poll", 50.0, 1), ("timeout", 20.0),
+     ("poll", 10.0, 2)],
+]
+
+
+def test_mixed_interval_polls_match_heap_only_reference(monkeypatch):
+    reference = _run_program(_GRID_PROGRAMS, False, "reference")
+    assert _run_program(_GRID_PROGRAMS, False, "step") == reference
+    heap_polls = []
+    push = kernel_module.heappush
+
+    def counting_push(queue, entry):
+        if isinstance(entry[2], Poll):
+            heap_polls.append(entry[:2])
+        push(queue, entry)
+
+    monkeypatch.setattr(kernel_module, "heappush", counting_push)
+    assert _run_program(_GRID_PROGRAMS, False, "run") == reference
+    stream = reference[0]
+    poll_times = {time for time, _, label in stream
+                  if label.startswith("poll")}
+    other_times = {time for time, _, label in stream
+                   if not label.startswith("poll")}
+    # Timeouts and callbacks tie with poll ticks on the grid, and the
+    # 10 us ticks behind a 50 us tick fall back to the heap, while the
+    # others ride the poll lane.
+    assert poll_times & other_times
+    poll_ticks = [label for _, _, label in stream
+                  if label.startswith("poll")]
+    assert 0 < len(heap_polls) < len(poll_ticks)
+
+
+def _parked_poller(sim, name, interval):
+    def poller():
+        yield from sim.wait_until(interval, lambda: None)
+
+    return sim.process(poller(), name=name)
+
+
+def test_snapshot_refuses_a_parked_poll_and_names_its_waiter():
+    sim = Simulator()
+    _parked_poller(sim, "poller", 10.0)
+    sim.run(until=15.0)
+    assert len(sim._polls) == 1 and not sim._queue and not sim._lane
+    with pytest.raises(SimulationError,
+                       match="1 callback.*poll resuming process 'poller'"):
+        sim.snapshot_state()
+    with pytest.raises(SimulationError):
+        sim.restore_state({"now": 0.0, "seq": 0})
+
+
+def test_pending_summary_merges_poll_lane_and_heap_in_order():
+    sim = Simulator()
+
+    def early():
+        pass
+
+    def tied():
+        pass
+
+    def late():
+        pass
+
+    sim.schedule(10.0, tied)
+    _parked_poller(sim, "a", 10.0)
+    _parked_poller(sim, "b", 15.0)
+    sim.schedule(5.0, early)
+    sim.schedule(20.0, late)
+    sim.run(until=0.0)
+    sim.schedule(10.0, late)
+    assert len(sim._polls) == 2 and len(sim._queue) == 4
+    lines = sim.pending_summary()
+    expected = [("t=5.000us", "early"), ("t=10.000us", "tied"),
+                ("t=10.000us", "poll resuming process 'a'"),
+                ("t=10.000us", "late"),
+                ("t=15.000us", "poll resuming process 'b'"),
+                ("t=20.000us", "late")]
+    assert len(lines) == len(expected)
+    for line, (time, what) in zip(lines, expected):
+        assert line.startswith(time + " ") and line.endswith(what), line
+
+
+def test_peek_sees_the_poll_lane_head():
+    sim = Simulator()
+    sim.schedule(30.0, lambda: None)
+    _parked_poller(sim, "poller", 10.0)
+    sim.run(until=0.0)
+    assert sim._polls[0][0] == 10.0 and sim._queue[0][0] == 30.0
+    assert sim.peek() == 10.0
+    sim.run(until=25.0)
+    assert sim.peek() == 30.0
+    sim.schedule(2.0, lambda: None)
+    assert sim.peek() == 27.0
+
+
+def _grid_run(stops):
+    """Dispatch stream of 10 us polls beside a 25 us timeout chain, run
+    with a stop at each of *stops* and then to the end."""
+    stream = []
+    with record_dispatch(lambda entry: stream.append(entry[:2])):
+        sim = Simulator()
+
+        def poller(ticks):
+            left = iter(range(ticks))
+            yield from sim.wait_until(
+                10.0, lambda: None if next(left, None) is not None
+                else "ready")
+
+        def chain():
+            for _ in range(4):
+                yield sim.timeout(25.0)
+
+        sim.process(poller(6))
+        sim.process(poller(3))
+        sim.process(chain())
+        for stop in stops:
+            assert sim.run(until=stop) == stop
+            assert sim._polls and sim.peek() > stop
+        sim.run()
+    return stream, sim.now, sim._seq
+
+
+def test_run_until_between_ticks_resumes_the_same_stream():
+    assert _grid_run([25.0, 35.0]) == _grid_run([])
+
+
+def test_waiters_on_one_interval_never_touch_the_heap(monkeypatch):
+    pushes = []
+    push = kernel_module.heappush
+
+    def counting_push(queue, entry):
+        pushes.append(entry[:2])
+        push(queue, entry)
+
+    monkeypatch.setattr(kernel_module, "heappush", counting_push)
+    sim = Simulator()
+    done = []
+
+    def waiter(index):
+        left = iter(range(index % 5 + 1))
+        value = yield from sim.wait_until(
+            10.0, lambda: None if next(left, None) is not None else index)
+        done.append(value)
+
+    for index in range(64):
+        sim.process(waiter(index))
+    sim.run()
+    assert sorted(done) == list(range(64))
+    assert sim.now == 50.0 and pushes == []
