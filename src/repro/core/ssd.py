@@ -351,12 +351,20 @@ class SimulatedSSD:
         *max_requests* completions, whichever comes first.  Statistics
         gathered in the first *warmup_us* of the run (a delay from the
         current clock) are discarded, so steady-state metrics exclude
-        the initial fill/ramp transient.
+        the initial fill/ramp transient; a warmup needs a *duration_us*
+        to end before.
         """
         if duration_us is None and max_requests is None:
             raise ConfigError("need duration_us and/or max_requests")
         if duration_us is not None:
             self._check_warmup(warmup_us, duration_us)
+        elif warmup_us:
+            # Without a stop time the run drains the queue, warmup timer
+            # included: it would idle the clock past the last request
+            # and then discard every measurement.
+            raise ConfigError(
+                f"warmup_us={warmup_us} needs a duration_us to end before; "
+                "a max_requests-only run has none")
         self._check_deadline(duration_us)
         self.prefill()
         self.ftl.start()

@@ -27,6 +27,22 @@ __all__ = ["Ftl", "WRITE_POLICIES"]
 WRITE_POLICIES = ("writeback", "writethrough")
 
 
+class _DiscardBreakdown:
+    """A :class:`Breakdown` sink for work whose breakdown nobody reads.
+
+    A background flush has no host request to report a breakdown for,
+    so its datapath stages attribute their time here, to nothing.
+    """
+
+    __slots__ = ()
+
+    def add(self, component: str, duration: float) -> None:
+        """Drop *duration*."""
+
+
+_DISCARD = _DiscardBreakdown()
+
+
 class Ftl:
     """Firmware layer tying host, mapping, buffers, GC, and datapath."""
 
@@ -274,10 +290,9 @@ class Ftl:
                 continue
             stamp = self._dirty.pop(lpn)
             ppn = yield from self._allocate_with_gc()
-            breakdown = Breakdown()
             try:
                 yield from self.datapath.io_flush_write(
-                    self.blocks.page_addr(ppn), breakdown)
+                    self.blocks.page_addr(ppn), _DISCARD)
             finally:
                 # Even if this flusher is killed mid-write, the buffer
                 # slot must come back -- host writes backpressure on it.

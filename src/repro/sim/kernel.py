@@ -746,6 +746,14 @@ class Simulator:
             return f"process {fn.name!r} completion"
         if isinstance(fn, Event):
             waiter = fn._waiter
+            link = getattr(fn, "link", None)
+            if link is not None and not fn._triggered:
+                # A link transfer's first entry: the link finishing it.
+                text = (f"Link {link.name or '<anonymous>'!r} "
+                        "transfer finishing")
+                if isinstance(waiter, Process):
+                    text += f" (resumes process {waiter.name!r})"
+                return text
             kind = type(fn).__name__.lower()
             if isinstance(waiter, Process):
                 return f"{kind} resuming process {waiter.name!r}"

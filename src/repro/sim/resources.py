@@ -12,16 +12,25 @@ Three resources model every point of contention in the SSD:
 
 All completion notifications are kernel :class:`~repro.sim.kernel.Event`
 objects, so processes simply ``yield`` them.
+
+A link transfer is one object: :class:`Transfer` is the event its caller
+waits on *and* the link's completion entry on the kernel heap.  It is
+dispatched twice.  The first dispatch, while it is still untriggered, is
+the link finishing: the link goes idle, starts its next queued transfer
+and triggers the transfer on the same-instant lane.  The second is the
+ordinary event dispatch that resumes the waiter and runs the callbacks.
+So a transfer costs two kernel entries, pushed in the order, and with
+the ``(time, seq)`` keys, that the recorded dispatch fingerprints pin.
 """
 
 from __future__ import annotations
 
 import heapq
 from collections import deque
-from heapq import heappush
+from heapq import heappop, heappush
 from typing import Any, Deque, List, Optional, Tuple
 
-from .kernel import Event, Simulator
+from .kernel import _DISPATCHED, Event, SimulationError, Simulator
 from .stats import TimeBins
 
 __all__ = ["Resource", "Link", "Store", "Transfer", "TokenPool"]
@@ -66,7 +75,7 @@ class Resource:
         the label is cleared precisely; a plain :meth:`release` drops
         the oldest label, which is best-effort only.
         """
-        grant = self.sim.event()
+        grant = Event(self.sim)
         if owner:
             self._owners[grant] = owner
         if self._in_use < self.capacity:
@@ -172,7 +181,7 @@ class TokenPool:
             raise ValueError(
                 f"request of {n} tokens exceeds capacity {self.capacity}"
             )
-        grant = self.sim.event()
+        grant = Event(self.sim)
         if owner:
             self._owners[grant] = owner
         if not self._waiters and self._available >= n:
@@ -240,22 +249,74 @@ class TokenPool:
         return message
 
 
-class Transfer:
-    """A pending or in-flight transfer on a :class:`Link`."""
+class Transfer(Event):
+    """A pending or in-flight transfer on a :class:`Link`.
 
-    __slots__ = ("nbytes", "traffic_class", "priority", "done", "enqueued_at",
-                 "started_at", "start_event")
+    The transfer is its own completion event: it fires by itself, with
+    the queueing delay (``started_at - enqueued_at``) as its value, so
+    manual :meth:`trigger`/:meth:`fail` are rejected.  The link pushes
+    it as its completion entry; that first dispatch finishes the link's
+    work and triggers the transfer, whose second dispatch resumes the
+    waiter and runs the callbacks like any event's.
+    """
 
-    def __init__(self, nbytes: int, traffic_class: str, priority: int,
-                 done: Event, enqueued_at: float,
-                 start_event: Optional[Event] = None):
+    __slots__ = ("link", "nbytes", "traffic_class", "priority",
+                 "enqueued_at", "started_at", "start_event")
+
+    def __init__(self, link: "Link", nbytes: int, traffic_class: str,
+                 priority: int, start_event: Optional[Event] = None):
+        sim = link.sim
+        # Inlined Event.__init__: one transfer per bus, DRAM or channel
+        # hop makes this a hot allocation.
+        self.sim = sim
+        self.callbacks = None
+        self._waiter = None
+        self._value = None
+        self._ok = True
+        self._triggered = False
+        self.link = link
         self.nbytes = nbytes
         self.traffic_class = traffic_class
         self.priority = priority
-        self.done = done
-        self.enqueued_at = enqueued_at
+        self.enqueued_at = sim._now
         self.started_at: Optional[float] = None
         self.start_event = start_event
+
+    def trigger(self, value: Any = None) -> Event:
+        raise SimulationError("a Transfer fires by itself; trigger() is "
+                              "not allowed")
+
+    def fail(self, exception: BaseException) -> Event:
+        raise SimulationError("a Transfer fires by itself; fail() is "
+                              "not allowed")
+
+    def _dispatch(self) -> None:
+        if not self._triggered:
+            # The link finishing: start the next queued transfer, then
+            # trigger this one on the same-instant lane.
+            link = self.link
+            link._busy = False
+            if link._queue:
+                link._start(heappop(link._queue)[2])
+            self._triggered = True
+            self._value = self.started_at - self.enqueued_at
+            sim = self.sim
+            sim._seq = seq = sim._seq + 1
+            sim._lane.append((sim._now, seq, self, ()))
+            return
+        # Event._dispatch, inlined; a transfer cannot fail.
+        waiter = self._waiter
+        callbacks = self.callbacks
+        self.callbacks = _DISPATCHED
+        if waiter is not None:
+            self._waiter = None
+            waiter._waiting_on = None
+            waiter._resume(self._value, None)
+        if callbacks:
+            for fn in callbacks:
+                fn(self)
+
+    __call__ = _dispatch
 
 
 class Link:
@@ -285,9 +346,6 @@ class Link:
         sim.register_resource(self)
         self.busy_time: dict = {}
         self.byte_bins: dict = {}
-        # One bound method reused for every completion push instead of a
-        # fresh allocation per transfer in _start.
-        self._finish_cb = self._finish
 
     @property
     def queue_length(self) -> int:
@@ -309,8 +367,9 @@ class Link:
         return nbytes / self.bandwidth
 
     def transfer(self, nbytes: int, traffic_class: str = "io",
-                 priority: int = 0) -> Event:
-        """Queue a transfer; the returned event fires on completion.
+                 priority: int = 0) -> Transfer:
+        """Queue a transfer; the returned :class:`Transfer` fires on
+        completion.
 
         The event value is the queueing delay (time spent waiting for the
         link before service began), which latency-breakdown experiments
@@ -318,36 +377,34 @@ class Link:
         """
         if nbytes <= 0:
             raise ValueError(f"transfer size must be positive, got {nbytes}")
-        done = self.sim.event()
-        item = Transfer(nbytes, traffic_class, priority, done, self.sim._now)
+        item = Transfer(self, nbytes, traffic_class, priority)
         if self._busy:
             self._seq += 1
             heapq.heappush(self._queue, (priority, self._seq, item))
         else:
             self._start(item)
-        return done
+        return item
 
     def transfer_with_start(self, nbytes: int, traffic_class: str = "io",
-                            priority: int = 0) -> Tuple[Event, Event]:
+                            priority: int = 0) -> Tuple[Event, Transfer]:
         """Like :meth:`transfer`, also returning a service-start event.
 
-        Returns ``(start, done)``: *start* fires the moment the link
-        begins serving this transfer (after any queueing), *done* fires
+        Returns ``(start, transfer)``: *start* fires the moment the link
+        begins serving this transfer (after any queueing), *transfer*
         at completion.  Cut-through NoC hops use *start* to forward the
         packet header while the tail is still serializing.
         """
         if nbytes <= 0:
             raise ValueError(f"transfer size must be positive, got {nbytes}")
-        done = self.sim.event()
-        start = self.sim.event()
-        item = Transfer(nbytes, traffic_class, priority, done, self.sim._now,
+        start = Event(self.sim)
+        item = Transfer(self, nbytes, traffic_class, priority,
                         start_event=start)
         if self._busy:
             self._seq += 1
             heapq.heappush(self._queue, (priority, self._seq, item))
         else:
             self._start(item)
-        return start, done
+        return start, item
 
     def _start(self, item: Transfer) -> None:
         self._busy = True
@@ -367,18 +424,12 @@ class Link:
             if bins is None:
                 bins = self.byte_bins[cls] = TimeBins(self.bin_width)
             bins.add(start, nbytes)
+        # The transfer is its own completion entry (Transfer._dispatch).
         sim._seq = seq = sim._seq + 1
         if end == start:  # a duration the float clock absorbs
-            sim._lane.append((end, seq, self._finish_cb, (item,)))
+            sim._lane.append((end, seq, item, ()))
         else:
-            heappush(sim._queue, (end, seq, self._finish_cb, (item,)))
-
-    def _finish(self, item: Transfer) -> None:
-        self._busy = False
-        if self._queue:
-            _prio, _seq, nxt = heapq.heappop(self._queue)
-            self._start(nxt)
-        item.done.trigger(item.started_at - item.enqueued_at)
+            heappush(sim._queue, (end, seq, item, ()))
 
     # -- reporting ----------------------------------------------------------
 
@@ -467,7 +518,7 @@ class Store:
 
     def get(self) -> Event:
         """Event that fires with the next available item."""
-        evt = self.sim.event()
+        evt = Event(self.sim)
         if self._items:
             evt.trigger(self._items.popleft())
         else:

@@ -190,6 +190,19 @@ def test_second_run_warmup_is_a_delay_from_the_clock():
     assert result.requests_completed > 0
 
 
+def test_warmup_without_duration_is_refused_before_scheduling():
+    """A ``max_requests``-only run drains the queue, so a warmup timer
+    would idle the clock past the last request and then zero every
+    meter; the run refuses it before anything is scheduled."""
+    ssd = build_ssd("baseline")
+    with pytest.raises(ConfigError, match="warmup_us"):
+        ssd.run(SyntheticWorkload(), max_requests=200, warmup_us=1e6)
+    assert (ssd.sim.now, ssd.sim._seq, ssd.sim.peek()) == (0.0, 0, None)
+    result = ssd.run(SyntheticWorkload(), max_requests=200)
+    assert result.requests_completed == 200
+    assert ssd.sim.now < 1e6
+
+
 def test_max_requests_stop_condition():
     ssd = tiny_ssd("baseline")
     workload = SyntheticWorkload(pattern="seq_write", io_size=4096)

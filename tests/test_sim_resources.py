@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro.sim import Link, Resource, Simulator, Store
+from repro.sim import Link, Resource, Simulator, Store, Transfer
+from repro.sim.kernel import SimulationError
 
 
 # ---------------------------------------------------------------- Resource
@@ -164,6 +165,82 @@ def test_link_rejects_bad_args():
     link = Link(sim, bandwidth=10.0)
     with pytest.raises(ValueError):
         link.transfer(0)
+
+
+def test_transfer_costs_two_kernel_entries():
+    """A transfer on an idle link is one object and two kernel entries:
+    the link finishing it, then its own dispatch.  ``transfer_with_start``
+    adds the start event's one."""
+    sim = Simulator()
+    link = Link(sim, bandwidth=1000.0)
+    seq = sim._seq
+    transfer = link.transfer(1000)
+    assert type(transfer) is Transfer and transfer.link is link
+    sim.run()
+    assert sim._seq - seq == 2
+    assert (transfer.triggered, transfer.value, sim.now) == (True, 0.0, 1.0)
+
+    seq = sim._seq
+    start, transfer = link.transfer_with_start(500)
+    assert type(transfer) is Transfer and type(start) is not Transfer
+    sim.run()
+    assert sim._seq - seq == 3
+    assert (start.value, transfer.value, sim.now) == (1.0, 0.0, 1.5)
+
+
+def test_transfer_fires_by_itself():
+    sim = Simulator()
+    link = Link(sim, bandwidth=1000.0)
+    first = link.transfer(1000)
+    queued = link.transfer(1000)
+    for transfer in (first, queued):
+        with pytest.raises(SimulationError, match="fires by itself"):
+            transfer.trigger()
+        with pytest.raises(SimulationError, match="fires by itself"):
+            transfer.fail(RuntimeError("boom"))
+    sim.run()
+    assert (first.value, queued.value, sim.now) == (0.0, 1.0, 2.0)
+    with pytest.raises(SimulationError, match="fires by itself"):
+        first.trigger()
+
+
+def test_transfer_resumes_its_waiter_before_its_callbacks():
+    sim = Simulator()
+    link = Link(sim, bandwidth=1000.0)
+    order = []
+
+    def mover(transfer):
+        wait = yield transfer
+        order.append(("waiter", wait))
+
+    first = link.transfer(1000)
+    sim.process(mover(first))
+    sim.run(until=0.5)
+    first.add_callback(lambda event: order.append(("callback", event.value)))
+    sim.process(mover(link.transfer(500)))
+    sim.run()
+    assert order == [("waiter", 0.0), ("callback", 0.0), ("waiter", 0.5)]
+
+
+def test_pending_summary_names_the_link_finishing_a_transfer():
+    sim = Simulator()
+    link = Link(sim, bandwidth=1000.0, name="system_bus")
+    anonymous = Link(sim, bandwidth=1000.0)
+
+    def mover():
+        yield link.transfer(1000)
+
+    sim.process(mover(), name="io")
+    anonymous.transfer(2000)
+    sim.run(until=0.5)
+    assert sim.pending_summary() == [
+        "t=1.000us Link 'system_bus' transfer finishing "
+        "(resumes process 'io')",
+        "t=2.000us Link '<anonymous>' transfer finishing",
+    ]
+    assert sim.step()  # the link finishes: the transfer triggers
+    assert sim.pending_summary()[0] == \
+        "t=1.000us transfer resuming process 'io'"
 
 
 # ---------------------------------------------------------------- Store
