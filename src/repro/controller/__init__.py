@@ -1,7 +1,11 @@
-"""SSD-controller front-end components: buses, DRAM, ECC, host, controllers."""
+"""SSD-controller front-end components: DRAM, ECC, host, flash controllers.
+
+The system bus is a plain :class:`~repro.sim.Link` built by
+:class:`~repro.core.SimulatedSSD`; each :class:`FlashController` owns
+its channel's flash bus.
+"""
 
 from .breakdown import COMPONENTS, Breakdown
-from .bus import PAPER_SYSTEM_BUS_BW, SystemBus
 from .dram import PAPER_DRAM_BW, Dram
 from .ecc import DEFAULT_ECC_FIXED_US, DEFAULT_ECC_THROUGHPUT, EccEngine
 from .flash_controller import FlashController
@@ -19,6 +23,4 @@ __all__ = [
     "PAPER_DRAM_BW",
     "PAPER_HOST_BW",
     "PAPER_QUEUE_DEPTH",
-    "PAPER_SYSTEM_BUS_BW",
-    "SystemBus",
 ]

@@ -10,7 +10,7 @@ the mechanism behind the Fig 2 bandwidth collapse during GC.
 
 from __future__ import annotations
 
-from typing import Generator, Optional
+from typing import Optional
 
 from ..errors import ConfigError
 from ..sim import Link, Simulator, TokenPool
@@ -50,13 +50,6 @@ class Dram:
     def buffered_pages(self) -> int:
         """Write-buffer pages currently occupied (dirty)."""
         return self.write_buffer.capacity - self.write_buffer.available
-
-    def access(self, nbytes: int, traffic_class: str = "io",
-               priority: int = 0, direction: str = "write") -> Generator:
-        """Generator: one DRAM access on the read or write port."""
-        link = self.read_link if direction == "read" else self.write_link
-        wait = yield link.transfer(nbytes, traffic_class, priority)
-        return wait
 
     def reserve_buffer_page(self):
         """Event granting one write-buffer slot (may backpressure)."""

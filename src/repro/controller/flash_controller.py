@@ -1,9 +1,12 @@
 """Conventional flash controller: one per flash channel.
 
-The controller owns its channel's bus and drives array operations on the
-dies behind it.  Its datapath generators combine the flash-bus transfer
-with the array operation and attribute the time spent to the breakdown
-components (``flash_bus`` vs ``flash_chip``).
+The controller owns its channel's flash bus -- one ONFI-style
+:class:`~repro.sim.Link` shared by every way on the channel (paper
+Table 1: 1 GB/s), half-duplex, so reads and writes serialize on it --
+and drives array operations on the dies behind it.  Its datapath
+generators combine the flash-bus transfer with the array operation and
+attribute the time spent to the breakdown components (``flash_bus`` vs
+``flash_chip``).
 
 Order of phases follows ONFI:
 
@@ -11,13 +14,17 @@ Order of phases follows ONFI:
 * program: bus transfer in (register load), then array program;
 * erase:   array only, no data on the bus.
 
-Hot-path layout: ``read_page`` / ``program_page`` are the only
-implementation of a page read or program; every datapath op calls them.
-Each validates and draws its latency through
-``backend.prepare_read``/``prepare_program``, holds the plane through
-:meth:`~repro.flash.FlashPlane.occupy` and drives the channel transfer
-in its own frame.  A fault injector, when attached, is a branch of that
-frame: a transient fault hands over to
+Hot-path layout: ``read_page`` / ``program_page`` / ``erase_block`` are
+the only implementation of a page read, a page program and a block
+erase; every datapath op calls them.  Each validates and draws its
+latency through ``backend.prepare_read``/``prepare_program``/
+``prepare_erase``, holds the plane through
+:meth:`~repro.flash.FlashPlane.occupy` and drives the flash-bus
+transfer in its own frame.  Every page transfer costs the same
+``_page_bytes``: the page plus the command/address cycles, expressed
+as bytes-equivalent bus occupancy so that they serialize on the bus
+too.  A fault injector, when attached, is a branch of that frame: a
+transient fault hands over to
 :meth:`FlashController.reissue_read` / :meth:`repeat_transfer`, which
 pay the detection timeout and backoff before each retry.
 """
@@ -26,25 +33,42 @@ from __future__ import annotations
 
 from typing import Generator
 
-from ..errors import AddressError
-from ..flash import FlashBackend, FlashChannel, PhysAddr
-from ..sim import Simulator
+from ..errors import AddressError, ConfigError
+from ..flash import FlashBackend, PhysAddr
+from ..sim import Link, Simulator
 from .breakdown import Breakdown
 
 __all__ = ["FlashController"]
 
+#: Default command/address cycle overhead per bus transaction (us).
+DEFAULT_CMD_OVERHEAD_US = 0.2
+
 
 class FlashController:
-    """Datapath engine for one flash channel."""
+    """Datapath engine for one flash channel.
+
+    *bandwidth* is the flash bus's bytes/us (1 GB/s == 1000.0);
+    *cmd_overhead_us* the command/address cycles each page transfer
+    adds.  Internal GC moves are urgent (they hold staging buffers and
+    gate space reclamation), so a ``gc`` transfer with no explicit
+    priority is served ahead of buffered host flush traffic.
+    """
 
     def __init__(self, sim: Simulator, controller_id: int,
-                 channel: FlashChannel, backend: FlashBackend):
+                 backend: FlashBackend, bandwidth: float = 1000.0,
+                 cmd_overhead_us: float = DEFAULT_CMD_OVERHEAD_US):
+        if bandwidth <= 0:
+            raise ConfigError(
+                f"flash bus bandwidth must be positive: {bandwidth}")
+        if cmd_overhead_us < 0:
+            raise ConfigError(f"negative command overhead: {cmd_overhead_us}")
         self.sim = sim
         self.controller_id = controller_id
-        self.channel = channel
         self.backend = backend
         self.geometry = backend.geometry
-        self._page_size = backend.geometry.page_size
+        self.flash_bus = Link(sim, bandwidth, name=f"flash_bus{controller_id}")
+        self._page_bytes = (backend.geometry.page_size
+                            + int(cmd_overhead_us * bandwidth))
         self.pages_read = 0
         self.pages_programmed = 0
         self.blocks_erased = 0
@@ -87,8 +111,9 @@ class FlashController:
         """
         attempt = 1
         while (yield from self._fault_backoff(attempt, breakdown)):
-            op = yield from self.backend.read(addr)
-            breakdown.add("flash_chip", op.total)
+            plane, duration = self.backend.prepare_read(addr)
+            wait = yield from plane.occupy(duration)
+            breakdown.add("flash_chip", wait + duration)
             if not self.fault_injector.die_fault():
                 return
             attempt += 1
@@ -99,8 +124,8 @@ class FlashController:
         attempt = 1
         while (yield from self._fault_backoff(attempt, breakdown)):
             t0 = self.sim.now
-            yield from self.channel.transfer(self._page_size, traffic_class,
-                                             priority)
+            yield self.flash_bus.transfer(self._page_bytes, traffic_class,
+                                          priority)
             breakdown.add("flash_bus", self.sim.now - t0)
             if not self.fault_injector.channel_fault():
                 return
@@ -126,13 +151,11 @@ class FlashController:
         breakdown.add("flash_chip", wait + duration)
         if injector is not None and injector.die_fault():
             yield from self.reissue_read(addr, breakdown)
-        channel = self.channel
         if priority is None:
             priority = -1 if traffic_class == "gc" else 0
         t0 = sim.now
-        yield channel.link.transfer(
-            self._page_size + channel._overhead_bytes, traffic_class,
-            priority)
+        yield self.flash_bus.transfer(self._page_bytes, traffic_class,
+                                      priority)
         breakdown.add("flash_bus", sim.now - t0)
         if injector is not None and injector.channel_fault():
             yield from self.repeat_transfer(traffic_class, priority,
@@ -152,13 +175,11 @@ class FlashController:
         self._check_owns(addr)
         if breakdown is None:
             breakdown = Breakdown()
-        channel = self.channel
         if priority is None:
             priority = -1 if traffic_class == "gc" else 0
         t0 = sim.now
-        yield channel.link.transfer(
-            self._page_size + channel._overhead_bytes, traffic_class,
-            priority)
+        yield self.flash_bus.transfer(self._page_bytes, traffic_class,
+                                      priority)
         breakdown.add("flash_bus", sim.now - t0)
         injector = self.fault_injector
         if injector is not None and injector.channel_fault():
@@ -175,7 +196,8 @@ class FlashController:
         """Generator: erase the block containing *addr*."""
         self._check_owns(addr)
         breakdown = breakdown if breakdown is not None else Breakdown()
-        op = yield from self.backend.erase(addr)
-        breakdown.add("flash_chip", op.total)
+        plane, duration = self.backend.prepare_erase(addr)
+        wait = yield from plane.occupy(duration)
+        breakdown.add("flash_chip", wait + duration)
         self.blocks_erased += 1
         return breakdown

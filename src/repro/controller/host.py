@@ -82,12 +82,6 @@ class HostInterface:
         self._slots.release(1)
         self.completed += 1
 
-    def transfer(self, nbytes: int, traffic_class: str = "io",
-                 priority: int = 0) -> Generator:
-        """Generator: move request data over the host link."""
-        wait = yield self.link.transfer(nbytes, traffic_class, priority)
-        return wait
-
     # -- checkpointing ------------------------------------------------------
 
     def state_dict(self) -> dict:

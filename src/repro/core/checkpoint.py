@@ -55,8 +55,10 @@ __all__ = [
     "snapshot_ssd",
 ]
 
-#: Bump on any incompatible change to the snapshot layout.
-SNAPSHOT_SCHEMA = 3
+#: Bump on any incompatible change to the snapshot layout.  Schema 4:
+#: the system-bus and flash-bus entries are plain ``Link`` states, no
+#: longer nested under a ``"link"`` key.
+SNAPSHOT_SCHEMA = 4
 
 #: Bump on any incompatible change to the durable-projection layout.
 DURABLE_SCHEMA = 1
@@ -201,7 +203,7 @@ def snapshot_ssd(ssd) -> dict:
         },
         "backend": ssd.backend.state_dict(),
         "planes": [plane.state_dict() for plane in ssd.backend.planes],
-        "channels": [channel.state_dict() for channel in ssd.channels],
+        "channels": [c.flash_bus.state_dict() for c in ssd.controllers],
         "controllers": [
             {"pages_read": c.pages_read,
              "pages_programmed": c.pages_programmed,
@@ -260,8 +262,8 @@ def restore_ssd(state: dict):
     ssd.backend.load_state(state["backend"])
     for plane, plane_state in zip(ssd.backend.planes, state["planes"]):
         plane.load_state(plane_state)
-    for channel, channel_state in zip(ssd.channels, state["channels"]):
-        channel.load_state(channel_state)
+    for controller, bus_state in zip(ssd.controllers, state["channels"]):
+        controller.flash_bus.load_state(bus_state)
     for controller, c_state in zip(ssd.controllers, state["controllers"]):
         controller.pages_read = int(c_state["pages_read"])
         controller.pages_programmed = int(c_state["pages_programmed"])

@@ -34,10 +34,10 @@ from __future__ import annotations
 
 from typing import Callable, Generator, List, Optional
 
-from ..controller import Breakdown, Dram, EccEngine, FlashController, SystemBus
+from ..controller import Breakdown, Dram, EccEngine, FlashController
 from ..errors import ConfigError
 from ..flash import PhysAddr
-from ..sim import Simulator, TokenPool
+from ..sim import Link, Simulator, TokenPool
 from .copyback import CopybackCommand, CopybackStatus
 from .transport import CopybackTransport
 
@@ -50,7 +50,7 @@ Remapper = Callable[[PhysAddr], PhysAddr]
 class BaselineDatapath:
     """Conventional coupled SSD datapath."""
 
-    def __init__(self, sim: Simulator, bus: SystemBus, dram: Dram,
+    def __init__(self, sim: Simulator, bus: Link, dram: Dram,
                  ecc: EccEngine, controllers: List[FlashController],
                  remapper: Optional[Remapper] = None,
                  staging_pages: int = 16):
@@ -121,7 +121,7 @@ class BaselineDatapath:
         """DRAM-serviced I/O: one bus traversal plus one DRAM access."""
         sim = self.sim
         t0 = sim.now
-        yield self.bus.link.transfer(nbytes, "io", priority)
+        yield self.bus.transfer(nbytes, "io", priority)
         breakdown.add("system_bus", sim.now - t0)
         t0 = sim.now
         link = (self.dram.read_link if direction == "read"
@@ -163,7 +163,7 @@ class BaselineDatapath:
                     breakdown.add("ecc", sim.now - t0)
         # System bus to the host interface.
         t0 = sim.now
-        yield self.bus.link.transfer(page_size, "io", priority)
+        yield self.bus.transfer(page_size, "io", priority)
         breakdown.add("system_bus", sim.now - t0)
 
     def io_flush_write(self, addr: PhysAddr,
@@ -188,7 +188,7 @@ class BaselineDatapath:
             yield self.dram.read_link.transfer(page_size, "io", 0)
             breakdown.add("dram", sim.now - t0)
         t0 = sim.now
-        yield self.bus.link.transfer(page_size, "io", priority)
+        yield self.bus.transfer(page_size, "io", priority)
         breakdown.add("system_bus", sim.now - t0)
         yield from self.controllers[addr.channel].program_page(
             addr, "io", breakdown, priority)
@@ -220,7 +220,7 @@ class BaselineDatapath:
                 src, "gc", breakdown, -1)
             # System bus into the front end.
             t0 = sim.now
-            yield self.bus.link.transfer(page_size, "gc", 0)
+            yield self.bus.transfer(page_size, "gc", 0)
             breakdown.add("system_bus", sim.now - t0)
             # The conventional GC copy always passes the front-end ECC,
             # so errors never propagate -- at the price of crossing the
@@ -240,7 +240,7 @@ class BaselineDatapath:
             yield self.dram.read_link.transfer(page_size, "gc", 0)
             breakdown.add("dram", sim.now - t0)
             t0 = sim.now
-            yield self.bus.link.transfer(page_size, "gc", 0)
+            yield self.bus.transfer(page_size, "gc", 0)
             breakdown.add("system_bus", sim.now - t0)
             yield from self.controllers[dst.channel].program_page(
                 dst, "gc", breakdown, -1)
@@ -272,7 +272,7 @@ class DecoupledDatapath(BaselineDatapath):
     (whose transport *is* the shared bus, one traversal, no DRAM).
     """
 
-    def __init__(self, sim: Simulator, bus: SystemBus, dram: Dram,
+    def __init__(self, sim: Simulator, bus: Link, dram: Dram,
                  ecc_engines: List[EccEngine],
                  controllers: List[FlashController],
                  transport: CopybackTransport,

@@ -18,16 +18,15 @@ from ..controller import (
     EccEngine,
     FlashController,
     HostInterface,
-    SystemBus,
 )
 from ..errors import ConfigError
-from ..flash import FlashBackend, FlashChannel
+from ..flash import FlashBackend
 from ..ftl import Ftl, GarbageCollector, GcStats, PageMappingTable, \
     StaticWearLeveler
 from ..ftl.blocks import BlockManager
 from ..host import MultiQueueFrontend, TenantSpec
 from ..noc import Crossbar, FNoC, Mesh1D, Mesh2D, Ring
-from ..sim import LatencyStats, Simulator
+from ..sim import LatencyStats, Link, Simulator
 from .config import ArchPreset, SSDConfig
 from .datapath import BaselineDatapath, DecoupledDatapath
 from .transport import (
@@ -182,16 +181,20 @@ class SimulatedSSD:
             self.sim, geometry, config.timing, seed=config.seed,
             deterministic_timing=config.deterministic_timing,
         )
-        self.channels = [
-            FlashChannel(self.sim, c, config.flash_channel_bw)
-            for c in range(geometry.channels)
-        ]
         self.controllers = [
-            FlashController(self.sim, c, self.channels[c], self.backend)
+            FlashController(self.sim, c, self.backend,
+                            config.flash_channel_bw)
             for c in range(geometry.channels)
         ]
-        self.bus = SystemBus(self.sim, config.system_bus_bw,
-                             bin_width=config.bin_width_us)
+        # The system bus (e.g. AXI) interconnects the host interface,
+        # cores, DRAM, ECC and every flash controller (paper Fig 1).  It
+        # is the contended resource this paper is about: host I/O
+        # ("io") and GC page copies ("gc") serialize on it in a
+        # conventional SSD, and the experiments plot each class's share
+        # (Fig 2(c,d), 7(b)) -- so it is the one link that also keeps a
+        # per-class byte timeline.
+        self.bus = Link(self.sim, config.system_bus_bw, name="system_bus",
+                        bin_width=config.bin_width_us)
         self.dram = Dram(self.sim, config.dram_bw,
                          write_buffer_pages=config.write_buffer_pages)
         self.host = HostInterface(self.sim, config.queue_depth,
@@ -314,7 +317,7 @@ class SimulatedSSD:
         ftl.requests_completed = 0
         ftl.io_breakdowns = []
         self._io_bytes_snapshot = ftl.completed_bytes.total()
-        self._bus_busy_snapshot = dict(self.bus.link.busy_time)
+        self._bus_busy_snapshot = dict(self.bus.busy_time)
         gc_stats = self.gc.stats
         gc_stats.move_breakdowns = []
         self._gc_snapshot = (gc_stats.pages_moved,
@@ -488,7 +491,7 @@ class SimulatedSSD:
         times, rates = self.ftl.completed_bytes.series()
 
         def bus_util(traffic_class: Optional[str] = None) -> float:
-            busy = self.bus.link.busy_time
+            busy = self.bus.busy_time
             snapshot = self._bus_busy_snapshot
             if traffic_class is None:
                 total = sum(busy.values()) - sum(snapshot.values())

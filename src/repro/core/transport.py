@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from typing import Generator
 
-from ..controller import Breakdown, SystemBus
+from ..controller import Breakdown
 from ..noc import FNoC, Packet
 from ..sim import Link, Simulator
 
@@ -49,7 +49,7 @@ class SharedBusTransport(CopybackTransport):
 
     name = "shared_bus"
 
-    def __init__(self, sim: Simulator, bus: SystemBus):
+    def __init__(self, sim: Simulator, bus: Link):
         self.sim = sim
         self.bus = bus
 
@@ -57,7 +57,7 @@ class SharedBusTransport(CopybackTransport):
              breakdown: Breakdown,
              traffic_class: str = "gc") -> Generator:
         t0 = self.sim.now
-        yield from self.bus.transfer(nbytes, traffic_class)
+        yield self.bus.transfer(nbytes, traffic_class)
         breakdown.add("system_bus", self.sim.now - t0)
 
 

@@ -1,7 +1,11 @@
-"""Flash memory substrate: geometry, timing, dies/planes, buses, wear."""
+"""Flash memory substrate: geometry, timing, dies/planes and block state, wear.
 
-from .channel import FlashChannel
-from .chip import BlockState, FlashBackend, FlashPlane, OpBreakdown
+The backend validates array operations and keeps per-block state; the
+time they take is spent by the flash controllers, which own the flash
+buses (:mod:`repro.controller`).
+"""
+
+from .chip import BlockState, FlashBackend, FlashPlane
 from .geometry import FlashGeometry, PhysAddr
 from .timing import TLC_TIMING, ULL_TIMING, FlashTiming
 from .wear import PAPER_PE_MEAN, PAPER_PE_SIGMA, WearModel
@@ -9,11 +13,9 @@ from .wear import PAPER_PE_MEAN, PAPER_PE_SIGMA, WearModel
 __all__ = [
     "BlockState",
     "FlashBackend",
-    "FlashChannel",
     "FlashGeometry",
     "FlashPlane",
     "FlashTiming",
-    "OpBreakdown",
     "PAPER_PE_MEAN",
     "PAPER_PE_SIGMA",
     "PhysAddr",

@@ -18,9 +18,9 @@ from ..errors import AddressError, FlashError
 from ..sim import Resource, Simulator
 from .geometry import FlashGeometry, PhysAddr
 from .pagemask import mask_of, offsets_of
-from .timing import FlashTiming, TimingTable
+from .timing import FlashTiming
 
-__all__ = ["BlockState", "FlashPlane", "FlashBackend", "OpBreakdown"]
+__all__ = ["BlockState", "FlashPlane", "FlashBackend"]
 
 
 class BlockState:
@@ -68,21 +68,6 @@ class BlockState:
             f"BlockState(programmed={self.write_ptr}, "
             f"erases={self.erase_count})"
         )
-
-
-class OpBreakdown:
-    """Timing attribution for one flash array operation."""
-
-    __slots__ = ("chip_wait", "array_time")
-
-    def __init__(self, chip_wait: float, array_time: float):
-        self.chip_wait = chip_wait
-        self.array_time = array_time
-
-    @property
-    def total(self) -> float:
-        """Wait plus service time."""
-        return self.chip_wait + self.array_time
 
 
 class FlashPlane:
@@ -133,20 +118,19 @@ class FlashPlane:
 class FlashBackend:
     """The full flash array: every plane of every die, plus block state.
 
-    Array operations are exposed as generators intended to be driven by
-    flash-controller processes (``yield from backend.read(addr)``).  Each
-    returns an :class:`OpBreakdown` attributing time to plane contention
-    versus array service.
+    The backend keeps state, not time.  Its ``prepare_read`` /
+    ``prepare_program`` / ``prepare_erase`` validate an array op,
+    update the block state and draw the latency, returning
+    ``(plane, duration)``; the flash controller then holds that plane
+    through :meth:`FlashPlane.occupy` in its own generator frame.
     """
 
     def __init__(self, sim: Simulator, geometry: FlashGeometry,
                  timing: FlashTiming, seed: int = 1,
-                 enforce_discipline: bool = True,
                  deterministic_timing: bool = True):
         self.sim = sim
         self.geometry = geometry
         self.timing = timing
-        self.enforce_discipline = enforce_discipline
         self.deterministic_timing = deterministic_timing
         self._rng = random.Random(seed)
         self.planes: List[FlashPlane] = [
@@ -155,7 +139,7 @@ class FlashBackend:
         ]
         self._blocks: Dict[int, BlockState] = {}
         # Linearization strides for addresses already validated once:
-        # read/program/erase validate up front and then index planes and
+        # the prepare_* calls validate up front and then index planes and
         # blocks without re-running the per-field bounds checks.
         self._plane_strides = (
             geometry.ways * geometry.dies * geometry.planes,
@@ -166,10 +150,9 @@ class FlashBackend:
         #: Every page of a block programmed: shared by every
         #: pre-conditioned block (an int, so sharing cannot alias).
         self._full_mask = (1 << geometry.pages_per_block) - 1
-        #: Deterministic latency rows resolved by (OP_*, channel) index;
-        #: every channel shares this backend's timing preset.
-        self.timing_table = TimingTable([timing] * geometry.channels)
-        self._read_mid, self._program_mid, _ = self.timing_table.row(0)
+        #: Deterministic latencies, resolved once for the per-op path.
+        self._read_mid = timing.read_mid
+        self._program_mid = timing.program_mid
 
     def _plane_id(self, addr: PhysAddr) -> int:
         """Plane index of a *validated* address (no bounds re-check)."""
@@ -184,10 +167,6 @@ class FlashBackend:
 
     # -- state access --------------------------------------------------------
 
-    def plane_of(self, addr: PhysAddr) -> FlashPlane:
-        """The :class:`FlashPlane` serving *addr*."""
-        return self.planes[self.geometry.plane_index(addr)]
-
     def block_state(self, addr: PhysAddr) -> BlockState:
         """Mutable per-block state for the block containing *addr*."""
         index = self.geometry.block_index(addr)
@@ -200,36 +179,21 @@ class FlashBackend:
         """P/E cycles performed on the block containing *addr*."""
         return self.block_state(addr).erase_count
 
-    # -- latency draws ---------------------------------------------------------
-
-    def _read_latency(self) -> float:
-        if self.deterministic_timing:
-            return self._read_mid
-        return self.timing.sample_read(self._rng)
-
-    def _program_latency(self) -> float:
-        if self.deterministic_timing:
-            return self._program_mid
-        return self.timing.sample_program(self._rng)
-
     # -- array operations --------------------------------------------------------
 
     def prepare_read(self, addr: PhysAddr) -> Tuple[FlashPlane, float]:
         """Validate a page read; returns ``(plane, array latency)``.
 
-        Rejects a read of an unwritten page (under the programming
-        discipline) and draws the latency.  The caller then holds the
-        plane for that long: :meth:`read` through
-        :meth:`FlashPlane.occupy`, the flash controller and datapath
-        ops inline in their own generator frame.
+        Rejects a read of an unwritten page and draws the latency.  The
+        caller then holds the plane for that long through
+        :meth:`FlashPlane.occupy`.
         """
         self.geometry.validate(addr)
         plane_id = self._plane_id(addr)
-        if self.enforce_discipline:
-            state = self._block_state_at(
-                plane_id * self._blocks_per_plane + addr[4])
-            if not state.mask >> addr[5] & 1:
-                raise FlashError(f"read of unwritten page {addr}")
+        state = self._block_state_at(
+            plane_id * self._blocks_per_plane + addr[4])
+        if not state.mask >> addr[5] & 1:
+            raise FlashError(f"read of unwritten page {addr}")
         duration = (self._read_mid if self.deterministic_timing
                     else self.timing.sample_read(self._rng))
         return self.planes[plane_id], duration
@@ -238,44 +202,33 @@ class FlashBackend:
         """Validate and record a page program; ``(plane, array latency)``.
 
         Rejects a reprogram without erase and marks the page programmed
-        (under the discipline) before the caller occupies the plane.
+        before the caller occupies the plane.
         """
         self.geometry.validate(addr)
         plane_id = self._plane_id(addr)
-        if self.enforce_discipline:
-            state = self._block_state_at(
-                plane_id * self._blocks_per_plane + addr[4])
-            bit = 1 << addr[5]
-            if state.mask & bit:
-                raise FlashError(f"reprogram of page {addr} without erase")
-            state.mask |= bit
+        state = self._block_state_at(
+            plane_id * self._blocks_per_plane + addr[4])
+        bit = 1 << addr[5]
+        if state.mask & bit:
+            raise FlashError(f"reprogram of page {addr} without erase")
+        state.mask |= bit
         duration = (self._program_mid if self.deterministic_timing
                     else self.timing.sample_program(self._rng))
         return self.planes[plane_id], duration
 
-    def read(self, addr: PhysAddr) -> Generator:
-        """Read one page from the array into the plane's page register."""
-        plane, duration = self.prepare_read(addr)
-        wait = yield from plane.occupy(duration)
-        return OpBreakdown(wait, duration)
+    def prepare_erase(self, addr: PhysAddr) -> Tuple[FlashPlane, float]:
+        """Record a block erase; returns ``(plane, erase latency)``.
 
-    def program(self, addr: PhysAddr) -> Generator:
-        """Program one page (reprogram without erase is rejected)."""
-        plane, duration = self.prepare_program(addr)
-        wait = yield from plane.occupy(duration)
-        return OpBreakdown(wait, duration)
-
-    def erase(self, addr: PhysAddr) -> Generator:
-        """Erase the block containing *addr*."""
+        Clears the block's programmed pages and bumps its erase count
+        before the caller occupies the plane.
+        """
         self.geometry.validate(addr)
         plane_id = self._plane_id(addr)
         state = self._block_state_at(
-            plane_id * self.geometry.blocks_per_plane + addr[4])
+            plane_id * self._blocks_per_plane + addr[4])
         state.mask = 0
         state.erase_count += 1
-        plane = self.planes[plane_id]
-        wait = yield from plane.occupy(self.timing.erase_us)
-        return OpBreakdown(wait, self.timing.erase_us)
+        return self.planes[plane_id], self.timing.erase_us
 
     def mark_block_programmed(self, addr: PhysAddr) -> None:
         """Instantly mark every page of *addr*'s block programmed.

@@ -133,8 +133,8 @@ class Ftl:
                       stamp: int = 0) -> Generator:
         priority = request.priority
         t0 = self.sim.now
-        yield from self.host.transfer(request.bytes(self.geometry.page_size),
-                                      priority=priority)
+        yield self.host.link.transfer(
+            request.bytes(self.geometry.page_size), "io", priority)
         breakdown.add("host", self.sim.now - t0)
         if request.dram_hit:
             yield from self.datapath.io_dram_rw(
@@ -173,8 +173,8 @@ class Ftl:
             ]
             yield self.sim.all_of(procs)
         t0 = self.sim.now
-        yield from self.host.transfer(request.bytes(self.geometry.page_size),
-                                      priority=priority)
+        yield self.host.link.transfer(
+            request.bytes(self.geometry.page_size), "io", priority)
         breakdown.add("host", self.sim.now - t0)
 
     def _handle_trim(self, request: IoRequest, breakdown: Breakdown,

@@ -195,17 +195,19 @@ class TokenPool:
         """Return *n* tokens and grant queued requests in FIFO order."""
         if n < 1:
             raise ValueError(f"must release >= 1 token, got {n}")
+        self._release_tokens(n)
         if self._owners:
             self._owners.pop(next(iter(self._owners)))
-        self._release_tokens(n)
 
     def _release_tokens(self, n: int) -> None:
-        self._available += n
-        if self._available > self.capacity:
+        # Refuse before mutating: a refused release leaves the pool,
+        # and the holds it reports, exactly as they were.
+        if self._available + n > self.capacity:
             raise RuntimeError(
                 f"token pool {self.name!r} over-released "
-                f"({self._available}/{self.capacity})"
+                f"({self._available + n}/{self.capacity})"
             )
+        self._available += n
         while self._waiters and self._available >= self._waiters[0][0]:
             count, grant = self._waiters.popleft()
             self._available -= count
@@ -218,10 +220,11 @@ class TokenPool:
         returned to the pool; if it is still queued it is removed so the
         tokens are never handed out.
         """
-        self._owners.pop(grant, None)
         if grant._triggered:
             self._release_tokens(grant.value)
+            self._owners.pop(grant, None)
             return
+        self._owners.pop(grant, None)
         for index, (_count, waiting) in enumerate(self._waiters):
             if waiting is grant:
                 del self._waiters[index]
@@ -362,10 +365,6 @@ class Link:
             message += f", {len(self._queue)} queued"
         return message
 
-    def occupancy(self, nbytes: int) -> float:
-        """Service time in microseconds for an *nbytes* transfer."""
-        return nbytes / self.bandwidth
-
     def transfer(self, nbytes: int, traffic_class: str = "io",
                  priority: int = 0) -> Transfer:
         """Queue a transfer; the returned :class:`Transfer` fires on
@@ -440,14 +439,6 @@ class Link:
             return 0.0
         busy = sum(self.busy_time.values())
         return min(1.0, busy / horizon)
-
-    def class_utilization(self, traffic_class: str,
-                          horizon: Optional[float] = None) -> float:
-        """Fraction of time the link was busy with one traffic class."""
-        horizon = horizon if horizon is not None else self.sim.now
-        if horizon <= 0:
-            return 0.0
-        return min(1.0, self.busy_time.get(traffic_class, 0.0) / horizon)
 
     def bandwidth_timeline(self, traffic_class: str):
         """``(times, bytes_per_us)`` series for one traffic class.

@@ -161,11 +161,11 @@ def test_only_the_system_bus_keeps_a_byte_timeline():
         return [resource for resource in device.sim._resources
                 if getattr(resource, "byte_bins", None)]
 
-    assert binned(ssd) == [ssd.bus.link]
+    assert binned(ssd) == [ssd.bus]
     restored = restore_ssd(json.loads(json.dumps(ssd.snapshot())))
-    assert binned(restored) == [restored.bus.link]
-    for cls, bins in ssd.bus.link.byte_bins.items():
-        assert restored.bus.link.byte_bins[cls].width == bins.width
+    assert binned(restored) == [restored.bus]
+    for cls, bins in ssd.bus.byte_bins.items():
+        assert restored.bus.byte_bins[cls].width == bins.width
         assert (restored.bus.bandwidth_timeline(cls)
                 == ssd.bus.bandwidth_timeline(cls))
 

@@ -8,10 +8,10 @@ from repro.controller import (
     Dram,
     EccEngine,
     HostInterface,
-    SystemBus,
 )
+from repro.core import build_ssd
 from repro.errors import ConfigError
-from repro.sim import Simulator
+from repro.sim import Link, Simulator
 
 
 def drive(sim, gen):
@@ -20,38 +20,41 @@ def drive(sim, gen):
     return proc.value
 
 
-# ---------------------------------------------------------------- SystemBus
+# ---------------------------------------------------------------- system bus
+# The system bus is a plain Link that also keeps a per-class byte
+# timeline (its bin_width).
 
 
 def test_bus_transfer_and_utilization():
     sim = Simulator()
-    bus = SystemBus(sim, bandwidth=8000.0)
+    bus = Link(sim, 8000.0, name="system_bus", bin_width=1000.0)
 
     def mover(sim):
-        yield from bus.transfer(4096, "io")
-        yield from bus.transfer(4096, "gc")
+        yield bus.transfer(4096, "io")
+        yield bus.transfer(4096, "gc")
         yield sim.timeout(2.0)
 
     sim.process(mover(sim))
     sim.run()
     expected_each = 4096 / 8000.0
-    assert bus.class_utilization("io") == pytest.approx(
-        expected_each / sim.now)
+    assert bus.busy_time == {"io": expected_each, "gc": expected_each}
     assert bus.utilization() == pytest.approx(2 * expected_each / sim.now)
 
 
 def test_bus_rejects_bad_bandwidth():
     with pytest.raises(ConfigError):
-        SystemBus(Simulator(), bandwidth=-1.0)
+        build_ssd("baseline", base_system_bus_bw=-1.0)
+    with pytest.raises(ValueError):
+        Link(Simulator(), -1.0, name="system_bus", bin_width=1000.0)
 
 
 def test_bus_timeline_split_by_class():
     sim = Simulator()
-    bus = SystemBus(sim, bandwidth=1000.0, bin_width=10.0)
+    bus = Link(sim, 1000.0, name="system_bus", bin_width=10.0)
 
     def mover(sim):
-        yield from bus.transfer(1000, "io")
-        yield from bus.transfer(2000, "gc")
+        yield bus.transfer(1000, "io")
+        yield bus.transfer(2000, "gc")
 
     sim.process(mover(sim))
     sim.run()
@@ -70,11 +73,11 @@ def test_dram_ports_are_independent():
     done = []
 
     def reader(sim):
-        yield from dram.access(4000, direction="read")
+        yield dram.read_link.transfer(4000)
         done.append(("r", sim.now))
 
     def writer(sim):
-        yield from dram.access(4000, direction="write")
+        yield dram.write_link.transfer(4000)
         done.append(("w", sim.now))
 
     sim.process(reader(sim))

@@ -2,8 +2,7 @@
 
 import pytest
 
-from repro.controller import Breakdown, Dram, EccEngine, FlashController, \
-    SystemBus
+from repro.controller import Breakdown, Dram, EccEngine, FlashController
 from repro.core import (
     ArchPreset,
     BaselineDatapath,
@@ -19,10 +18,9 @@ from repro.core import (
     superblock_geometry,
 )
 from repro.errors import ConfigError
-from repro.flash import FlashBackend, FlashChannel, FlashGeometry, PhysAddr, \
-    ULL_TIMING
+from repro.flash import FlashBackend, FlashGeometry, PhysAddr, ULL_TIMING
 from repro.noc import FNoC, Mesh1D
-from repro.sim import Simulator
+from repro.sim import Link, Simulator
 
 GEOM = FlashGeometry(channels=2, ways=1, dies=1, planes=2,
                      blocks_per_plane=4, pages_per_block=4)
@@ -30,10 +28,9 @@ GEOM = FlashGeometry(channels=2, ways=1, dies=1, planes=2,
 
 def make_world(sim, decoupled=False, transport_kind="shared"):
     backend = FlashBackend(sim, GEOM, ULL_TIMING)
-    channels = [FlashChannel(sim, c, 1000.0) for c in range(GEOM.channels)]
-    controllers = [FlashController(sim, c, channels[c], backend)
+    controllers = [FlashController(sim, c, backend, 1000.0)
                    for c in range(GEOM.channels)]
-    bus = SystemBus(sim, 8000.0)
+    bus = Link(sim, 8000.0, name="system_bus")
     dram = Dram(sim, 8000.0)
     if not decoupled:
         ecc = EccEngine(sim, lanes=GEOM.channels)
@@ -90,12 +87,12 @@ def test_copyback_locality():
 
 def test_shared_bus_transport_accounts_system_bus():
     sim = Simulator()
-    bus = SystemBus(sim, 8000.0)
+    bus = Link(sim, 8000.0, name="system_bus")
     transport = SharedBusTransport(sim, bus)
     bd = Breakdown()
     drive(sim, transport.move(0, 1, 4096, bd))
     assert bd.get("system_bus") == pytest.approx(4096 / 8000.0)
-    assert bus.link.busy_time["gc"] == 4096 / bus.bandwidth
+    assert bus.busy_time["gc"] == 4096 / bus.bandwidth
 
 
 def test_dedicated_bus_transport_accounts_fnoc():
@@ -203,10 +200,9 @@ def test_remapper_applied_to_every_access():
         return addr
 
     backend = FlashBackend(sim, GEOM, ULL_TIMING)
-    channels = [FlashChannel(sim, c, 1000.0) for c in range(GEOM.channels)]
-    controllers = [FlashController(sim, c, channels[c], backend)
+    controllers = [FlashController(sim, c, backend, 1000.0)
                    for c in range(GEOM.channels)]
-    datapath = BaselineDatapath(sim, SystemBus(sim, 8000.0),
+    datapath = BaselineDatapath(sim, Link(sim, 8000.0),
                                 Dram(sim, 8000.0),
                                 EccEngine(sim, lanes=2), controllers,
                                 remapper=remapper)
@@ -219,13 +215,12 @@ def test_remapper_applied_to_every_access():
 def test_decoupled_requires_matching_ecc_engines():
     sim = Simulator()
     backend = FlashBackend(sim, GEOM, ULL_TIMING)
-    channels = [FlashChannel(sim, c, 1000.0) for c in range(GEOM.channels)]
-    controllers = [FlashController(sim, c, channels[c], backend)
+    controllers = [FlashController(sim, c, backend, 1000.0)
                    for c in range(GEOM.channels)]
     with pytest.raises(ConfigError):
-        DecoupledDatapath(sim, SystemBus(sim, 8000.0), Dram(sim, 8000.0),
-                          [EccEngine(sim)], controllers,
-                          SharedBusTransport(sim, SystemBus(sim, 8000.0)))
+        bus = Link(sim, 8000.0)
+        DecoupledDatapath(sim, bus, Dram(sim, 8000.0), [EccEngine(sim)],
+                          controllers, SharedBusTransport(sim, bus))
 
 
 # ---------------------------------------------------------------- configs

@@ -1,80 +1,127 @@
-"""Unit tests for the flash bus channel model."""
+"""Unit tests for a flash controller's channel bus.
+
+Each :class:`FlashController` owns one half-duplex flash bus shared by
+every way on its channel; a page transfer costs the page plus the
+command/address overhead.  The tests drive ``program_page`` (bus, then
+array) and read the bus meters and the ``flash_bus`` breakdown.
+"""
 
 import pytest
 
+from repro.controller import FlashController
 from repro.errors import ConfigError
-from repro.flash import FlashChannel
+from repro.flash import FlashBackend, FlashGeometry, PhysAddr, ULL_TIMING
 from repro.sim import Simulator
+
+GEOM = FlashGeometry(channels=1, ways=4, dies=1, planes=1,
+                     blocks_per_plane=2, pages_per_block=4)
+PAGE = ULL_TIMING.page_size
+
+
+def make_controller(bandwidth=1000.0, cmd_overhead_us=0.0):
+    sim = Simulator()
+    backend = FlashBackend(sim, GEOM, ULL_TIMING)
+    return sim, FlashController(sim, 0, backend, bandwidth,
+                                cmd_overhead_us=cmd_overhead_us)
+
+
+def program(controller, way, finish, tag=None, traffic_class="io"):
+    """Generator: program page 0 of *way*; log its bus wait + transfer."""
+    breakdown = yield from controller.program_page(
+        PhysAddr(0, way, 0, 0, 0, 0), traffic_class)
+    finish.append((tag, breakdown.as_dict()["flash_bus"]))
 
 
 def test_transfer_includes_command_overhead():
-    sim = Simulator()
-    channel = FlashChannel(sim, 0, bandwidth=1000.0, cmd_overhead_us=0.2)
-    done = []
-
-    def mover(sim):
-        yield from channel.transfer(4096)
-        done.append(sim.now)
-
-    sim.process(mover(sim))
+    sim, controller = make_controller(cmd_overhead_us=0.2)
+    finish = []
+    sim.process(program(controller, 0, finish))
     sim.run()
-    assert done[0] == pytest.approx(4.096 + 0.2, abs=1e-3)
+    assert finish[0][1] == pytest.approx(4.096 + 0.2, abs=1e-3)
+    assert controller.flash_bus.busy_time["io"] == pytest.approx(4.296)
 
 
 def test_occupancy_formula():
-    sim = Simulator()
-    channel = FlashChannel(sim, 0, bandwidth=1000.0, cmd_overhead_us=0.5)
-    assert channel.occupancy(1000) == pytest.approx(1.5)
+    """Bus service per page = command overhead + page / bandwidth."""
+    sim, controller = make_controller(cmd_overhead_us=0.5)
+    sim.process(program(controller, 0, []))
+    sim.run()
+    assert controller.flash_bus.busy_time["io"] == pytest.approx(
+        0.5 + PAGE / 1000.0)
 
 
 def test_channel_serializes_ways():
-    """Two ways sharing the channel bus transfer one after the other."""
-    sim = Simulator()
-    channel = FlashChannel(sim, 0, bandwidth=1000.0, cmd_overhead_us=0.0)
+    """Ways sharing the channel bus transfer one after the other, and a
+    read's transfer out queues behind a program's transfer in."""
+    sim, controller = make_controller()
     finish = []
-
-    def mover(sim, tag):
-        wait = yield from channel.transfer(1000)
-        finish.append((tag, sim.now, wait))
-
-    sim.process(mover(sim, "a"))
-    sim.process(mover(sim, "b"))
+    sim.process(program(controller, 0, finish, "a"))
+    sim.process(program(controller, 1, finish, "b"))
     sim.run()
-    assert finish[0][1] == pytest.approx(1.0)
-    assert finish[1][1] == pytest.approx(2.0)
-    assert finish[1][2] == pytest.approx(1.0)  # waited behind "a"
+    service = PAGE / 1000.0
+    assert finish == [("a", pytest.approx(service)),
+                      ("b", pytest.approx(2 * service))]  # waited on "a"
+
+    sim, controller = make_controller()
+    controller.backend.mark_block_programmed(PhysAddr(0, 0, 0, 0, 0, 0))
+    read = sim.process(controller.read_page(PhysAddr(0, 0, 0, 0, 0, 0)))
+
+    def program_during_the_array_read(sim):
+        yield sim.timeout(ULL_TIMING.read_mid - 1.0)
+        yield from controller.program_page(PhysAddr(0, 1, 0, 0, 0, 0))
+
+    sim.process(program_during_the_array_read(sim))
+    sim.run()
+    # The read's transfer out waits out the last (service - 1) us of the
+    # program's transfer in, then takes its own service time.
+    assert read.value.as_dict()["flash_bus"] == pytest.approx(
+        (service - 1.0) + service)
 
 
 def test_utilization():
-    sim = Simulator()
-    channel = FlashChannel(sim, 0, bandwidth=100.0, cmd_overhead_us=0.0)
+    sim, controller = make_controller(bandwidth=PAGE / 5.0)
 
     def mover(sim):
-        yield from channel.transfer(500)  # 5 us busy
-        yield sim.timeout(5.0)            # 5 us idle
+        yield from controller.program_page(PhysAddr(0, 0, 0, 0, 0, 0))
+        yield sim.timeout(5.0)
 
     sim.process(mover(sim))
     sim.run()
-    assert channel.utilization() == pytest.approx(0.5)
+    # 5 us on the bus over 5 + 50 (program) + 5 (idle) us.
+    assert controller.flash_bus.utilization() == pytest.approx(5.0 / 60.0)
 
 
 def test_invalid_parameters():
     sim = Simulator()
+    backend = FlashBackend(sim, GEOM, ULL_TIMING)
     with pytest.raises(ConfigError):
-        FlashChannel(sim, 0, bandwidth=0.0)
+        FlashController(sim, 0, backend, bandwidth=0.0)
     with pytest.raises(ConfigError):
-        FlashChannel(sim, 0, bandwidth=10.0, cmd_overhead_us=-1.0)
+        FlashController(sim, 0, backend, bandwidth=10.0,
+                        cmd_overhead_us=-1.0)
 
 
 def test_gc_traffic_class_accounted_separately():
-    sim = Simulator()
-    channel = FlashChannel(sim, 0, bandwidth=1000.0, cmd_overhead_us=0.0)
-
-    def mover(sim):
-        yield from channel.transfer(1000, traffic_class="gc")
-        yield from channel.transfer(2000, traffic_class="io")
-
-    sim.process(mover(sim))
+    sim, controller = make_controller()
+    finish = []
+    sim.process(program(controller, 0, finish, traffic_class="gc"))
+    sim.process(program(controller, 1, finish, traffic_class="io"))
+    sim.process(program(controller, 2, finish, traffic_class="io"))
     sim.run()
-    assert channel.link.busy_time["gc"] == 1000 / channel.bandwidth
-    assert channel.link.busy_time["io"] == 2000 / channel.bandwidth
+    assert controller.flash_bus.busy_time["gc"] == PAGE / 1000.0
+    assert controller.flash_bus.busy_time["io"] == 2 * PAGE / 1000.0
+
+
+def test_gc_transfers_go_first_by_default():
+    """With no explicit priority, a queued ``gc`` transfer is served
+    ahead of ``io`` transfers queued before it."""
+    sim, controller = make_controller()
+    finish = []
+    sim.process(program(controller, 0, finish, "first"))
+    sim.process(program(controller, 1, finish, "io"))
+    sim.process(program(controller, 2, finish, "gc", traffic_class="gc"))
+    sim.run()
+    service = PAGE / 1000.0
+    assert dict(finish) == {"first": pytest.approx(service),
+                            "gc": pytest.approx(2 * service),
+                            "io": pytest.approx(3 * service)}

@@ -22,9 +22,20 @@ def make_backend(sim, **kwargs):
     return FlashBackend(sim, GEOM, ULL_TIMING, **kwargs)
 
 
-def run_op(backend, generator):
-    """Drive one backend operation to completion; return its breakdown."""
-    proc = backend.sim.process(generator)
+def array_op(prepare, addr):
+    """Generator: one array op as a flash controller runs it.
+
+    *prepare* is a backend ``prepare_*`` method; the op then holds the
+    plane it names.  Returns ``(plane wait, array time)``.
+    """
+    plane, duration = prepare(addr)
+    wait = yield from plane.occupy(duration)
+    return wait, duration
+
+
+def run_op(backend, prepare, addr):
+    """Drive one array op to completion; return ``(wait, array time)``."""
+    proc = backend.sim.process(array_op(prepare, addr))
     backend.sim.run()
     return proc.value
 
@@ -33,11 +44,11 @@ def test_program_then_read_timing():
     sim = Simulator()
     backend = make_backend(sim)
     addr = PhysAddr(0, 0, 0, 0, 0, 0)
-    breakdown = run_op(backend, backend.program(addr))
-    assert breakdown.array_time == pytest.approx(50.0)
+    _wait, array_time = run_op(backend, backend.prepare_program, addr)
+    assert array_time == pytest.approx(50.0)
     assert sim.now == pytest.approx(50.0)
-    breakdown = run_op(backend, backend.read(addr))
-    assert breakdown.array_time == pytest.approx(5.0)
+    _wait, array_time = run_op(backend, backend.prepare_read, addr)
+    assert array_time == pytest.approx(5.0)
     assert sim.now == pytest.approx(55.0)
 
 
@@ -45,7 +56,7 @@ def test_read_unwritten_page_rejected():
     sim = Simulator()
     backend = make_backend(sim)
     with pytest.raises(FlashError):
-        run_op(backend, backend.read(PhysAddr(0, 0, 0, 0, 0, 0)))
+        run_op(backend, backend.prepare_read, PhysAddr(0, 0, 0, 0, 0, 0))
 
 
 def test_out_of_order_program_allowed_but_tracked():
@@ -53,8 +64,8 @@ def test_out_of_order_program_allowed_but_tracked():
     each distinct page is programmable exactly once."""
     sim = Simulator()
     backend = make_backend(sim)
-    run_op(backend, backend.program(PhysAddr(0, 0, 0, 0, 0, 2)))
-    run_op(backend, backend.program(PhysAddr(0, 0, 0, 0, 0, 0)))
+    run_op(backend, backend.prepare_program, PhysAddr(0, 0, 0, 0, 0, 2))
+    run_op(backend, backend.prepare_program, PhysAddr(0, 0, 0, 0, 0, 0))
     state = backend.block_state(PhysAddr(0, 0, 0, 0, 0, 0))
     assert state.write_ptr == 2
     assert state.programmed == {0, 2}
@@ -64,16 +75,17 @@ def test_reprogram_without_erase_rejected():
     sim = Simulator()
     backend = make_backend(sim)
     addr = PhysAddr(0, 0, 0, 0, 0, 0)
-    run_op(backend, backend.program(addr))
+    run_op(backend, backend.prepare_program, addr)
     with pytest.raises(FlashError):
-        run_op(backend, backend.program(addr))
+        run_op(backend, backend.prepare_program, addr)
 
 
 def test_sequential_program_allowed():
     sim = Simulator()
     backend = make_backend(sim)
     for page in range(GEOM.pages_per_block):
-        run_op(backend, backend.program(PhysAddr(0, 0, 0, 0, 1, page)))
+        run_op(backend, backend.prepare_program,
+               PhysAddr(0, 0, 0, 0, 1, page))
     state = backend.block_state(PhysAddr(0, 0, 0, 0, 1, 0))
     assert state.write_ptr == GEOM.pages_per_block
 
@@ -82,19 +94,26 @@ def test_erase_resets_write_pointer_and_counts():
     sim = Simulator()
     backend = make_backend(sim)
     addr = PhysAddr(0, 0, 0, 0, 0, 0)
-    run_op(backend, backend.program(addr))
-    run_op(backend, backend.erase(addr))
+    run_op(backend, backend.prepare_program, addr)
+    run_op(backend, backend.prepare_erase, addr)
     assert backend.erase_count(addr) == 1
     state = backend.block_state(addr)
     assert state.write_ptr == 0
     # Reprogramming page 0 is legal again after erase.
-    run_op(backend, backend.program(addr))
+    run_op(backend, backend.prepare_program, addr)
 
 
-def test_discipline_can_be_disabled():
+def test_prepare_erase_updates_state_before_the_plane_is_held():
     sim = Simulator()
-    backend = make_backend(sim, enforce_discipline=False)
-    run_op(backend, backend.read(PhysAddr(0, 0, 0, 0, 0, 7)))
+    backend = make_backend(sim)
+    addr = PhysAddr(0, 1, 0, 1, 2, 0)
+    backend.mark_block_programmed(addr)
+    plane, duration = backend.prepare_erase(addr)
+    assert plane is backend.planes[GEOM.plane_index(addr)]
+    assert duration == ULL_TIMING.erase_us
+    assert backend.erase_count(addr) == 1
+    assert backend.block_state(addr).write_ptr == 0
+    assert sim.now == 0.0 and plane.resource.in_use == 0
 
 
 def test_plane_contention_serializes():
@@ -105,8 +124,9 @@ def test_plane_contention_serializes():
     done = []
 
     def writer(sim, addr):
-        breakdown = yield from backend.program(addr)
-        done.append((sim.now, breakdown.chip_wait))
+        wait, _array_time = yield from array_op(backend.prepare_program,
+                                                addr)
+        done.append((sim.now, wait))
 
     sim.process(writer(sim, addr0))
     sim.process(writer(sim, addr1))
@@ -121,7 +141,7 @@ def test_different_planes_run_in_parallel():
     done = []
 
     def writer(sim, addr):
-        yield from backend.program(addr)
+        yield from array_op(backend.prepare_program, addr)
         done.append(sim.now)
 
     sim.process(writer(sim, PhysAddr(0, 0, 0, 0, 0, 0)))
@@ -149,10 +169,10 @@ def test_prefilled_blocks_share_no_page_state():
     second = PhysAddr(1, 1, 0, 1, 3, 0)
     backend.mark_block_programmed(first)
     backend.mark_block_programmed(second)
-    run_op(backend, backend.erase(first))
+    run_op(backend, backend.prepare_erase, first)
     assert backend.block_state(first).write_ptr == 0
     _assert_fully_programmed(backend, second)
-    run_op(backend, backend.program(first._replace(page=5)))
+    run_op(backend, backend.prepare_program, first._replace(page=5))
     assert backend.block_state(first).programmed == {5}
     _assert_fully_programmed(backend, second)
     backend.mark_block_programmed(first)
@@ -189,23 +209,23 @@ def test_tlc_timing_sampling_within_range():
     backend = FlashBackend(sim, GEOM, TLC_TIMING, deterministic_timing=False,
                            seed=7)
     addr = PhysAddr(0, 0, 0, 0, 0, 0)
-    breakdown = run_op(backend, backend.program(addr))
+    _wait, array_time = run_op(backend, backend.prepare_program, addr)
     low, high = TLC_TIMING.program_us
-    assert low <= breakdown.array_time <= high
+    assert low <= array_time <= high
 
 
 def test_plane_utilization_accounting():
     sim = Simulator()
     backend = make_backend(sim)
     addr = PhysAddr(0, 0, 0, 0, 0, 0)
-    run_op(backend, backend.program(addr))
+    run_op(backend, backend.prepare_program, addr)
 
     def idle(sim):
         yield sim.timeout(50.0)
 
     sim.process(idle(sim))
     sim.run()
-    plane = backend.plane_of(addr)
+    plane = backend.planes[GEOM.plane_index(addr)]
     assert plane.utilization() == pytest.approx(0.5)
     assert backend.mean_plane_utilization() > 0.0
 

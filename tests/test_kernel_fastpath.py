@@ -27,7 +27,7 @@ import pytest
 
 from repro.controller import FlashController
 from repro.errors import FlashError
-from repro.flash import FlashBackend, FlashChannel, FlashGeometry
+from repro.flash import FlashBackend, FlashGeometry
 from repro.flash.timing import ULL_TIMING
 from repro.flash.geometry import PhysAddr
 from repro.reliability import FaultInjector, ReliabilityConfig
@@ -353,8 +353,7 @@ def test_fault_injection_retry_semantics():
         geometry = FlashGeometry(channels=1, ways=1, dies=1, planes=2,
                                  blocks_per_plane=8, pages_per_block=8)
         backend = FlashBackend(sim, geometry, ULL_TIMING)
-        channel = FlashChannel(sim, 0, 1000.0)
-        controller = FlashController(sim, 0, channel, backend)
+        controller = FlashController(sim, 0, backend, 1000.0)
         controller.fault_injector = FaultInjector(
             sim, channel_fault_rate=0.4, die_fault_rate=0.3, seed=7)
 

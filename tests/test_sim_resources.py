@@ -133,7 +133,7 @@ def test_link_per_class_accounting():
     assert link.busy_time["io"] == 500 / link.bandwidth
     assert link.busy_time["gc"] == 300 / link.bandwidth
     assert link.utilization() == pytest.approx(1.0)
-    assert link.class_utilization("gc") == pytest.approx(3.0 / 8.0)
+    assert link.busy_time["gc"] / sim.now == pytest.approx(3.0 / 8.0)
 
 
 def test_link_bandwidth_timeline():
@@ -349,3 +349,43 @@ def test_release_without_grant_drops_oldest_owner_label():
     res.release()
     summary = res.outstanding_summary()
     assert "new" in summary and "old" not in summary
+
+
+def _pool_view(pool):
+    return (pool.available, list(pool._owners.values()),
+            pool.outstanding_summary())
+
+
+def test_refused_token_release_leaves_the_pool_unchanged():
+    from repro.sim import TokenPool
+
+    sim = Simulator()
+    full = TokenPool(sim, capacity=4, name="full")
+    with pytest.raises(RuntimeError, match="over-released"):
+        full.release(1)
+    assert full.available == 4 and full.outstanding_summary() is None
+
+    pool = TokenPool(sim, capacity=4, name="held")
+    pool.acquire(2, owner="x")
+    sim.run()
+    before = _pool_view(pool)
+    assert "x" in before[2]
+    with pytest.raises(RuntimeError, match="over-released"):
+        pool.release(3)
+    assert _pool_view(pool) == before
+
+
+def test_refused_double_cancel_leaves_the_pool_unchanged():
+    from repro.sim import TokenPool
+
+    sim = Simulator()
+    pool = TokenPool(sim, capacity=4, name="held")
+    big = pool.acquire(3, owner="x")
+    pool.acquire(1, owner="y")
+    sim.run()
+    pool.cancel(big)
+    before = _pool_view(pool)
+    assert before[0] == 3 and "y" in before[2]
+    with pytest.raises(RuntimeError, match="over-released"):
+        pool.cancel(big)
+    assert _pool_view(pool) == before
