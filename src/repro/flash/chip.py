@@ -12,7 +12,8 @@ Page *content* is not simulated; the FTL layers track logical validity.
 from __future__ import annotations
 
 import random
-from typing import Dict, FrozenSet, Generator, Iterable, List, Optional, Tuple
+from typing import (Dict, FrozenSet, Generator, Iterable, List, Optional,
+                    Sequence, Tuple)
 
 from ..errors import AddressError, FlashError
 from ..sim import Resource, Simulator
@@ -123,6 +124,8 @@ class FlashBackend:
     update the block state and draw the latency, returning
     ``(plane, duration)``; the flash controller then holds that plane
     through :meth:`FlashPlane.occupy` in its own generator frame.
+    Pre-conditioning marks whole blocks programmed in bulk, by block
+    index, with :meth:`mark_programmed`.
     """
 
     def __init__(self, sim: Simulator, geometry: FlashGeometry,
@@ -230,16 +233,28 @@ class FlashBackend:
         state.erase_count += 1
         return self.planes[plane_id], self.timing.erase_us
 
-    def mark_block_programmed(self, addr: PhysAddr) -> None:
-        """Instantly mark every page of *addr*'s block programmed.
+    def mark_programmed(self, blocks: Sequence[int]) -> None:
+        """Instantly mark every page of each block in *blocks* programmed.
 
         Pre-conditioning hook: lets experiment setup declare prefilled
-        blocks readable without simulating the fill traffic.
+        blocks readable without simulating the fill traffic.  *blocks*
+        are block indices (:meth:`FlashGeometry.block_index`), all
+        range-checked before any state changes.  Each block keeps its
+        own :class:`BlockState` and erase count; its mask becomes the
+        backend's one full-block mask.
         """
-        self.geometry.validate(addr)
-        state = self._block_state_at(
-            self._plane_id(addr) * self._blocks_per_plane + addr[4])
-        state.mask = self._full_mask
+        blocks_total = self.geometry.blocks_total
+        if blocks and (min(blocks) < 0 or max(blocks) >= blocks_total):
+            raise AddressError(
+                f"block index in {min(blocks)}..{max(blocks)} out of "
+                f"range [0, {blocks_total})")
+        states = self._blocks
+        full = self._full_mask
+        for index in blocks:
+            state = states.get(index)
+            if state is None:
+                state = states[index] = BlockState()
+            state.mask = full
 
     # -- checkpointing -----------------------------------------------------------
 

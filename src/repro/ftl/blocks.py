@@ -21,8 +21,9 @@ call into the datapath, from the block's stored address.
 from __future__ import annotations
 
 from collections import deque
-from itertools import product
-from typing import Deque, Dict, FrozenSet, Iterable, List, Optional, Set
+from itertools import filterfalse, product, repeat
+from typing import (Deque, Dict, FrozenSet, Iterable, List, Optional,
+                    Sequence, Set)
 
 from ..errors import AddressError, MappingError
 from ..flash import FlashGeometry, PhysAddr
@@ -100,6 +101,10 @@ class BlockManager:
     ``gc_reserve_blocks`` free blocks per plane are withheld from host
     allocation so garbage collection always has destinations available
     (the standard over-provisioning floor that prevents write deadlock).
+
+    Pre-conditioning lays a plane's filled blocks down in one
+    :meth:`prefill_plane` call, which checks all of them before it
+    changes any.
     """
 
     def __init__(self, geometry: FlashGeometry, gc_reserve_blocks: int = 1):
@@ -119,12 +124,18 @@ class BlockManager:
         blocks_per_plane = geometry.blocks_per_plane
         # Block addresses in hierarchical order, so enumerate() yields
         # each block's index, and every plane's free pool starts with its
-        # blocks in index order.
-        self.blocks: Dict[int, BlockInfo] = dict(enumerate(
-            BlockInfo(PhysAddr._make(position)) for position in product(
+        # blocks in index order.  map() over tuple.__new__ builds the
+        # addresses without a generator or namedtuple frame per block.
+        self.blocks: Dict[int, BlockInfo] = dict(enumerate(map(
+            BlockInfo, map(tuple.__new__, repeat(PhysAddr), product(
                 range(geometry.channels), range(geometry.ways),
                 range(geometry.dies), range(geometry.planes),
-                range(blocks_per_plane), (0,))))
+                range(blocks_per_plane), (0,))))))
+        #: ``1 << offset`` per page offset, for building masks in bulk.
+        #: A dict, so an offset outside the block -- a negative one
+        #: included -- raises ``KeyError`` instead of wrapping round.
+        self._page_bits = {page: 1 << page
+                           for page in range(self._pages_per_block)}
         self._free: List[Deque[int]] = [
             deque(range(base, base + blocks_per_plane))
             for base in range(0, geometry.blocks_total, blocks_per_plane)
@@ -600,29 +611,74 @@ class BlockManager:
 
     # -- instant pre-conditioning ---------------------------------------------
 
-    def prefill_block(self, block: int,
-                      valid_offsets: Iterable[int]) -> None:
-        """Instantly mark a free block FULL with the given valid pages.
+    def prefill_plane(self, plane: int, blocks: Sequence[int],
+                      offsets: Sequence[int]) -> None:
+        """Instantly mark free blocks of one plane FULL with valid pages.
 
         Used by experiment setup to pre-condition a "fully utilized" SSD
-        (paper Sec 6.1) without simulating the fill traffic.
+        (paper Sec 6.1) without simulating the fill traffic.  *offsets*
+        holds each block's valid page offsets in turn, the same number
+        per block: ``blocks[i]`` keeps ``offsets[i * k:(i + 1) * k]``
+        with ``k = len(offsets) // len(blocks)``.
+
+        Everything is checked before anything changes.  A plane out of
+        range, a block outside *plane* or an offset outside
+        ``[0, pages_per_block)`` raises :class:`AddressError`; a block
+        that is not FREE or is listed twice, offsets that do not split
+        evenly over the blocks, or an offset listed twice for one block
+        raise :class:`MappingError`.  The plane's free pool is then
+        rebuilt once, keeping the order of the blocks left in it, and
+        its readiness flags refreshed once.
         """
-        info = self.info(block)
-        pages_per_block = self._pages_per_block
-        try:
-            mask = mask_of(valid_offsets)
-        except ValueError:          # a negative shift: offset < 0
-            mask = -1
-        if mask < 0 or mask >> pages_per_block:
+        self._check_plane(plane)
+        count = len(blocks)
+        per_block, extra = divmod(len(offsets), count) if count \
+            else (0, len(offsets))
+        if extra:
+            raise MappingError(
+                f"{len(offsets)} prefill offsets do not split evenly over "
+                f"{count} blocks of plane {plane}")
+        if not count:
+            return
+        blocks_per_plane = self.geometry.blocks_per_plane
+        base = plane * blocks_per_plane
+        if min(blocks) < base or max(blocks) >= base + blocks_per_plane:
             raise AddressError(
-                f"prefill offset of block {block} outside "
-                f"[0, {pages_per_block})")
-        if info.state != FREE:
-            raise MappingError(f"prefill of non-free block {info.addr}")
-        plane = block // self.geometry.blocks_per_plane
-        self._free[plane].remove(block)
-        self.free_blocks -= 1
-        info.state = FULL
-        info.write_ptr = pages_per_block
-        info.mask = mask
+                f"prefill of a block outside plane {plane}'s range "
+                f"[{base}, {base + blocks_per_plane})")
+        filled = set(blocks)
+        if len(filled) != count:
+            raise MappingError(f"prefill lists a block of plane {plane} "
+                               f"twice")
+        infos = list(map(self.blocks.__getitem__, blocks))
+        for info in infos:
+            if info.state != FREE:
+                raise MappingError(f"prefill of non-free block {info.addr}")
+        pages_per_block = self._pages_per_block
+        if per_block:
+            # One k-tuple of page bits per block, summed: no Python
+            # frame per block or per page.  A repeated offset would
+            # carry into another bit, so the bit counts must add up.
+            try:
+                masks = list(map(sum, zip(*[map(
+                    self._page_bits.__getitem__, offsets)] * per_block)))
+            except KeyError:
+                raise AddressError(
+                    f"prefill offset in plane {plane} outside "
+                    f"[0, {pages_per_block})") from None
+            if sum(map(int.bit_count, masks)) != len(offsets):
+                raise MappingError(
+                    f"prefill lists a page of a block of plane {plane} "
+                    f"twice")
+        else:
+            masks = repeat(0)
+        for info, mask in zip(infos, masks):
+            info.state = FULL
+            info.write_ptr = pages_per_block
+            info.mask = mask
+        # A new deque, not clear() and extend(): a cleared deque keeps its
+        # old block as a spare, 528 bytes per plane held for good.
+        self._free[plane] = deque(filterfalse(filled.__contains__,
+                                              self._free[plane]))
+        self.free_blocks -= count
         self._refresh_plane(plane)

@@ -11,13 +11,17 @@ design principles ("minimize the impact on FTL").
 from __future__ import annotations
 
 import random
+from array import array
+from functools import lru_cache
+from itertools import chain, repeat
+from operator import add
 from typing import Dict, Generator, List
 
 from ..controller import Breakdown, HostInterface
 from ..errors import ConfigError, MappingError
 from ..flash import FlashGeometry
 from ..sim import LatencyStats, Simulator, Store, TimeBins
-from .blocks import BlockManager
+from .blocks import FREE, BlockManager
 from .gc import GarbageCollector
 from .mapping import PageMappingTable
 from .request import READ, TRIM, WRITE, IoRequest
@@ -41,6 +45,32 @@ class _DiscardBreakdown:
 
 
 _DISCARD = _DiscardBreakdown()
+
+
+@lru_cache(maxsize=8)
+def _prefill_draws(seed: int, pages_per_block: int, n_valid: int,
+                   blocks: int) -> memoryview:
+    """The valid page offsets :meth:`Ftl.prefill` draws for *blocks*
+    filled blocks, in draw order.
+
+    One ``rng.sample(range(pages_per_block), n_valid)`` per block from
+    ``random.Random(seed)``.  A sample uses the generator the same way
+    whichever block it is for, so the sequence depends on these four
+    arguments alone, and devices that share them -- the points of one
+    figure -- share one draw per process.  Only draws are cached, never
+    device state, so a cold prefill and a warm one run the same
+    lay-down.  A draw is a read-only view of packed unsigned offsets,
+    one byte each up to 256 pages per block and two beyond: no Python
+    object per offset.
+    """
+    typecode = ("B" if pages_per_block <= 1 << 8
+                else "H" if pages_per_block <= 1 << 16 else "I")
+    rng = random.Random(seed)
+    page_offsets = range(pages_per_block)
+    draws = array(typecode)
+    for _ in range(blocks):
+        draws.extend(rng.sample(page_offsets, n_valid))
+    return memoryview(draws.tobytes()).cast(typecode)
 
 
 class Ftl:
@@ -427,8 +457,8 @@ class Ftl:
 
     # -- pre-conditioning -------------------------------------------------------------
 
-    def prefill(self, fill_fraction: float = 0.9,
-                valid_ratio: float = 0.6, seed: int = 1) -> int:
+    def prefill(self, fill_fraction: float, valid_ratio: float,
+                seed: int) -> int:
         """Instantly pre-condition the device (paper Sec 6.1).
 
         Marks ``fill_fraction`` of all blocks FULL; each filled block
@@ -442,6 +472,13 @@ class Ftl:
         up to every block in a plane would otherwise pre-condition the
         device into a state garbage collection can never escape (no
         scratch block to relocate valid pages into).
+
+        The page offsets come from :func:`_prefill_draws`, drawn once
+        per process for each ``(seed, pages_per_block, n_valid, blocks
+        filled)``.  Each plane is then laid down in bulk: one
+        :meth:`BlockManager.prefill_plane` and one
+        :meth:`PageMappingTable.bind_run` per plane, and one
+        :meth:`FlashBackend.mark_programmed` for the device.
         """
         if not 0.0 < fill_fraction <= 1.0:
             raise ConfigError(f"fill_fraction out of (0,1]: {fill_fraction}")
@@ -451,7 +488,6 @@ class Ftl:
             raise ConfigError(
                 f"prefill needs an empty mapping table; it holds "
                 f"{len(self.mapping)} lpns")
-        rng = random.Random(seed)
         geometry = self.geometry
         pages_per_block = geometry.pages_per_block
         blocks_per_plane = geometry.blocks_per_plane
@@ -459,28 +495,40 @@ class Ftl:
         fill_cap = blocks_per_plane - self.blocks.gc_reserve_blocks
         fill_per_plane = min(fill_per_plane, max(fill_cap, 0))
         n_valid = int(round(pages_per_block * valid_ratio))
-        page_offsets = range(pages_per_block)
         infos = self.blocks.blocks
-        backend = getattr(self.datapath, "backend", None)
-        lpn = 0
+        # The block table's own keys, in index order: the backend's table
+        # of programmed blocks then shares these int objects instead of
+        # holding one more int per filled block for the device's life.
+        numbers = list(infos)
         # Fill plane-by-plane so the surviving free blocks are spread
         # evenly across channels -- a linear fill would leave every free
         # block on the last channel and hotspot all future allocation.
-        for base in range(0, geometry.blocks_total, blocks_per_plane):
-            ppns: List[int] = []
-            for block_index in range(base, base + fill_per_plane):
-                info = infos[block_index]
-                if info.state != "free":
-                    continue
-                offsets = rng.sample(page_offsets, n_valid)
-                self.blocks.prefill_block(block_index, offsets)
-                first_ppn = block_index * pages_per_block
-                ppns.extend([first_ppn + offset for offset in offsets])
-                if backend is not None:
-                    # The datapath may remap logical block positions
-                    # (SRT); the *physical* block must read as written.
-                    backend.mark_block_programmed(
-                        self.datapath.remap(info.addr))
-            self.mapping.bind_run(lpn, ppns)
-            lpn += len(ppns)
+        plan = [[block for block in numbers[base:base + fill_per_plane]
+                 if infos[block].state == FREE]
+                for base in range(0, geometry.blocks_total, blocks_per_plane)]
+        draws = _prefill_draws(seed, pages_per_block, n_valid,
+                                     sum(map(len, plan)))
+        # Block i of the fill maps LPNs i * n_valid onwards, so an LPN
+        # is also its page's position in the draw.
+        lpn = 0
+        for plane, blocks in enumerate(plan):
+            end = lpn + len(blocks) * n_valid
+            offsets = draws[lpn:end]
+            self.blocks.prefill_plane(plane, blocks, offsets)
+            # A bind per plane keeps set-up's temporaries small.
+            first_ppns = [block * pages_per_block for block in blocks]
+            self.mapping.bind_run(lpn, list(map(
+                add, offsets, chain.from_iterable(
+                    map(repeat, first_ppns, repeat(n_valid))))))
+            lpn = end
+        backend = getattr(self.datapath, "backend", None)
+        if backend is not None:
+            filled = list(chain.from_iterable(plan))
+            if self.datapath.remapper is not None:
+                # The datapath may remap logical block positions (SRT);
+                # the *physical* block must read as written.
+                remap = self.datapath.remap
+                filled = [geometry.block_index(remap(infos[block].addr))
+                          for block in filled]
+            backend.mark_programmed(filled)
         return lpn

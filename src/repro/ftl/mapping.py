@@ -15,6 +15,7 @@ pair of dicts with an int object per entry took about 7 MB.
 from __future__ import annotations
 
 from array import array
+from operator import itemgetter
 from typing import Iterator, Optional, Sequence, Tuple
 
 from ..errors import MappingError
@@ -137,15 +138,23 @@ class PageMappingTable:
             raise self._range_error(("lpn", first_lpn), ("lpn", end_lpn - 1),
                                     ("ppn", low), ("ppn", high))
         forward, reverse = self._forward, self._reverse
+        # Each check runs in C, with no Python frame per page: slice
+        # counts, a set size and, unless the run's whole PPN span is
+        # unmapped (always so in a prefill), one itemgetter read of
+        # every PPN's reverse slot (a one-item getter returns the bare
+        # value, not a tuple).
         if forward[first_lpn:end_lpn].count(UNMAPPED) != count:
             raise MappingError(f"bind_run over a bound lpn in "
                                f"[{first_lpn}, {end_lpn})")
-        if any(reverse[ppn] >= 0 for ppn in ppns):
-            raise MappingError("bind_run onto a ppn that holds an lpn")
+        if reverse[low:high + 1].count(UNMAPPED) != high + 1 - low:
+            held = (itemgetter(*ppns)(reverse) if count > 1
+                    else (reverse[low],))
+            if max(held) >= 0:
+                raise MappingError("bind_run onto a ppn that holds an lpn")
         if len(set(ppns)) != count:
             raise MappingError("bind_run maps two lpns to one ppn")
         forward[first_lpn:end_lpn] = array("i", ppns)
-        for lpn, ppn in enumerate(ppns, first_lpn):
+        for ppn, lpn in zip(ppns, range(first_lpn, end_lpn)):
             reverse[ppn] = lpn
         self._count += count
 

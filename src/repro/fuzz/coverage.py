@@ -45,6 +45,14 @@ from ..reliability import (  # noqa: E402,F401  (placement is the point)
     ladder as _ladder,
     rber as _rber,
 )
+# Prefill memoizes its random draw per process, so whether the draw's
+# body runs depends on which devices this process prefilled before, not
+# on the genome.  Its code is never traced, which keeps coverage a
+# function of the genome alone.
+from ..ftl.ftl import _prefill_draws  # noqa: E402
+
+_UNTRACED = (_prefill_draws.__wrapped__.__code__,)
+
 
 def _watch_key(filename: str) -> Optional[str]:
     """Relative module key for a watched file, else None."""
@@ -67,7 +75,8 @@ class CoverageCollector:
 
     def __init__(self) -> None:
         self.edges: Set[str] = set()
-        self._keys: dict = {}   # code object -> watch key or None
+        #: code object -> watch key, or None for code left untraced.
+        self._keys: dict = dict.fromkeys(_UNTRACED)
         self._gc_was_enabled = True
 
     def _key_for(self, code) -> Optional[str]:

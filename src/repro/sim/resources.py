@@ -111,15 +111,25 @@ class Resource:
         ``request()`` and ``release()`` calls this from a ``finally``.
         If the grant already fired the slot is released; if it is still
         queued it is lazily discarded so a later :meth:`release` does
-        not wake a waiter that no longer exists.
+        not wake a waiter that no longer exists.  A granted request
+        returns its slot once: the grant's value is cleared then, and a
+        second cancel raises ``RuntimeError`` with nothing changed,
+        rather than freeing a slot another holder owns.
         """
-        self._owners.pop(grant, None)
         if grant._triggered:
+            if grant._value is not self:
+                raise RuntimeError(
+                    f"resource {self.name!r}: cancel of a grant whose "
+                    f"slot was already returned")
             if self._in_use <= 0:
                 raise RuntimeError(
                     f"release on idle resource {self.name!r}")
+            self._owners.pop(grant, None)
+            grant._value = None
             self._release_slot()
-        elif grant not in self._cancelled:
+            return
+        self._owners.pop(grant, None)
+        if grant not in self._cancelled:
             self._cancelled.add(grant)
 
     def outstanding_summary(self) -> Optional[str]:
@@ -218,10 +228,19 @@ class TokenPool:
 
         If the grant already fired, its token count (the grant value) is
         returned to the pool; if it is still queued it is removed so the
-        tokens are never handed out.
+        tokens are never handed out.  A granted acquire returns its
+        tokens once: the grant's value drops to 0 then, and a second
+        cancel raises ``RuntimeError`` with nothing changed, rather than
+        returning tokens another holder owns.
         """
         if grant._triggered:
-            self._release_tokens(grant.value)
+            count = grant._value
+            if not count:
+                raise RuntimeError(
+                    f"token pool {self.name!r} over-released: cancel of a "
+                    f"grant whose tokens were already returned")
+            self._release_tokens(count)
+            grant._value = 0
             self._owners.pop(grant, None)
             return
         self._owners.pop(grant, None)

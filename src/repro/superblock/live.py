@@ -138,7 +138,6 @@ class LiveDynamicSuperblocks:
         new_block = self.subblock_addr(target_sb, channel)
         info = self.ssd.blocks.info(self.subblock_index(superblock, channel))
         datapath = self.ssd.datapath
-        backend = datapath.backend
         # The recycled block still holds its previous superblock's data:
         # erase it before the copyback stream programs it.
         yield from datapath.gc_erase(new_block, apply_remap=False)
@@ -148,7 +147,8 @@ class LiveDynamicSuperblocks:
             yield from datapath.gc_move(src, dst, apply_remap=False)
             self.recycled_pages_copied += 1
         # The recycled block now mirrors the dead one; activate the remap.
-        backend.mark_block_programmed(new_block)
+        datapath.backend.mark_programmed(
+            [self.subblock_index(target_sb, channel)])
         self._pending.discard(key)
         self.recycle_copies += 1
 

@@ -49,7 +49,7 @@ def make_world(sim, decoupled=False, transport_kind="shared"):
 
 
 def prefill_source(datapath, addr):
-    datapath.backend.mark_block_programmed(addr)
+    datapath.backend.mark_programmed([GEOM.block_index(addr)])
 
 
 def drive(sim, gen):
@@ -207,7 +207,7 @@ def test_remapper_applied_to_every_access():
                                 EccEngine(sim, lanes=2), controllers,
                                 remapper=remapper)
     addr = PhysAddr(0, 0, 0, 0, 0, 0)
-    backend.mark_block_programmed(addr)
+    backend.mark_programmed([GEOM.block_index(addr)])
     drive(sim, datapath.io_read_flash(addr, Breakdown()))
     assert mapped["called"] == 1
 

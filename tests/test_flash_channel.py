@@ -63,7 +63,7 @@ def test_channel_serializes_ways():
                       ("b", pytest.approx(2 * service))]  # waited on "a"
 
     sim, controller = make_controller()
-    controller.backend.mark_block_programmed(PhysAddr(0, 0, 0, 0, 0, 0))
+    controller.backend.mark_programmed([0])
     read = sim.process(controller.read_page(PhysAddr(0, 0, 0, 0, 0, 0)))
 
     def program_during_the_array_read(sim):

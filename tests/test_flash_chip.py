@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.errors import FlashError
+from repro.errors import AddressError, FlashError
 from repro.flash import (
     FlashBackend,
     FlashGeometry,
@@ -107,7 +107,7 @@ def test_prepare_erase_updates_state_before_the_plane_is_held():
     sim = Simulator()
     backend = make_backend(sim)
     addr = PhysAddr(0, 1, 0, 1, 2, 0)
-    backend.mark_block_programmed(addr)
+    backend.mark_programmed([GEOM.block_index(addr)])
     plane, duration = backend.prepare_erase(addr)
     assert plane is backend.planes[GEOM.plane_index(addr)]
     assert duration == ULL_TIMING.erase_us
@@ -167,16 +167,24 @@ def test_prefilled_blocks_share_no_page_state():
     backend = make_backend(sim)
     first = PhysAddr(0, 0, 0, 0, 0, 0)
     second = PhysAddr(1, 1, 0, 1, 3, 0)
-    backend.mark_block_programmed(first)
-    backend.mark_block_programmed(second)
+    backend.mark_programmed([GEOM.block_index(first),
+                             GEOM.block_index(second)])
     run_op(backend, backend.prepare_erase, first)
     assert backend.block_state(first).write_ptr == 0
     _assert_fully_programmed(backend, second)
     run_op(backend, backend.prepare_program, first._replace(page=5))
     assert backend.block_state(first).programmed == {5}
     _assert_fully_programmed(backend, second)
-    backend.mark_block_programmed(first)
+    backend.mark_programmed([GEOM.block_index(first)])
     _assert_fully_programmed(backend, first)
+
+
+@pytest.mark.parametrize("blocks", [[0, GEOM.blocks_total], [-1, 1]])
+def test_mark_programmed_checks_every_index_first(blocks):
+    backend = make_backend(Simulator())
+    with pytest.raises(AddressError):
+        backend.mark_programmed(blocks)
+    assert not backend._blocks
 
 
 def test_programmed_is_a_read_only_view():

@@ -28,6 +28,11 @@ def page_of(ppn):
     return ppn % GEOM.pages_per_block
 
 
+def prefill(mgr, block, offsets):
+    """Prefill one block with *offsets* valid through the per-plane form."""
+    mgr.prefill_plane(block // GEOM.blocks_per_plane, [block], list(offsets))
+
+
 def test_initial_state_all_free():
     mgr = make_manager()
     assert mgr.free_blocks == GEOM.blocks_total
@@ -153,27 +158,68 @@ def test_mark_bad_removes_from_pool():
 
 
 def test_prefill_block():
+    """One call lays down several blocks of a plane, each with its own
+    run of offsets, and rebuilds the plane's pool and readiness once."""
     mgr = make_manager()
-    mgr.prefill_block(2, {0, 2})
-    info = mgr.info(2)
-    assert info.state == FULL
-    assert info.valid == {0, 2}
-    assert mgr.free_blocks == GEOM.blocks_total - 1
+    mgr.prefill_plane(0, [2, 1], [0, 2, 3, 1])
+    assert [mgr.info(2).state, mgr.info(1).state] == [FULL, FULL]
+    assert mgr.info(2).valid == {0, 2} and mgr.info(1).valid == {1, 3}
+    assert mgr.info(1).write_ptr == GEOM.pages_per_block
+    assert mgr.free_blocks == GEOM.blocks_total - 2
+    assert list(mgr._free[0]) == [0, 3]
+    assert mgr.host_ready_count == GEOM.planes_total
+    # Down to the GC reserve: the plane stops serving host allocations.
+    mgr.prefill_plane(0, [0], [])
+    assert mgr.info(0).state == FULL and mgr.info(0).mask == 0
+    assert list(mgr._free[0]) == [3]
+    assert mgr.host_ready_count == GEOM.planes_total - 1
     with pytest.raises(MappingError):
-        mgr.prefill_block(2, {1})
+        mgr.prefill_plane(0, [2], [1])
 
 
 @pytest.mark.parametrize("offset", [-1, GEOM.pages_per_block])
 def test_prefill_block_rejects_offsets_outside_the_block(offset):
     mgr = make_manager()
+    before = mgr.state_dict()
     with pytest.raises(AddressError):
-        mgr.prefill_block(2, {0, offset})
+        mgr.prefill_plane(0, [2, 3], [0, 1, 2, offset])
+    assert mgr.state_dict() == before
     assert mgr.info(2).state == FREE
+
+
+def _allocate_in_block_zero(mgr):
+    mgr.commit_page(mgr.allocate_page(plane=0), valid=True)
+
+
+@pytest.mark.parametrize("prepare,blocks,offsets,error", [
+    (None, [1, GEOM.blocks_per_plane], [0, 1], AddressError),
+    (None, [1], [-1], AddressError),
+    (None, [1], [GEOM.pages_per_block], AddressError),
+    (_allocate_in_block_zero, [1, 0], [0, 1], MappingError),
+    (lambda mgr: mgr.mark_bad(3), [3], [0], MappingError),
+    (None, [1, 1], [0, 1], MappingError),
+    (None, [1, 2], [0, 1, 2], MappingError),
+    (None, [1, 2], [0, 0, 1, 2], MappingError),
+    (None, [], [0], MappingError),
+], ids=["other-plane", "negative-offset", "offset-past-block", "active",
+        "bad", "repeated-block", "uneven-offsets", "repeated-offset",
+        "offsets-without-blocks"])
+def test_prefill_plane_refuses_before_it_changes_anything(
+        prepare, blocks, offsets, error):
+    mgr = make_manager()
+    if prepare is not None:
+        prepare(mgr)
+    before = mgr.state_dict()
+    ready = (mgr.host_ready_count, list(mgr._host_ready))
+    with pytest.raises(error):
+        mgr.prefill_plane(0, blocks, offsets)
+    assert mgr.state_dict() == before
+    assert (mgr.host_ready_count, list(mgr._host_ready)) == ready
 
 
 def test_valid_is_a_read_only_view():
     mgr = make_manager()
-    mgr.prefill_block(2, [3, 1])
+    prefill(mgr, 2, [3, 1])
     info = mgr.info(2)
     assert info.mask == 0b1010
     assert info.valid == {1, 3} and info.valid_count == 2
@@ -191,7 +237,7 @@ def test_valid_is_a_read_only_view():
 
 def test_valid_pages_of_sorted():
     mgr = make_manager()
-    mgr.prefill_block(1, {3, 0, 1})
+    prefill(mgr, 1, {3, 0, 1})
     pages = mgr.valid_pages_of(1)
     assert [page_of(p) for p in pages] == [0, 1, 3]
     assert all(block_of(p) == 1 for p in pages)
@@ -252,9 +298,9 @@ def test_host_never_drains_gc_opened_active_block():
 def test_pick_victim_skips_fully_valid_blocks():
     """Collecting a 100%-valid block frees nothing: never pick one."""
     mgr = make_manager()
-    mgr.prefill_block(0, set(range(GEOM.pages_per_block)))
+    prefill(mgr, 0, range(GEOM.pages_per_block))
     assert mgr.pick_victim(0) is None
-    mgr.prefill_block(1, {0, 1})
+    prefill(mgr, 1, {0, 1})
     victim = mgr.pick_victim(0)
     assert victim is not None
     assert victim == 1
@@ -282,7 +328,9 @@ _INTEGER_ENTRY_POINTS = [
     ("unclaim", lambda mgr, n: mgr.unclaim(n), "blocks_total"),
     ("release_block", lambda mgr, n: mgr.release_block(n), "blocks_total"),
     ("mark_bad", lambda mgr, n: mgr.mark_bad(n), "blocks_total"),
-    ("prefill_block", lambda mgr, n: mgr.prefill_block(n, {0}),
+    ("prefill_plane", lambda mgr, n: mgr.prefill_plane(n, [], []),
+     "planes_total"),
+    ("prefill_plane_block", lambda mgr, n: mgr.prefill_plane(0, [n], [0]),
      "blocks_total"),
     ("page_addr", lambda mgr, n: mgr.page_addr(n), "pages_total"),
     ("mark_valid", lambda mgr, n: mgr.mark_valid(n), "pages_total"),
@@ -323,7 +371,7 @@ GEOM8 = FlashGeometry(channels=1, ways=1, dies=1, planes=2,
 def _checkpoint():
     """A checkpoint with a FULL block (0) and an ACTIVE one (4)."""
     mgr = BlockManager(GEOM8, gc_reserve_blocks=1)
-    mgr.prefill_block(0, {1, 5})
+    mgr.prefill_plane(0, [0], [1, 5])
     page = mgr.allocate_page(plane=1)
     mgr.commit_page(page, valid=True)
     return mgr.state_dict()

@@ -46,17 +46,18 @@ def make_world(policy="pagc", valid_per_block=2, filled_fraction=0.9,
     lpn = 0
     n_fill = int(GEOM.blocks_total * filled_fraction)
     filled = 0
+    offsets = list(range(valid_per_block))
     for plane in range(GEOM.planes_total):
-        for offset in range(GEOM.blocks_per_plane):
-            if filled >= n_fill:
-                break
-            block = plane * GEOM.blocks_per_plane + offset
-            offsets = set(range(valid_per_block))
-            blocks.prefill_block(block, offsets)
+        base = plane * GEOM.blocks_per_plane
+        plane_blocks = list(range(base, base + GEOM.blocks_per_plane))
+        plane_blocks = plane_blocks[:n_fill - filled]
+        blocks.prefill_plane(plane, plane_blocks,
+                             offsets * len(plane_blocks))
+        for block in plane_blocks:
             for page in offsets:
                 mapping.bind(lpn, block * GEOM.pages_per_block + page)
                 lpn += 1
-            filled += 1
+        filled += len(plane_blocks)
     gc = GarbageCollector(sim, mapping, blocks, datapath, host=StubHost(),
                           policy=policy, **gc_kwargs)
     return sim, mapping, blocks, datapath, gc

@@ -7,6 +7,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.ftl.ftl import _prefill_draws
 from repro.fuzz.canary import CANARY_ENV
 from repro.fuzz.corpus import Corpus
 from repro.fuzz.engine import SMOKE_EXECS, SMOKE_MIN_EDGES, run_fuzz
@@ -152,6 +153,9 @@ def test_corpus_pick_weighted_and_deterministic():
 
 def test_executor_is_deterministic_and_covers_watched_code():
     genome = make_seeds()[1]
+    # The first run draws prefill's offsets, the second reuses them:
+    # coverage must not tell the two apart.
+    _prefill_draws.cache_clear()
     first = execute(genome)
     second = execute(genome)
     assert first == second

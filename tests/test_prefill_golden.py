@@ -12,11 +12,16 @@ The values in :data:`GOLDEN` were recorded with the address-based
 prefill (one ``PhysAddr`` and one ``ppn_of`` per mapped page), before
 set-up moved onto integer block and page indices.  A mismatch message
 prints the digest actually observed.
+
+Prefill draws its page offsets once per process for each key (see
+``repro.ftl.ftl._prefill_draws``), so each case is checked cold, warm
+and after a device with another key.
 """
 
 import gc
 import hashlib
 import json
+import random
 import tracemalloc
 
 import pytest
@@ -24,6 +29,7 @@ import pytest
 from repro.core import build_ssd, sim_geometry
 from repro.errors import ConfigError
 from repro.flash import PhysAddr
+from repro.ftl.ftl import _prefill_draws
 from repro.reliability import ReliabilityConfig
 from repro.superblock import LiveDynamicSuperblocks
 
@@ -112,11 +118,50 @@ CASES = {
 }
 
 
+#: A case whose prefill draws with another key (seed, ratio or
+#: geometry) than the case it is interleaved with.
+_OTHER_KEY = {"valid_ratio_zero": "baseline_default"}
+
+
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_prefill_state_matches_golden(name):
-    observed = prefill_digest(CASES[name]())
-    assert observed == GOLDEN[name], (
+    """Cold (no cached draw), warm (a second device in this process)
+    and interleaved (after a device with another draw key) prefills
+    all give the recorded digest."""
+    _prefill_draws.cache_clear()
+    observed = {"cold": prefill_digest(CASES[name]())}
+    assert _prefill_draws.cache_info().misses == 1
+    observed["warm"] = prefill_digest(CASES[name]())
+    assert _prefill_draws.cache_info().hits == 1
+    prefill_digest(CASES[_OTHER_KEY.get(name, "valid_ratio_zero")]())
+    assert _prefill_draws.cache_info().misses == 2
+    observed["interleaved"] = prefill_digest(CASES[name]())
+    assert _prefill_draws.cache_info().hits == 2
+    assert observed == dict.fromkeys(observed, GOLDEN[name]), (
         f"prefill digest of {name!r} changed: observed {observed!r}")
+
+
+def test_a_warm_prefill_draws_no_sample(monkeypatch):
+    """The second device with one key reuses the first one's draw: it
+    never calls ``random.Random.sample``, where a cold prefill calls it
+    once per filled block."""
+    calls = []
+    sample = random.Random.sample
+
+    def counting_sample(self, *args, **kwargs):
+        calls.append(args)
+        return sample(self, *args, **kwargs)
+
+    _prefill_draws.cache_clear()
+    cold, warm = (build_ssd("baseline", geometry=_LIVE_GEOMETRY)
+                  for _ in range(2))
+    monkeypatch.setattr(random.Random, "sample", counting_sample)
+    cold.prefill()
+    assert len(calls) == _count(cold, "full") > 0
+    calls.clear()
+    warm.prefill()
+    assert calls == []
+    assert prefill_digest(warm) == prefill_digest(cold)
 
 
 def _count(ssd, state):
@@ -157,7 +202,7 @@ def test_prefill_needs_an_empty_mapping():
     ssd = build_ssd("baseline", geometry=_LIVE_GEOMETRY)
     ssd.mapping.bind(0, 0)
     with pytest.raises(ConfigError, match="empty mapping"):
-        ssd.ftl.prefill()
+        ssd.ftl.prefill(fill_fraction=0.85, valid_ratio=0.45, seed=1)
     with pytest.raises(ConfigError, match="empty mapping"):
         ssd.prefill()
     # Nothing was filled before the check fired.
@@ -177,8 +222,10 @@ def test_prefilled_default_device_fits_in_4_mb():
 
     Two dicts with an int object per entry put the default baseline
     device at about 10 MB after prefill; two ``array('i')`` tables of
-    ``pages_total`` slots each bring it to about 3.5 MB.
+    ``pages_total`` slots each bring it to about 3.5 MB.  The draw cache
+    is cleared first, so the bound covers the draw prefill caches too.
     """
+    _prefill_draws.cache_clear()
     gc.collect()
     tracemalloc.start()
     try:

@@ -389,3 +389,54 @@ def test_refused_double_cancel_leaves_the_pool_unchanged():
     with pytest.raises(RuntimeError, match="over-released"):
         pool.cancel(big)
     assert _pool_view(pool) == before
+
+
+def test_second_cancel_of_a_granted_acquire_is_refused():
+    """A second cancel of one grant must not hand back tokens another
+    holder owns, even where the pool has room for them."""
+    from repro.sim import TokenPool
+
+    sim = Simulator()
+    pool = TokenPool(sim, capacity=4, name="held")
+    x_grant = pool.acquire(2, owner="x")
+    pool.acquire(2, owner="y")
+    sim.run()
+    pool.cancel(x_grant)
+    before = _pool_view(pool)
+    assert before[0] == 2 and "y" in before[2]
+    with pytest.raises(RuntimeError, match="already returned"):
+        pool.cancel(x_grant)
+    assert _pool_view(pool) == before
+
+
+def _resource_view(res):
+    return (res.in_use, res.queue_length, list(res._owners.values()),
+            res.outstanding_summary())
+
+
+def test_second_cancel_of_a_granted_request_is_refused():
+    """A second cancel of one grant must not free the slot another
+    holder owns, nor the one a waiter was just handed."""
+    sim = Simulator()
+    res = Resource(sim, capacity=2, name="pair")
+    a_grant = res.request(owner="a")
+    res.request(owner="b")
+    sim.run()
+    res.cancel(a_grant)
+    before = _resource_view(res)
+    assert before[0] == 1 and "b" in before[3]
+    with pytest.raises(RuntimeError, match="already returned"):
+        res.cancel(a_grant)
+    assert _resource_view(res) == before
+
+    single = Resource(sim, capacity=1, name="single")
+    first = single.request(owner="first")
+    single.request(owner="second")
+    sim.run()
+    single.cancel(first)
+    sim.run()
+    before = _resource_view(single)
+    assert before[0] == 1 and "second" in before[3]
+    with pytest.raises(RuntimeError, match="already returned"):
+        single.cancel(first)
+    assert _resource_view(single) == before
