@@ -325,21 +325,49 @@ class SimulatedSSD:
         if self.frontend is not None:
             self.frontend.reset_stats()
 
-    def _check_deadline(self, duration_us: Optional[float]) -> None:
-        """*duration_us* is an absolute stop time; it may not be past."""
-        if duration_us is not None and duration_us < self.sim.now:
-            raise ConfigError(
-                f"duration_us={duration_us} is before the device clock "
-                f"({self.sim.now} us); it is an absolute stop time")
+    def _start(self, workloads: List[Tuple[object, int]],
+               duration_us: Optional[float], warmup_us: float,
+               trigger_gc: bool) -> None:
+        """The start-up :meth:`run` and :meth:`run_tenants` share.
 
-    def _check_warmup(self, warmup_us: float, duration_us: float) -> None:
-        """The warmup, a delay from now, must end before the absolute
-        stop time *duration_us*."""
-        if warmup_us and self.sim.now + warmup_us >= duration_us:
-            raise ConfigError(
-                f"warmup_us={warmup_us} from the device clock "
-                f"({self.sim.now} us) must end before duration_us="
-                f"{duration_us}")
+        Checks the stop time and the warmup, prefills, starts the
+        flushers and the wear leveler, arms the warmup timer, binds
+        each ``(workload, seed)`` in *workloads*, and gives GC its
+        first chance to start; the caller then starts its drivers.
+        *duration_us* is an absolute stop time, so it may not be past;
+        the warmup, a delay from now, must end before it.
+        """
+        now = self.sim.now
+        if duration_us is None:
+            if warmup_us:
+                # Without a stop time the run drains the queue, warmup
+                # timer included: it would idle the clock past the last
+                # request and then discard every measurement.
+                raise ConfigError(
+                    f"warmup_us={warmup_us} needs a duration_us to end "
+                    "before; a max_requests-only run has none")
+        else:
+            if warmup_us and now + warmup_us >= duration_us:
+                raise ConfigError(
+                    f"warmup_us={warmup_us} from the device clock "
+                    f"({now} us) must end before duration_us="
+                    f"{duration_us}")
+            if duration_us < now:
+                raise ConfigError(
+                    f"duration_us={duration_us} is before the device clock "
+                    f"({now} us); it is an absolute stop time")
+        self.prefill()
+        self.ftl.start()
+        if self.wear_leveler is not None:
+            self.wear_leveler.start()
+        self._io_bytes_snapshot = 0.0
+        if warmup_us > 0:
+            self.sim.schedule(warmup_us, self._reset_measurements)
+        page_size = self.config.geometry.page_size
+        for workload, seed in workloads:
+            workload.bind(self.lpn_space, page_size, seed)
+        if trigger_gc:
+            self.gc.maybe_trigger()
 
     def run(self, workload, duration_us: Optional[float] = None,
             max_requests: Optional[int] = None,
@@ -359,27 +387,8 @@ class SimulatedSSD:
         """
         if duration_us is None and max_requests is None:
             raise ConfigError("need duration_us and/or max_requests")
-        if duration_us is not None:
-            self._check_warmup(warmup_us, duration_us)
-        elif warmup_us:
-            # Without a stop time the run drains the queue, warmup timer
-            # included: it would idle the clock past the last request
-            # and then discard every measurement.
-            raise ConfigError(
-                f"warmup_us={warmup_us} needs a duration_us to end before; "
-                "a max_requests-only run has none")
-        self._check_deadline(duration_us)
-        self.prefill()
-        self.ftl.start()
-        if self.wear_leveler is not None:
-            self.wear_leveler.start()
-        self._io_bytes_snapshot = 0.0
-        if warmup_us > 0:
-            self.sim.schedule(warmup_us, self._reset_measurements)
-        workload.bind(self.lpn_space, self.config.geometry.page_size,
-                      self.config.seed)
-        if trigger_gc:
-            self.gc.maybe_trigger()
+        self._start([(workload, self.config.seed)], duration_us, warmup_us,
+                    trigger_gc)
 
         budget = {"remaining": max_requests if max_requests is not None
                   else float("inf")}
@@ -419,27 +428,18 @@ class SimulatedSSD:
         """
         if duration_us is None or duration_us <= 0:
             raise ConfigError(f"duration_us must be positive: {duration_us}")
-        self._check_warmup(warmup_us, duration_us)
         if self.frontend is not None:
             raise ConfigError("run_tenants called twice on one SSD instance")
-        self._check_deadline(duration_us)
-        self.prefill()
-        self.ftl.start()
-        if self.wear_leveler is not None:
-            self.wear_leveler.start()
-        self._io_bytes_snapshot = 0.0
-        self.frontend = MultiQueueFrontend(
+        # Built before the start-up, which it does not touch, so a
+        # refused tenant list leaves the device as it was.
+        frontend = MultiQueueFrontend(
             self.sim, self.ftl, tenants,
             arbiter=self.config.arbiter, arb_burst=self.config.arb_burst,
         )
-        if warmup_us > 0:
-            self.sim.schedule(warmup_us, self._reset_measurements)
-        for spec in tenants:
-            spec.workload.bind(self.lpn_space,
-                               self.config.geometry.page_size, spec.seed)
-        if trigger_gc:
-            self.gc.maybe_trigger()
-        self.frontend.start()
+        self._start([(spec.workload, spec.seed) for spec in tenants],
+                    duration_us, warmup_us, trigger_gc)
+        self.frontend = frontend
+        frontend.start()
         self.sim.run(until=duration_us)
         device = self._collect()
         window = device.duration_us

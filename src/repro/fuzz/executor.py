@@ -40,7 +40,7 @@ from __future__ import annotations
 
 import json
 import traceback
-from typing import Generator, List, Optional
+from typing import Callable, Generator, List, Optional
 
 from ..core.checkpoint import (durable_state, recover_ssd, restore_ssd,
                                snapshot_ssd)
@@ -159,15 +159,40 @@ def _drain_until(sim, deadline: float) -> None:
     ``Simulator.run(until=...)`` fast-forwards ``now`` onto *until*
     when the queue empties first; with one absolute stall budget per
     execution that would charge a completed head phase for the whole
-    horizon and leave the tail none.  Stepping dispatches in the same
-    ``(time, seq)`` heap order but stops the clock at the last event
-    actually executed.
+    horizon and leave the tail none.  So this drains one instant at a
+    time through the same run loop the experiments use:
+    ``run(until=peek())`` dispatches every entry due at the next
+    instant, in ``(time, seq)`` order, and leaves the clock on it.  It
+    stops when the queue is empty or the next instant is past
+    *deadline*, with the clock at the last instant dispatched.
     """
     while True:
         upcoming = sim.peek()
         if upcoming is None or upcoming > deadline:
             return
-        sim.step()
+        sim.run(until=upcoming)
+
+
+def _drain_and_classify(sim, deadline: float, idle: Callable[[], bool],
+                        busy_detail: Callable[[], str]) -> _PhaseResult:
+    """Drain to *deadline* and classify how the phase ended.
+
+    An exception gives ``exception``; a drained queue gives ``ok`` when
+    ``idle()`` holds and ``deadlock`` with ``busy_detail()`` otherwise;
+    events still pending at the deadline give ``stall``.
+    """
+    try:
+        _drain_until(sim, deadline)
+    except Exception as exc:  # noqa: BLE001 - any model crash is a finding
+        return _PhaseResult(
+            "exception",
+            traceback.format_exception_only(type(exc), exc)[-1].strip())
+    if sim.peek() is not None:
+        return _PhaseResult(
+            "stall", f"horizon {HORIZON_US:.0f}us reached with events pending")
+    if idle():
+        return _PhaseResult("ok")
+    return _PhaseResult("deadlock", busy_detail())
 
 
 def _run_direct(ssd: SimulatedSSD, ops: List[FuzzOp],
@@ -178,27 +203,15 @@ def _run_direct(ssd: SimulatedSSD, ops: List[FuzzOp],
     per device (``sim.now + HORIZON_US`` at the run's start) so a
     snapshot-split execution's phases share one stall budget.
     """
-    sim = ssd.sim
     state = {"done": False, "issued": 0}
     procs: List = []
     _spawn_driver(ssd, ops, state, procs)
-    try:
-        _drain_until(sim, deadline)
-    except Exception as exc:  # noqa: BLE001 - any model crash is a finding
-        return _PhaseResult(
-            "exception",
-            traceback.format_exception_only(type(exc), exc)[-1].strip())
-    finished = state["done"] and all(p.triggered for p in procs)
-    if finished and sim.peek() is None:
-        return _PhaseResult("ok")
-    if sim.peek() is None:
-        return _PhaseResult(
-            "deadlock",
-            f"event queue drained with work incomplete "
-            f"(driver done={state['done']}, "
-            f"outstanding={sum(1 for p in procs if not p.triggered)})")
-    return _PhaseResult(
-        "stall", f"horizon {HORIZON_US:.0f}us reached with events pending")
+    return _drain_and_classify(
+        ssd.sim, deadline,
+        lambda: state["done"] and all(p.triggered for p in procs),
+        lambda: (f"event queue drained with work incomplete "
+                 f"(driver done={state['done']}, "
+                 f"outstanding={sum(1 for p in procs if not p.triggered)})"))
 
 
 def _run_frontend(ssd: SimulatedSSD, config: GenomeConfig,
@@ -245,23 +258,12 @@ def _run_frontend(ssd: SimulatedSSD, config: GenomeConfig,
         for qid in range(tenants)
     ]
     frontend.start_scripted(drivers)
-    try:
-        _drain_until(sim, deadline)
-    except Exception as exc:  # noqa: BLE001 - any model crash is a finding
-        return _PhaseResult(
-            "exception",
-            traceback.format_exception_only(type(exc), exc)[-1].strip())
-    idle = frontend._all_idle() and ssd.host.outstanding == 0
-    if idle and sim.peek() is None:
-        return _PhaseResult("ok")
-    if sim.peek() is None:
-        return _PhaseResult(
-            "deadlock",
-            f"event queue drained with frontend busy "
-            f"(inflight={frontend.inflight}, "
-            f"host outstanding={ssd.host.outstanding})")
-    return _PhaseResult(
-        "stall", f"horizon {HORIZON_US:.0f}us reached with events pending")
+    return _drain_and_classify(
+        sim, deadline,
+        lambda: frontend._all_idle() and ssd.host.outstanding == 0,
+        lambda: (f"event queue drained with frontend busy "
+                 f"(inflight={frontend.inflight}, "
+                 f"host outstanding={ssd.host.outstanding})"))
 
 
 def _canonical_snapshot(ssd) -> Optional[str]:

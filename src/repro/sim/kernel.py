@@ -63,8 +63,9 @@ optimization must preserve"):
 
 None of this changes *when* anything runs: every trigger, timeout,
 poll tick, process bootstrap and late waiter still pushes exactly one
-entry, on the heap or one of the two lanes, in program order, so the
-``(time, seq)`` dispatch order is the one a callback list per event
+entry, on the heap or one of the two lanes, in program order, and
+:meth:`Simulator.run`, the one loop that pops any of the three,
+dispatches them in the ``(time, seq)`` order a callback list per event
 would give.
 ``tests/test_kernel_fastpath.py`` pins that stream for its scenarios to
 recorded fingerprints.
@@ -544,7 +545,9 @@ class Simulator:
     Entries are ``(time, seq, fn, args)`` tuples run in ``(time, seq)``
     order.  They sit on a heap; on the same-instant lane, a FIFO, when
     due at the current instant; or, for poll ticks at or after its
-    tail, on the sorted poll lane.
+    tail, on the sorted poll lane.  :meth:`run` is the one loop that
+    dispatches them; a caller that stops after each instant calls
+    ``run(until=peek())``.
 
     All model components hold a reference to one ``Simulator`` and use
     :meth:`timeout`, :meth:`event`, and :meth:`process` to build behaviour.
@@ -647,8 +650,8 @@ class Simulator:
         ``now`` was pushed before the clock got there -- pushes at
         ``now`` go to the same-instant lane -- so it precedes every
         same-instant entry.  A callback that raises leaves the
-        undispatched entries queued; the next ``run()`` or :meth:`step`
-        resumes the same order.
+        undispatched entries queued; the next ``run()`` resumes the same
+        order.
 
         The clock never runs backwards: an *until* before ``now`` raises
         :class:`SimulationError` and leaves every queued entry in place.
@@ -809,27 +812,6 @@ class Simulator:
             )
         self.now = self._now = float(state["now"])
         self._seq = int(state["seq"])
-
-    def step(self) -> bool:
-        """Execute the next callback in :meth:`run`'s order; False if none.
-
-        The earlier of the heap and poll-lane heads goes first when it
-        is due now; else the same-instant lane's head; else that
-        earlier head, advancing the clock to its time.
-        """
-        queue = self._queue
-        polls = self._polls
-        from_polls = bool(polls) and (not queue or polls[0] < queue[0])
-        head = polls[0] if from_polls else queue[0] if queue else None
-        if self._lane and (head is None or head[0] != self._now):
-            entry = self._lane.popleft()
-        elif head is None:
-            return False
-        else:
-            entry = polls.popleft() if from_polls else heappop(queue)
-            self.now = self._now = entry[0]
-        entry[2](*entry[3])
-        return True
 
     def peek(self) -> Optional[float]:
         """Time of the next queued callback, or None if the queue is empty."""

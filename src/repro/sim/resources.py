@@ -51,7 +51,6 @@ class Resource:
         self.name = name
         self._in_use = 0
         self._waiters: List[Tuple[int, int, Event]] = []
-        self._cancelled: set = set()
         self._seq = 0
         self._owners: dict = {}
         sim.register_resource(self)
@@ -64,7 +63,7 @@ class Resource:
     @property
     def queue_length(self) -> int:
         """Number of requests waiting for a slot."""
-        return len(self._waiters) - len(self._cancelled)
+        return len(self._waiters)
 
     def request(self, priority: int = 0, owner: str = "") -> Event:
         """Ask for a slot; the returned event fires when granted.
@@ -95,14 +94,10 @@ class Resource:
         self._release_slot()
 
     def _release_slot(self) -> None:
-        while self._waiters:
-            _prio, _seq, grant = heapq.heappop(self._waiters)
-            if grant in self._cancelled:
-                self._cancelled.discard(grant)
-                continue
-            grant.trigger(self)
-            return
-        self._in_use -= 1
+        if self._waiters:
+            heapq.heappop(self._waiters)[2].trigger(self)
+        else:
+            self._in_use -= 1
 
     def cancel(self, grant: Event) -> None:
         """Abandon a request, whether or not it has been granted yet.
@@ -110,8 +105,9 @@ class Resource:
         The exception-safety primitive: a holder interrupted between
         ``request()`` and ``release()`` calls this from a ``finally``.
         If the grant already fired the slot is released; if it is still
-        queued it is lazily discarded so a later :meth:`release` does
-        not wake a waiter that no longer exists.  A granted request
+        queued it leaves the queue at once, so a later :meth:`release`
+        does not wake a waiter that no longer exists and a repeated
+        cancel finds nothing to remove.  A granted request
         returns its slot once: the grant's value is cleared then, and a
         second cancel raises ``RuntimeError`` with nothing changed,
         rather than freeing a slot another holder owns.
@@ -129,13 +125,19 @@ class Resource:
             self._release_slot()
             return
         self._owners.pop(grant, None)
-        if grant not in self._cancelled:
-            self._cancelled.add(grant)
+        waiters = self._waiters
+        for index, entry in enumerate(waiters):
+            if entry[2] is grant:
+                # (priority, seq) keys are unique, so re-heapifying
+                # keeps the grant order of the remaining waiters.
+                del waiters[index]
+                heapq.heapify(waiters)
+                break
 
     def outstanding_summary(self) -> Optional[str]:
         """One-line description of held slots/waiters, or None if idle."""
         queued = self.queue_length
-        if not self._in_use and queued <= 0:
+        if not self._in_use and not queued:
             return None
         message = (f"Resource {self.name or '<anonymous>'!r}: "
                    f"{self._in_use}/{self.capacity} slot(s) held")
@@ -143,7 +145,7 @@ class Resource:
                         if grant._triggered)
         if owners:
             message += f" (owners: {', '.join(owners)})"
-        if queued > 0:
+        if queued:
             message += f", {queued} request(s) waiting"
         return message
 

@@ -16,8 +16,8 @@ REPO = Path(__file__).resolve().parent.parent
 #: Names of removed APIs that a docstring or comment must not mention.
 STALE_NAMES = re.compile(
     r"\b(SystemBus|FlashChannel|OpBreakdown|TimingTable|prefill_block"
-    r"|mark_block_programmed)\b"
-    r"|\bbackend\.(read|program|erase)\b")
+    r"|mark_block_programmed|_cancelled|Simulator\.step)\b"
+    r"|\bbackend\.(read|program|erase)\b|\.step\(\)|:meth:`step`")
 
 
 def _check_docs():

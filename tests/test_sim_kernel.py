@@ -2,11 +2,13 @@
 
 import contextlib
 import heapq
+import math
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.fuzz.executor import _drain_until
 from repro.sim import Interrupt, Poll, SimulationError, Simulator
 from repro.sim import kernel as kernel_module
 from tests.dispatch_recorder import record_dispatch
@@ -269,16 +271,19 @@ def test_yielding_non_event_raises():
         sim.run()
 
 
-def test_step_and_peek():
+def test_run_until_peek_dispatches_one_instant():
     sim = Simulator()
-    sim.schedule(3.0, lambda: None)
-    sim.schedule(7.0, lambda: None)
+    seen = []
+    sim.schedule(3.0, seen.append, "a")
+    sim.schedule(3.0, seen.append, "b")
+    sim.schedule(7.0, seen.append, "c")
     assert sim.peek() == pytest.approx(3.0)
-    assert sim.step()
-    assert sim.now == pytest.approx(3.0)
+    assert sim.run(until=sim.peek()) == 3.0
+    assert sim.now == 3.0 and seen == ["a", "b"]
     assert sim.peek() == pytest.approx(7.0)
-    assert sim.step()
-    assert not sim.step()
+    assert sim.run(until=sim.peek()) == 7.0
+    assert seen == ["a", "b", "c"] and sim.peek() is None
+    assert sim.run() == 7.0
 
 
 def test_failed_event_propagates_into_process():
@@ -500,7 +505,7 @@ def test_poll_rejects_manual_trigger_and_negative_interval():
 # The same-instant lane: entries due at ``now`` skip the heap.
 # ---------------------------------------------------------------------------
 
-@pytest.mark.parametrize("resume", ["run", "step"])
+@pytest.mark.parametrize("resume", ["run", "drain"])
 def test_raise_mid_heap_instant_keeps_heap_entries_before_lane(resume):
     """Heap entries A, B at t=1; A pushes lane entry L, then raises."""
     sim = Simulator()
@@ -522,12 +527,11 @@ def test_raise_mid_heap_instant_keeps_heap_entries_before_lane(resume):
     if resume == "run":
         sim.run()
     else:
-        while sim.step():
-            pass
+        _drain_until(sim, math.inf)
     assert order == ["A", "B", "L", "C"]
 
 
-@pytest.mark.parametrize("resume", ["run", "step"])
+@pytest.mark.parametrize("resume", ["run", "drain"])
 def test_raise_mid_lane_leaves_the_rest_queued(resume):
     sim = Simulator()
     order = []
@@ -548,8 +552,7 @@ def test_raise_mid_lane_leaves_the_rest_queued(resume):
     if resume == "run":
         sim.run()
     else:
-        while sim.step():
-            pass
+        _drain_until(sim, math.inf)
     assert order == [0, 1, 2, 3, 4, "later"]
     assert sim.now == 4.0
 
@@ -573,26 +576,27 @@ def test_peek_returns_now_while_lane_holds_entries():
     sim = Simulator()
     sim.schedule(5.0, lambda: None)
     sim.schedule(10.0, lambda: None)
-    sim.step()
+    sim.run(until=sim.peek())
     assert sim.peek() == 10.0
     sim.event().trigger()
     assert sim.peek() == sim.now == 5.0
 
 
-def test_step_takes_heap_entries_at_now_before_lane():
+def test_heap_entries_at_now_dispatch_before_the_lane():
     sim = Simulator()
     order = []
 
     def first():
         order.append("A")
         sim.schedule(0.0, order.append, "L")
+        sim.schedule(1.0, order.append, "next")
 
     sim.schedule(3.0, first)
     sim.schedule(3.0, order.append, "B")
-    assert sim.step() and order == ["A"]
-    assert sim.step() and order == ["A", "B"]
-    assert sim.step() and order == ["A", "B", "L"]
-    assert not sim.step()
+    assert sim.run(until=sim.peek()) == 3.0
+    assert order == ["A", "B", "L"] and sim.peek() == 4.0
+    sim.run()
+    assert order == ["A", "B", "L", "next"]
 
 
 def test_run_until_in_the_past_raises_and_keeps_the_queue():
@@ -600,10 +604,16 @@ def test_run_until_in_the_past_raises_and_keeps_the_queue():
     leaves the heap and the same-instant lane as they were."""
     sim = Simulator()
     seen = []
-    sim.schedule(5.0, lambda: sim.schedule(0.0, lambda: seen.append(
-        sim.now)))
+
+    def at_five():
+        sim.schedule(0.0, lambda: seen.append(sim.now))
+        raise KeyError("stop")
+
+    sim.schedule(5.0, at_five)
     sim.schedule(7.0, seen.append, "later")
-    assert sim.step() and sim.peek() == 5.0
+    with pytest.raises(KeyError):
+        sim.run()
+    assert sim.peek() == 5.0 and sim._queue and sim._lane
     heap, lane = list(sim._queue), list(sim._lane)
     with pytest.raises(SimulationError, match="before the current time"):
         sim.run(until=2.0)
@@ -673,7 +683,8 @@ def _reference_run(sim, record):
 def _run_program(programs, big_clock, drive):
     """Run *programs* (op lists, one per process) on a fresh kernel.
 
-    *drive* is ``"run"``, ``"step"`` or ``"reference"``.  Returns the
+    *drive* is ``"run"``, ``"drain"`` (the fuzzer's per-instant loop)
+    or ``"reference"``.  Returns the
     ``(time, seq, label)`` of every dispatched entry, the program's own
     trace and the final sequence counter.
     """
@@ -748,9 +759,8 @@ def _run_program(programs, big_clock, drive):
         sim.process(root(), name="root")
         if drive == "run":
             sim.run()
-        elif drive == "step":
-            while sim.step():
-                pass
+        elif drive == "drain":
+            _drain_until(sim, math.inf)
         else:
             _reference_run(sim, record)
     return stream, trace, sim._seq
@@ -763,7 +773,7 @@ def _run_program(programs, big_clock, drive):
 def test_lane_dispatch_matches_heap_only_reference(programs, big_clock):
     reference = _run_program(programs, big_clock, "reference")
     assert _run_program(programs, big_clock, "run") == reference
-    assert _run_program(programs, big_clock, "step") == reference
+    assert _run_program(programs, big_clock, "drain") == reference
     assert reference[0], "a program always dispatches its bootstrap"
 
 
@@ -785,7 +795,7 @@ _GRID_PROGRAMS = [
 
 def test_mixed_interval_polls_match_heap_only_reference(monkeypatch):
     reference = _run_program(_GRID_PROGRAMS, False, "reference")
-    assert _run_program(_GRID_PROGRAMS, False, "step") == reference
+    assert _run_program(_GRID_PROGRAMS, False, "drain") == reference
     heap_polls = []
     push = kernel_module.heappush
 

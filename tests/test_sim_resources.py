@@ -238,7 +238,15 @@ def test_pending_summary_names_the_link_finishing_a_transfer():
         "(resumes process 'io')",
         "t=2.000us Link '<anonymous>' transfer finishing",
     ]
-    assert sim.step()  # the link finishes: the transfer triggers
+
+    def stop():
+        raise KeyError("stop")
+
+    # Due at t=1.0 behind the link's entry: the link finishes and
+    # triggers the transfer, then this raises before the lane runs.
+    sim.schedule(0.5, stop)
+    with pytest.raises(KeyError):
+        sim.run()
     assert sim.pending_summary()[0] == \
         "t=1.000us transfer resuming process 'io'"
 
@@ -440,3 +448,41 @@ def test_second_cancel_of_a_granted_request_is_refused():
     with pytest.raises(RuntimeError, match="already returned"):
         single.cancel(first)
     assert _resource_view(single) == before
+
+
+def test_repeated_cancel_of_a_queued_request_changes_nothing():
+    """A queued request leaves the queue at its first cancel, so a
+    repeat after the slot ahead of it was returned finds nothing."""
+    sim = Simulator()
+    res = Resource(sim, capacity=1, name="single")
+    a_grant = res.request(owner="a")
+    b_grant = res.request(owner="b")
+    res.cancel(b_grant)
+    res.cancel(a_grant)
+    res.cancel(b_grant)
+    assert _resource_view(res) == (0, 0, [], None)
+    late = res.request()
+    later = res.request()
+    assert late.triggered and not later.triggered
+    assert _resource_view(res)[:2] == (1, 1)
+    sim.run()
+    assert not b_grant.triggered
+
+
+def test_cancel_of_a_queued_request_keeps_the_grant_order():
+    """Removing the queue's head leaves a list that is no longer a heap
+    until it is re-heapified; the grants must still go by priority."""
+    sim = Simulator()
+    res = Resource(sim, capacity=1)
+    order = []
+    held = res.request()
+    grants = {tag: res.request(priority=priority)
+              for tag, priority in (("x", 0), ("y", 1), ("z", 0))}
+    for tag, grant in grants.items():
+        grant.add_callback(lambda event, tag=tag: order.append(tag))
+    res.cancel(grants["x"])
+    res.cancel(held)
+    for _ in range(2):
+        sim.run()
+        res.release()
+    assert order == ["z", "y"] and res.in_use == 0
