@@ -16,7 +16,7 @@ Quickstart::
     print(result.io_latency.p99)
 """
 
-__version__ = "1.1.0"
+__version__ = "1.2.0"
 
 from .errors import (
     AddressError,

@@ -2,7 +2,11 @@
 
 The system bus is a plain :class:`~repro.sim.Link` built by
 :class:`~repro.core.SimulatedSSD`; each :class:`FlashController` owns
-its channel's flash bus.
+its channel's flash bus and holds a plane per array operation through
+:meth:`~repro.sim.Resource.hold`.  Every counted pool here is one
+:class:`~repro.sim.Resource`: the host's submission-queue slots, the
+DRAM write buffer and the ECC engine's lanes, whose decode is one
+``hold`` as well.
 """
 
 from .breakdown import COMPONENTS, Breakdown

@@ -13,7 +13,7 @@ from __future__ import annotations
 from typing import Optional
 
 from ..errors import ConfigError
-from ..sim import Link, Simulator, TokenPool
+from ..sim import Link, Resource, Simulator
 
 __all__ = ["Dram", "PAPER_DRAM_BW"]
 
@@ -38,8 +38,8 @@ class Dram:
         # rated bandwidth, so reads do not queue behind writes.
         self.read_link = Link(sim, bandwidth, name=f"{name}_rd")
         self.write_link = Link(sim, bandwidth, name=f"{name}_wr")
-        self.write_buffer = TokenPool(sim, write_buffer_pages,
-                                      name="write_buffer")
+        self.write_buffer = Resource(sim, write_buffer_pages,
+                                     name="write_buffer")
 
     @property
     def bandwidth(self) -> float:
@@ -49,15 +49,15 @@ class Dram:
     @property
     def buffered_pages(self) -> int:
         """Write-buffer pages currently occupied (dirty)."""
-        return self.write_buffer.capacity - self.write_buffer.available
+        return self.write_buffer.in_use
 
     def reserve_buffer_page(self):
         """Event granting one write-buffer slot (may backpressure)."""
-        return self.write_buffer.acquire(1)
+        return self.write_buffer.acquire()
 
     def release_buffer_page(self) -> None:
         """Return one write-buffer slot after its page is flushed."""
-        self.write_buffer.release(1)
+        self.write_buffer.release()
 
     def utilization(self, horizon: Optional[float] = None) -> float:
         """Mean busy fraction across the two DRAM ports."""

@@ -39,8 +39,16 @@ class EccEngine:
         self.fixed_latency_us = fixed_latency_us
         self.name = name
         self._lanes = Resource(sim, capacity=lanes, name=name)
-        self.pages_checked = 0
-        self.busy_time = 0.0
+
+    @property
+    def pages_checked(self) -> int:
+        """Decodes that started service (an interrupted one counts)."""
+        return self._lanes.served
+
+    @property
+    def busy_time(self) -> float:
+        """Lane-time spent decoding, summed over lanes (us)."""
+        return self._lanes.busy_time
 
     def decode_time(self, nbytes: int) -> float:
         """Service time for checking *nbytes* of data."""
@@ -48,39 +56,24 @@ class EccEngine:
 
     def check(self, nbytes: int, priority: int = 0,
               scale: float = 1.0) -> Generator:
-        """Generator: run one page through the engine; returns lane wait.
+        """Hold a lane for one page's decode; ``yield from`` it for the wait.
 
         ``scale`` multiplies the decode time; read-retry ladder steps use
-        it for escalating soft-decision decode latency.  The hold is
-        interrupt-safe: the lane is returned and ``busy_time`` /
-        ``pages_checked`` are settled in the same ``finally`` even when
-        the calling process is preempted mid-decode, so utilization no
-        longer under-reports under preemptive GC.
+        it for escalating soft-decision decode latency.  The lane is held
+        through :meth:`~repro.sim.Resource.hold`, so it is returned and
+        ``busy_time`` / ``pages_checked`` are settled even when the
+        calling process is preempted mid-decode.
         """
         if nbytes <= 0:
             raise ConfigError(f"ECC check of {nbytes} bytes")
         if scale <= 0:
             raise ConfigError(f"ECC decode scale must be positive: {scale}")
-        t_request = self.sim.now
-        grant = self._lanes.request(priority, owner=self.name or "ecc")
-        service_start = None
-        try:
-            yield grant
-            service_start = self.sim.now
-            yield self.sim.timeout(self.decode_time(nbytes) * scale)
-        finally:
-            if service_start is not None:
-                self.busy_time += self.sim.now - service_start
-                self.pages_checked += 1
-            self._lanes.cancel(grant)
-        return service_start - t_request
+        return self._lanes.hold(self.decode_time(nbytes) * scale, priority,
+                                self.name or "ecc")
 
     def utilization(self, horizon: float = None) -> float:
         """Busy fraction of the engine (sums over lanes)."""
-        horizon = horizon if horizon is not None else self.sim.now
-        if horizon <= 0:
-            return 0.0
-        return min(1.0, self.busy_time / (horizon * self._lanes.capacity))
+        return self._lanes.utilization(horizon)
 
     # -- checkpointing ------------------------------------------------------
 
@@ -93,5 +86,5 @@ class EccEngine:
 
     def load_state(self, state: dict) -> None:
         """Restore meters captured by :meth:`state_dict`."""
-        self.pages_checked = int(state["pages_checked"])
-        self.busy_time = float(state["busy_time"])
+        self._lanes.served = int(state["pages_checked"])
+        self._lanes.busy_time = float(state["busy_time"])

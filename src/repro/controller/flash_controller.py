@@ -19,7 +19,7 @@ the only implementation of a page read, a page program and a block
 erase; every datapath op calls them.  Each validates and draws its
 latency through ``backend.prepare_read``/``prepare_program``/
 ``prepare_erase``, holds the plane through
-:meth:`~repro.flash.FlashPlane.occupy` and drives the flash-bus
+:meth:`~repro.sim.Resource.hold` and drives the flash-bus
 transfer in its own frame.  Every page transfer costs the same
 ``_page_bytes``: the page plus the command/address cycles, expressed
 as bytes-equivalent bus occupancy so that they serialize on the bus
@@ -112,7 +112,7 @@ class FlashController:
         attempt = 1
         while (yield from self._fault_backoff(attempt, breakdown)):
             plane, duration = self.backend.prepare_read(addr)
-            wait = yield from plane.occupy(duration)
+            wait = yield from plane.hold(duration)
             breakdown.add("flash_chip", wait + duration)
             if not self.fault_injector.die_fault():
                 return
@@ -147,7 +147,7 @@ class FlashController:
             breakdown = Breakdown()
         injector = self.fault_injector
         plane, duration = self.backend.prepare_read(addr)
-        wait = yield from plane.occupy(duration)
+        wait = yield from plane.hold(duration)
         breakdown.add("flash_chip", wait + duration)
         if injector is not None and injector.die_fault():
             yield from self.reissue_read(addr, breakdown)
@@ -186,7 +186,7 @@ class FlashController:
             yield from self.repeat_transfer(traffic_class, priority,
                                             breakdown)
         plane, duration = self.backend.prepare_program(addr)
-        wait = yield from plane.occupy(duration)
+        wait = yield from plane.hold(duration)
         breakdown.add("flash_chip", wait + duration)
         self.pages_programmed += 1
         return breakdown
@@ -197,7 +197,7 @@ class FlashController:
         self._check_owns(addr)
         breakdown = breakdown if breakdown is not None else Breakdown()
         plane, duration = self.backend.prepare_erase(addr)
-        wait = yield from plane.occupy(duration)
+        wait = yield from plane.hold(duration)
         breakdown.add("flash_chip", wait + duration)
         self.blocks_erased += 1
         return breakdown

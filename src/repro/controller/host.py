@@ -11,7 +11,7 @@ from __future__ import annotations
 from typing import Generator
 
 from ..errors import ConfigError
-from ..sim import Link, Simulator, TokenPool
+from ..sim import Link, Resource, Simulator
 
 __all__ = ["HostInterface", "PAPER_HOST_BW", "PAPER_QUEUE_DEPTH"]
 
@@ -40,14 +40,14 @@ class HostInterface:
         self.queue_depth = queue_depth
         self.cmd_latency_us = cmd_latency_us
         self.link = Link(sim, bandwidth, name="host_link")
-        self._slots = TokenPool(sim, queue_depth, name="sq_slots")
+        self._slots = Resource(sim, queue_depth, name="sq_slots")
         self.submitted = 0
         self.completed = 0
 
     @property
     def outstanding(self) -> int:
         """Requests currently admitted but not yet completed."""
-        return self.queue_depth - self._slots.available
+        return self._slots.in_use
 
     def submit(self) -> Generator:
         """Generator: wait for a queue slot and pay command overhead.
@@ -57,7 +57,7 @@ class HostInterface:
         so ``submitted - completed == outstanding`` holds at every
         instant.
         """
-        grant = self._slots.acquire(1)
+        grant = self._slots.acquire()
         counted = False
         done = False
         try:
@@ -79,7 +79,7 @@ class HostInterface:
 
     def complete(self) -> None:
         """Release the queue slot of a finished request."""
-        self._slots.release(1)
+        self._slots.release()
         self.completed += 1
 
     # -- checkpointing ------------------------------------------------------

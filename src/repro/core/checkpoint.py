@@ -57,8 +57,9 @@ __all__ = [
 
 #: Bump on any incompatible change to the snapshot layout.  Schema 4:
 #: the system-bus and flash-bus entries are plain ``Link`` states, no
-#: longer nested under a ``"link"`` key.
-SNAPSHOT_SCHEMA = 4
+#: longer nested under a ``"link"`` key.  Schema 5: latency recorders
+#: carry no ``"m2"``/``"mean"`` (Welford) terms.
+SNAPSHOT_SCHEMA = 5
 
 #: Bump on any incompatible change to the durable-projection layout.
 DURABLE_SCHEMA = 1
@@ -202,7 +203,8 @@ def snapshot_ssd(ssd) -> dict:
             "gc_snapshot": list(ssd._gc_snapshot),
         },
         "backend": ssd.backend.state_dict(),
-        "planes": [plane.state_dict() for plane in ssd.backend.planes],
+        "planes": [{"busy_time": plane.busy_time}
+                   for plane in ssd.backend.planes],
         "channels": [c.flash_bus.state_dict() for c in ssd.controllers],
         "controllers": [
             {"pages_read": c.pages_read,
@@ -261,7 +263,7 @@ def restore_ssd(state: dict):
 
     ssd.backend.load_state(state["backend"])
     for plane, plane_state in zip(ssd.backend.planes, state["planes"]):
-        plane.load_state(plane_state)
+        plane.busy_time = float(plane_state["busy_time"])
     for controller, bus_state in zip(ssd.controllers, state["channels"]):
         controller.flash_bus.load_state(bus_state)
     for controller, c_state in zip(ssd.controllers, state["controllers"]):

@@ -17,7 +17,7 @@ Hot-path layout: each datapath op (``io_read_flash``,
 the system bus and DRAM links itself and delegates each flash stage to
 the one implementation of it: the array read or program plus its
 channel transfer to :meth:`FlashController.read_page` /
-``program_page`` (which hold the plane through ``FlashPlane.occupy``
+``program_page`` (which hold the plane through ``Resource.hold``
 and own the fault injector's die/channel retries), and the ECC decode
 to :meth:`EccEngine.check`.  Host I/O runs them at its own priority,
 GC in the ``"gc"`` class at priority -1.  The optional hooks are
@@ -37,7 +37,7 @@ from typing import Callable, Generator, List, Optional
 from ..controller import Breakdown, Dram, EccEngine, FlashController
 from ..errors import ConfigError
 from ..flash import PhysAddr
-from ..sim import Link, Simulator, TokenPool
+from ..sim import Link, Resource, Simulator
 from .copyback import CopybackCommand, CopybackStatus
 from .transport import CopybackTransport
 
@@ -76,7 +76,7 @@ class BaselineDatapath:
         # as the dBUF does in the decoupled architectures (keeping the
         # comparison's staging capacity equal across Table 2 configs).
         self.gc_staging = [
-            TokenPool(sim, staging_pages, name=f"staging{c.controller_id}")
+            Resource(sim, staging_pages, name=f"staging{c.controller_id}")
             for c in controllers
         ]
 
@@ -213,7 +213,7 @@ class BaselineDatapath:
             dst = self.remapper(dst)
         breakdown = Breakdown()
         src_pool = self.gc_staging[src.channel]
-        src_grant = src_pool.acquire(1)
+        src_grant = src_pool.acquire()
         try:
             yield src_grant
             yield from self.controllers[src.channel].read_page(
@@ -233,7 +233,7 @@ class BaselineDatapath:
         finally:
             src_pool.cancel(src_grant)
         dst_pool = self.gc_staging[dst.channel]
-        dst_grant = dst_pool.acquire(1)
+        dst_grant = dst_pool.acquire()
         try:
             yield dst_grant
             t0 = sim.now
@@ -296,7 +296,7 @@ class DecoupledDatapath(BaselineDatapath):
         self.check_ecc = check_ecc
         self.unchecked_copies = 0
         self.dbufs = [
-            TokenPool(sim, dbuf_pages, name=f"dbuf{c.controller_id}")
+            Resource(sim, dbuf_pages, name=f"dbuf{c.controller_id}")
             for c in controllers
         ]
         self.copyback_log: List[CopybackCommand] = []
@@ -334,7 +334,7 @@ class DecoupledDatapath(BaselineDatapath):
 
         # (2,3) read the page into the source controller's dBUF.
         dbuf = self.dbufs[src.channel]
-        slot = dbuf.acquire(1)
+        slot = dbuf.acquire()
         try:
             yield slot
             yield from self.controllers[src.channel].read_page(
@@ -360,7 +360,7 @@ class DecoupledDatapath(BaselineDatapath):
                     command.advance(CopybackStatus.PACKETIZED, sim.now)
                 dbuf.cancel(slot)
                 dbuf = self.dbufs[dst.channel]
-                slot = dbuf.acquire(1)
+                slot = dbuf.acquire()
                 yield slot
                 yield from self.transport.move(src.channel, dst.channel,
                                                page_size, breakdown)

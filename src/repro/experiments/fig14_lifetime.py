@@ -13,7 +13,7 @@ from __future__ import annotations
 from typing import Dict, List
 
 from ..core import ArchPreset, sim_geometry
-from ..sim import TokenPool
+from ..sim import Resource
 from ..superblock import run_endurance, simulate_was
 from ..workloads import SyntheticWorkload
 from .common import bench_durations, format_table
@@ -147,7 +147,7 @@ def _build_with_scan(workload, geometry, n_blocks, windows):
             if len(mapped) >= 512:
                 break
 
-        outstanding = TokenPool(ssd.sim, 256, name="scan_window")
+        outstanding = Resource(ssd.sim, 256, name="scan_window")
 
         def read_one(addr):
             # GC may have moved/erased this page since the scan list was
@@ -156,14 +156,14 @@ def _build_with_scan(workload, geometry, n_blocks, windows):
             if ssd.mapping.reverse_lookup(ppn) is not None:
                 breakdown = Breakdown()
                 yield from ssd.datapath.io_read_flash(addr, breakdown)
-            outstanding.release(1)
+            outstanding.release()
 
         def scanner():
             index = 0
             while True:
                 # Issue at the epoch rate with a bounded in-flight window
                 # (the FTL's scan queue), not one-at-a-time.
-                yield outstanding.acquire(1)
+                yield outstanding.acquire()
                 addr = mapped[index % len(mapped)]
                 index += 1
                 ssd.sim.process(read_one(addr), name="was_scan_read")

@@ -1,7 +1,7 @@
 """Flash die / plane behavioural model.
 
-Each *plane* is a single-operation server: one array operation (read,
-program, erase) occupies it for the technology latency.
+Each *plane* is a capacity-1 :class:`~repro.sim.Resource`: one array
+operation (read, program, erase) holds it for the technology latency.
 
 The model enforces NAND programming discipline per block -- a page may
 be programmed exactly once between erases -- with one int bitmask of
@@ -12,8 +12,7 @@ Page *content* is not simulated; the FTL layers track logical validity.
 from __future__ import annotations
 
 import random
-from typing import (Dict, FrozenSet, Generator, Iterable, List, Optional,
-                    Sequence, Tuple)
+from typing import Dict, FrozenSet, Iterable, List, Sequence, Tuple
 
 from ..errors import AddressError, FlashError
 from ..sim import Resource, Simulator
@@ -21,7 +20,7 @@ from .geometry import FlashGeometry, PhysAddr
 from .pagemask import mask_of, offsets_of
 from .timing import FlashTiming
 
-__all__ = ["BlockState", "FlashPlane", "FlashBackend"]
+__all__ = ["BlockState", "FlashBackend"]
 
 
 class BlockState:
@@ -71,51 +70,6 @@ class BlockState:
         )
 
 
-class FlashPlane:
-    """One flash plane: a single-slot resource plus busy accounting."""
-
-    def __init__(self, sim: Simulator, name: str = ""):
-        self.sim = sim
-        self.name = name
-        self.resource = Resource(sim, capacity=1, name=name)
-        self.busy_time = 0.0
-
-    def occupy(self, duration: float) -> Generator:
-        """Generator: hold the plane for *duration*, yielding wait time.
-
-        Interrupt-safe: the plane slot is returned (and the busy time
-        actually consumed is accounted) in a ``finally``, so a process
-        preempted mid-operation cannot leak the plane.
-        """
-        t_request = self.sim.now
-        grant = self.resource.request()
-        service_start = None
-        try:
-            yield grant
-            service_start = self.sim.now
-            yield self.sim.timeout(duration)
-        finally:
-            if service_start is not None:
-                self.busy_time += self.sim.now - service_start
-            self.resource.cancel(grant)
-        return service_start - t_request
-
-    def utilization(self, horizon: Optional[float] = None) -> float:
-        """Busy fraction of the plane over ``[0, horizon]``."""
-        horizon = horizon if horizon is not None else self.sim.now
-        return min(1.0, self.busy_time / horizon) if horizon > 0 else 0.0
-
-    def state_dict(self) -> dict:
-        """Checkpoint the plane's meters (the slot itself must be idle)."""
-        if self.resource.in_use or self.resource.queue_length:
-            raise FlashError(f"cannot snapshot busy plane {self.name!r}")
-        return {"busy_time": self.busy_time}
-
-    def load_state(self, state: dict) -> None:
-        """Restore meters captured by :meth:`state_dict`."""
-        self.busy_time = float(state["busy_time"])
-
-
 class FlashBackend:
     """The full flash array: every plane of every die, plus block state.
 
@@ -123,7 +77,7 @@ class FlashBackend:
     ``prepare_program`` / ``prepare_erase`` validate an array op,
     update the block state and draw the latency, returning
     ``(plane, duration)``; the flash controller then holds that plane
-    through :meth:`FlashPlane.occupy` in its own generator frame.
+    through :meth:`~repro.sim.Resource.hold` in its own generator frame.
     Pre-conditioning marks whole blocks programmed in bulk, by block
     index, with :meth:`mark_programmed`.
     """
@@ -136,8 +90,9 @@ class FlashBackend:
         self.timing = timing
         self.deterministic_timing = deterministic_timing
         self._rng = random.Random(seed)
-        self.planes: List[FlashPlane] = [
-            FlashPlane(sim, name=f"plane{i}")
+        #: One capacity-1 :class:`~repro.sim.Resource` per plane.
+        self.planes: List[Resource] = [
+            Resource(sim, 1, name=f"plane{i}")
             for i in range(geometry.planes_total)
         ]
         self._blocks: Dict[int, BlockState] = {}
@@ -184,12 +139,12 @@ class FlashBackend:
 
     # -- array operations --------------------------------------------------------
 
-    def prepare_read(self, addr: PhysAddr) -> Tuple[FlashPlane, float]:
+    def prepare_read(self, addr: PhysAddr) -> Tuple[Resource, float]:
         """Validate a page read; returns ``(plane, array latency)``.
 
         Rejects a read of an unwritten page and draws the latency.  The
         caller then holds the plane for that long through
-        :meth:`FlashPlane.occupy`.
+        :meth:`~repro.sim.Resource.hold`.
         """
         self.geometry.validate(addr)
         plane_id = self._plane_id(addr)
@@ -201,11 +156,11 @@ class FlashBackend:
                     else self.timing.sample_read(self._rng))
         return self.planes[plane_id], duration
 
-    def prepare_program(self, addr: PhysAddr) -> Tuple[FlashPlane, float]:
+    def prepare_program(self, addr: PhysAddr) -> Tuple[Resource, float]:
         """Validate and record a page program; ``(plane, array latency)``.
 
         Rejects a reprogram without erase and marks the page programmed
-        before the caller occupies the plane.
+        before the caller holds the plane.
         """
         self.geometry.validate(addr)
         plane_id = self._plane_id(addr)
@@ -219,11 +174,11 @@ class FlashBackend:
                     else self.timing.sample_program(self._rng))
         return self.planes[plane_id], duration
 
-    def prepare_erase(self, addr: PhysAddr) -> Tuple[FlashPlane, float]:
+    def prepare_erase(self, addr: PhysAddr) -> Tuple[Resource, float]:
         """Record a block erase; returns ``(plane, erase latency)``.
 
         Clears the block's programmed pages and bumps its erase count
-        before the caller occupies the plane.
+        before the caller holds the plane.
         """
         self.geometry.validate(addr)
         plane_id = self._plane_id(addr)

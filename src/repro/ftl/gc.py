@@ -251,7 +251,7 @@ class GarbageCollector:
             chunk = pages[start:start + burst]
             if self.policy == "preemptive":
                 yield from self._wait_for_io_quiet()
-            grant = (self._tt_tokens.request(owner="gc-tinytail")
+            grant = (self._tt_tokens.acquire(owner="gc-tinytail")
                      if gated else None)
             try:
                 if grant is not None:
@@ -264,7 +264,7 @@ class GarbageCollector:
                     self._tt_tokens.cancel(grant)
 
         victim_addr = self.blocks.info(victim).addr
-        grant = (self._tt_tokens.request(owner="gc-tinytail-erase")
+        grant = (self._tt_tokens.acquire(owner="gc-tinytail-erase")
                  if gated else None)
         try:
             if grant is not None:

@@ -61,7 +61,7 @@ def _install_leak(ssd) -> None:
             # The bug: an extra slot acquired on a side path with no
             # matching release/cancel.  The grant fires immediately
             # whenever a slot is free and is then dropped on the floor.
-            slots.acquire(1, owner="canary-leak")
+            slots.acquire(owner="canary-leak")
         return real_submit(request)
 
     ssd.ftl.submit = leaky_submit

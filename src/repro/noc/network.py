@@ -5,7 +5,7 @@ flit-level serialization and credit-based input buffering.
 
 * Every directed channel is a serializing :class:`~repro.sim.Link`; a
   packet occupies the channel for ``flits x flit_time``.
-* Every router input port holds a :class:`~repro.sim.TokenPool` of
+* Every router input port holds a :class:`~repro.sim.Resource` of
   ``buffer_flits`` credits per virtual channel.  A packet acquires
   ``min(flits, buffer_flits)`` credits downstream *before* it may use
   the channel, and the credits are returned when the packet's tail has
@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from typing import Dict, Generator, List, Optional, Tuple
 
 from ..errors import ConfigError
-from ..sim import LatencyStats, Link, Resource, Simulator, TokenPool
+from ..sim import LatencyStats, Link, Resource, Simulator
 from .packet import DEFAULT_FLIT_BYTES, DEFAULT_HEADER_BYTES, Packet, \
     flit_count
 from .topology import Topology, XBAR_HUB
@@ -172,14 +172,14 @@ class FNoC:
             for u, v in topology.channels():
                 self._guards[(u, v)] = Resource(sim, 1,
                                                 name=f"guard{u}->{v}")
-        self._ports: Dict[Tuple[int, int, int], TokenPool] = {}
+        self._ports: Dict[Tuple[int, int, int], Resource] = {}
         for u, v in topology.channels():
             depth = buffer_flits
             if v == XBAR_HUB:
                 # The crossbar hub is amply buffered: it never backpressures.
                 depth = buffer_flits * max(2, topology.k)
             for vc in range(topology.vc_count):
-                self._ports[(u, v, vc)] = TokenPool(
+                self._ports[(u, v, vc)] = Resource(
                     sim, depth, name=f"port{u}->{v}#vc{vc}"
                 )
 
@@ -221,7 +221,7 @@ class FNoC:
         except KeyError:
             raise ConfigError(f"no channel {u}->{v} in {self.topology.name}")
 
-    def port(self, u: int, v: int, vc: int) -> TokenPool:
+    def port(self, u: int, v: int, vc: int) -> Resource:
         """Input-buffer credit pool at *v* for traffic arriving from *u*."""
         return self._ports[(u, v, vc)]
 
@@ -275,7 +275,7 @@ class FNoC:
             if guard is not None:
                 # Wormhole: win the channel first, then wait for credits
                 # while holding it (head-of-line blocking).
-                yield guard.request()
+                yield guard.acquire()
             yield pool.acquire(tokens)
             start, done = link.transfer_with_start(wire_bytes, traffic_class)
             yield start

@@ -11,7 +11,7 @@ from .kernel import (
     Simulator,
     Timeout,
 )
-from .resources import Link, Resource, Store, TokenPool, Transfer
+from .resources import Link, Resource, Store, Transfer
 from .snapshot import (
     int_key_pairs,
     pairs_to_int_dict,
@@ -41,6 +41,5 @@ __all__ = [
     "Store",
     "TimeBins",
     "Timeout",
-    "TokenPool",
     "Transfer",
 ]

@@ -2,8 +2,12 @@
 
 Three resources model every point of contention in the SSD:
 
-* :class:`Resource` -- a counting semaphore with priority queueing.  Used
-  for flash dies/planes (one operation at a time) and ECC engines.
+* :class:`Resource` -- a counting semaphore: *n* units granted in
+  (priority, arrival) order.  One unit of a capacity-1 resource is a
+  flash plane; the rest are ECC engine lanes, dBUF and GC staging page
+  slots, fNoC router input credits, NVMe submission-queue slots and
+  write-buffer pages.  :meth:`Resource.hold` is the one timed hold (an
+  array operation on a plane, a decode on an ECC lane).
 * :class:`Link` -- a *serializing bandwidth* resource: a transfer occupies
   the link for ``bytes / bandwidth`` microseconds.  Used for the system
   bus, the flash bus channels, DRAM ports, and the dedicated dSSD_b bus.
@@ -26,21 +30,33 @@ the ``(time, seq)`` keys, that the recorded dispatch fingerprints pin.
 from __future__ import annotations
 
 import heapq
+from bisect import bisect_right
 from collections import deque
 from heapq import heappop, heappush
-from typing import Any, Deque, List, Optional, Tuple
+from operator import itemgetter
+from typing import Any, Deque, Generator, List, Optional, Tuple
 
 from .kernel import _DISPATCHED, Event, SimulationError, Simulator
 from .stats import TimeBins
 
-__all__ = ["Resource", "Link", "Store", "Transfer", "TokenPool"]
+__all__ = ["Resource", "Link", "Store", "Transfer"]
+
+_priority_of = itemgetter(0)
 
 
 class Resource:
-    """A counting semaphore with priority-ordered FIFO queueing.
+    """A counting semaphore: ``capacity`` units granted in order.
 
-    Lower ``priority`` values are served first; ties are FIFO.  A holder
-    must call :meth:`release` exactly once per granted request.
+    :meth:`acquire` asks for *n* units; its event fires with *n* once
+    they are granted.  Waiters are served lowest ``priority`` first and
+    FIFO within a priority, with head-of-line blocking: a request that
+    does not fit holds back every request queued behind it, so a large
+    credit request is never starved by smaller ones.  Every granted
+    request is returned exactly once, by :meth:`release` or
+    :meth:`cancel`.
+
+    ``busy_time`` and ``served`` meter :meth:`hold`: the unit-time spent
+    holding and the number of holds that started service.
     """
 
     def __init__(self, sim: Simulator, capacity: int = 1, name: str = ""):
@@ -49,24 +65,29 @@ class Resource:
         self.sim = sim
         self.capacity = capacity
         self.name = name
-        self._in_use = 0
+        self._available = capacity
+        # (priority, n, grant), kept in (priority, arrival) order.  A
+        # plain list: nearly every request has priority 0, so an insert
+        # is an append and a grant pops the head.
         self._waiters: List[Tuple[int, int, Event]] = []
-        self._seq = 0
         self._owners: dict = {}
+        self.busy_time = 0.0
+        self.served = 0
         sim.register_resource(self)
 
     @property
     def in_use(self) -> int:
-        """Number of currently granted slots."""
-        return self._in_use
+        """Number of currently granted units."""
+        return self.capacity - self._available
 
     @property
     def queue_length(self) -> int:
-        """Number of requests waiting for a slot."""
+        """Number of requests waiting for units."""
         return len(self._waiters)
 
-    def request(self, priority: int = 0, owner: str = "") -> Event:
-        """Ask for a slot; the returned event fires when granted.
+    def acquire(self, n: int = 1, priority: int = 0,
+                owner: str = "") -> Event:
+        """Ask for *n* units; the returned event fires with *n* when granted.
 
         *owner* optionally labels the hold for quiescence diagnostics
         (see :meth:`outstanding_summary`).  Owner-labelled holds should
@@ -74,202 +95,127 @@ class Resource:
         the label is cleared precisely; a plain :meth:`release` drops
         the oldest label, which is best-effort only.
         """
+        if n < 1:
+            raise ValueError(f"must acquire >= 1 unit, got {n}")
+        if n > self.capacity:
+            raise ValueError(
+                f"request of {n} units exceeds capacity {self.capacity}")
         grant = Event(self.sim)
         if owner:
             self._owners[grant] = owner
-        if self._in_use < self.capacity:
-            self._in_use += 1
-            grant.trigger(self)
+        waiters = self._waiters
+        if self._available >= n and (not waiters
+                                     or priority < waiters[0][0]):
+            self._available -= n
+            grant.trigger(n)
+        elif not waiters or priority >= waiters[-1][0]:
+            waiters.append((priority, n, grant))
         else:
-            self._seq += 1
-            heapq.heappush(self._waiters, (priority, self._seq, grant))
+            waiters.insert(bisect_right(waiters, priority, key=_priority_of),
+                           (priority, n, grant))
         return grant
 
-    def release(self) -> None:
-        """Return a slot, waking the highest-priority waiter if any."""
-        if self._in_use <= 0:
-            raise RuntimeError(f"release on idle resource {self.name!r}")
+    def release(self, n: int = 1) -> None:
+        """Return *n* units and grant queued requests in order."""
+        if n < 1:
+            raise ValueError(f"must release >= 1 unit, got {n}")
+        self._return(n)
         if self._owners:
             self._owners.pop(next(iter(self._owners)))
-        self._release_slot()
 
-    def _release_slot(self) -> None:
-        if self._waiters:
-            heapq.heappop(self._waiters)[2].trigger(self)
-        else:
-            self._in_use -= 1
+    def _return(self, n: int) -> None:
+        # Refuse before mutating: a refused release leaves the resource,
+        # and the holds it reports, exactly as they were.
+        available = self._available + n
+        if available > self.capacity:
+            raise RuntimeError(
+                f"resource {self.name!r} over-released "
+                f"({available}/{self.capacity})")
+        waiters = self._waiters
+        while waiters and available >= waiters[0][1]:
+            _priority, count, grant = waiters.pop(0)
+            available -= count
+            grant.trigger(count)
+        self._available = available
 
     def cancel(self, grant: Event) -> None:
         """Abandon a request, whether or not it has been granted yet.
 
         The exception-safety primitive: a holder interrupted between
-        ``request()`` and ``release()`` calls this from a ``finally``.
-        If the grant already fired the slot is released; if it is still
-        queued it leaves the queue at once, so a later :meth:`release`
-        does not wake a waiter that no longer exists and a repeated
-        cancel finds nothing to remove.  A granted request
-        returns its slot once: the grant's value is cleared then, and a
-        second cancel raises ``RuntimeError`` with nothing changed,
-        rather than freeing a slot another holder owns.
-        """
-        if grant._triggered:
-            if grant._value is not self:
-                raise RuntimeError(
-                    f"resource {self.name!r}: cancel of a grant whose "
-                    f"slot was already returned")
-            if self._in_use <= 0:
-                raise RuntimeError(
-                    f"release on idle resource {self.name!r}")
-            self._owners.pop(grant, None)
-            grant._value = None
-            self._release_slot()
-            return
-        self._owners.pop(grant, None)
-        waiters = self._waiters
-        for index, entry in enumerate(waiters):
-            if entry[2] is grant:
-                # (priority, seq) keys are unique, so re-heapifying
-                # keeps the grant order of the remaining waiters.
-                del waiters[index]
-                heapq.heapify(waiters)
-                break
-
-    def outstanding_summary(self) -> Optional[str]:
-        """One-line description of held slots/waiters, or None if idle."""
-        queued = self.queue_length
-        if not self._in_use and not queued:
-            return None
-        message = (f"Resource {self.name or '<anonymous>'!r}: "
-                   f"{self._in_use}/{self.capacity} slot(s) held")
-        owners = sorted(str(owner) for grant, owner in self._owners.items()
-                        if grant._triggered)
-        if owners:
-            message += f" (owners: {', '.join(owners)})"
-        if queued:
-            message += f", {queued} request(s) waiting"
-        return message
-
-
-class TokenPool:
-    """A counted semaphore: acquire/release *n* tokens at a time.
-
-    Grants are strictly FIFO -- a large request at the head of the queue
-    blocks smaller later ones -- which models credit-based flow control
-    (router input buffers) without starvation.
-    """
-
-    def __init__(self, sim: Simulator, capacity: int, name: str = ""):
-        if capacity < 1:
-            raise ValueError(f"capacity must be >= 1, got {capacity}")
-        self.sim = sim
-        self.capacity = capacity
-        self.name = name
-        self._available = capacity
-        self._waiters: Deque[Tuple[int, Event]] = deque()
-        self._owners: dict = {}
-        sim.register_resource(self)
-
-    @property
-    def available(self) -> int:
-        """Tokens currently free."""
-        return self._available
-
-    @property
-    def queue_length(self) -> int:
-        """Number of pending acquire requests."""
-        return len(self._waiters)
-
-    def acquire(self, n: int = 1, owner: str = "") -> Event:
-        """Request *n* tokens; the event fires when they are granted.
-
-        *owner* optionally labels the hold for quiescence diagnostics;
-        owner-labelled holds should be returned via :meth:`cancel` so
-        the label is cleared precisely (a plain :meth:`release` drops
-        the oldest label, best-effort only).
-        """
-        if n < 1:
-            raise ValueError(f"must acquire >= 1 token, got {n}")
-        if n > self.capacity:
-            raise ValueError(
-                f"request of {n} tokens exceeds capacity {self.capacity}"
-            )
-        grant = Event(self.sim)
-        if owner:
-            self._owners[grant] = owner
-        if not self._waiters and self._available >= n:
-            self._available -= n
-            grant.trigger(n)
-        else:
-            self._waiters.append((n, grant))
-        return grant
-
-    def release(self, n: int = 1) -> None:
-        """Return *n* tokens and grant queued requests in FIFO order."""
-        if n < 1:
-            raise ValueError(f"must release >= 1 token, got {n}")
-        self._release_tokens(n)
-        if self._owners:
-            self._owners.pop(next(iter(self._owners)))
-
-    def _release_tokens(self, n: int) -> None:
-        # Refuse before mutating: a refused release leaves the pool,
-        # and the holds it reports, exactly as they were.
-        if self._available + n > self.capacity:
-            raise RuntimeError(
-                f"token pool {self.name!r} over-released "
-                f"({self._available + n}/{self.capacity})"
-            )
-        self._available += n
-        while self._waiters and self._available >= self._waiters[0][0]:
-            count, grant = self._waiters.popleft()
-            self._available -= count
-            grant.trigger(count)
-
-    def cancel(self, grant: Event) -> None:
-        """Abandon an acquire, whether or not it has been granted yet.
-
-        If the grant already fired, its token count (the grant value) is
-        returned to the pool; if it is still queued it is removed so the
-        tokens are never handed out.  A granted acquire returns its
-        tokens once: the grant's value drops to 0 then, and a second
-        cancel raises ``RuntimeError`` with nothing changed, rather than
-        returning tokens another holder owns.
+        :meth:`acquire` and :meth:`release` calls this from a
+        ``finally``.  If the grant already fired, its units (the grant
+        value) are returned; if it is still queued it leaves the queue
+        at once, so its units are never handed out and a repeated
+        cancel finds nothing to remove.  Removing the head of the queue
+        may let smaller requests behind it in.  A granted request
+        returns its units once: the grant's value drops to 0 then, and
+        a second cancel raises ``RuntimeError`` with nothing changed,
+        rather than returning units another holder owns.
         """
         if grant._triggered:
             count = grant._value
             if not count:
                 raise RuntimeError(
-                    f"token pool {self.name!r} over-released: cancel of a "
-                    f"grant whose tokens were already returned")
-            self._release_tokens(count)
+                    f"resource {self.name!r} over-released: cancel of a "
+                    f"grant whose units were already returned")
+            self._return(count)
             grant._value = 0
             self._owners.pop(grant, None)
             return
         self._owners.pop(grant, None)
-        for index, (_count, waiting) in enumerate(self._waiters):
-            if waiting is grant:
-                del self._waiters[index]
+        waiters = self._waiters
+        for index, entry in enumerate(waiters):
+            if entry[2] is grant:
+                del waiters[index]
+                if index == 0:
+                    self._return(0)
                 break
-        # Removing a head-of-line request may unblock smaller ones.
-        while self._waiters and self._available >= self._waiters[0][0]:
-            count, waiting = self._waiters.popleft()
-            self._available -= count
-            waiting.trigger(count)
+
+    def hold(self, duration: float, priority: int = 0,
+             owner: str = "") -> Generator:
+        """Generator: hold one unit for *duration*; returns the wait.
+
+        Interrupt-safe: the unit is returned, and the busy time actually
+        consumed and the started-service count are settled, in a
+        ``finally``, so a process preempted mid-hold leaks nothing and
+        the meters do not under-report.
+        """
+        sim = self.sim
+        requested = sim.now
+        grant = self.acquire(1, priority, owner)
+        started = None
+        try:
+            yield grant
+            started = sim.now
+            yield sim.timeout(duration)
+        finally:
+            if started is not None:
+                self.busy_time += sim.now - started
+                self.served += 1
+            self.cancel(grant)
+        return started - requested
+
+    def utilization(self, horizon: Optional[float] = None) -> float:
+        """Held fraction of the capacity over ``[0, horizon]``."""
+        horizon = horizon if horizon is not None else self.sim.now
+        if horizon <= 0:
+            return 0.0
+        return min(1.0, self.busy_time / (horizon * self.capacity))
 
     def outstanding_summary(self) -> Optional[str]:
-        """One-line description of held tokens/waiters, or None if idle."""
+        """One-line description of held units/waiters, or None if idle."""
         held = self.capacity - self._available
         waiting = len(self._waiters)
-        if held <= 0 and waiting == 0:
+        if not held and not waiting:
             return None
-        message = (f"TokenPool {self.name or '<anonymous>'!r}: "
-                   f"{held}/{self.capacity} token(s) held")
+        message = (f"Resource {self.name or '<anonymous>'!r}: "
+                   f"{held}/{self.capacity} unit(s) held")
         owners = sorted(str(owner) for grant, owner in self._owners.items()
                         if grant._triggered)
         if owners:
             message += f" (owners: {', '.join(owners)})"
         if waiting:
-            message += f", {waiting} acquire(s) waiting"
+            message += f", {waiting} request(s) waiting"
         return message
 
 

@@ -9,8 +9,7 @@ tallies cache hits/misses, so simulated and harness measurements share
 one reporting path.
 
 :class:`LatencyStats` maintains streaming O(1) aggregates (count, sum,
-min, max, and the M2 sum of squared deviations for variance) on every
-add.  The raw sample list that backs *exact* percentiles is optional per
+min and max) on every add.  The raw sample list that backs *exact* percentiles is optional per
 recorder: high-volume recorders that never report a percentile (per-flit
 or per-channel meters) construct with ``keep_samples=False`` and stay
 O(1) in memory no matter how many samples land.
@@ -64,7 +63,7 @@ class LatencyStats:
     raising, so report tables render before any sample lands.
 
     ``keep_samples=False`` drops the raw sample list: every aggregate
-    (count/sum/mean/min/max/variance) still streams in O(1), but exact
+    (count/sum/mean/min/max) still streams in O(1), but exact
     percentiles are unavailable -- :meth:`pct` raises and
     :meth:`summary` reports the tails as ``0.0``.  The sorted view
     backing :meth:`pct` is cached and invalidated on every
@@ -72,7 +71,7 @@ class LatencyStats:
     """
 
     __slots__ = ("name", "_samples", "_sorted", "_count", "_sum",
-                 "_min", "_max", "_m2", "_mean")
+                 "_min", "_max")
 
     def __init__(self, name: str = "", keep_samples: bool = True):
         self.name = name
@@ -82,8 +81,6 @@ class LatencyStats:
         self._sum = 0.0
         self._min = _INF
         self._max = -_INF
-        self._m2 = 0.0
-        self._mean = 0.0
 
     @property
     def keep_samples(self) -> bool:
@@ -92,12 +89,8 @@ class LatencyStats:
 
     def add(self, value: float) -> None:
         """Record one latency sample (microseconds)."""
-        self._count = count = self._count + 1
+        self._count += 1
         self._sum += value
-        # Welford's update keeps the variance numerically stable online.
-        delta = value - self._mean
-        self._mean += delta / count
-        self._m2 += delta * (value - self._mean)
         if value < self._min:
             self._min = value
         if value > self._max:
@@ -117,12 +110,8 @@ class LatencyStats:
         values = list(values)
         if not values:
             return
+        self._count += len(values)
         self._sum += sum(values)
-        for value in values:
-            self._count = count = self._count + 1
-            delta = value - self._mean
-            self._mean += delta / count
-            self._m2 += delta * (value - self._mean)
         low = min(values)
         high = max(values)
         if low < self._min:
@@ -146,18 +135,7 @@ class LatencyStats:
             other = _snapshot(self)
         if other._count == 0:
             return
-        count = self._count + other._count
-        if self._count == 0:
-            self._mean = other._mean
-            self._m2 = other._m2
-        else:
-            # Chan et al. parallel combination of the two M2 aggregates.
-            delta = other._mean - self._mean
-            self._mean += delta * (other._count / count)
-            self._m2 += other._m2 + delta * delta * (
-                self._count * other._count / count
-            )
-        self._count = count
+        self._count += other._count
         self._sum += other._sum
         if other._min < self._min:
             self._min = other._min
@@ -195,16 +173,6 @@ class LatencyStats:
     def min(self) -> float:
         """Smallest sample (0.0 when empty)."""
         return self._min if self._count else 0.0
-
-    @property
-    def variance(self) -> float:
-        """Population variance of the samples (0.0 when empty)."""
-        return self._m2 / self._count if self._count else 0.0
-
-    @property
-    def std(self) -> float:
-        """Population standard deviation of the samples (0.0 when empty)."""
-        return math.sqrt(self.variance)
 
     def pct(self, fraction: float) -> float:
         """Percentile of the samples, e.g. ``pct(0.99)`` for p99.
@@ -253,9 +221,9 @@ class LatencyStats:
         """JSON-able checkpoint of every aggregate plus the samples.
 
         Round-trips exactly through :meth:`load_state` /
-        :meth:`from_state`: counts, Welford terms, min/max, and (when
-        kept) the raw sample list, so a restored recorder reports
-        byte-identical means, variances, and percentiles.  Infinities
+        :meth:`from_state`: count, sum, min/max, and (when kept) the raw
+        sample list, so a restored recorder reports byte-identical
+        means and percentiles.  Infinities
         (the empty recorder's min/max sentinels) are encoded as the
         count-0 state and re-derived on load, keeping the dict strict
         JSON.
@@ -264,8 +232,6 @@ class LatencyStats:
             "name": self.name,
             "count": self._count,
             "sum": self._sum,
-            "m2": self._m2,
-            "mean": self._mean,
         }
         if self._count:
             state["min"] = self._min
@@ -279,8 +245,6 @@ class LatencyStats:
         self.name = state["name"]
         self._count = int(state["count"])
         self._sum = float(state["sum"])
-        self._m2 = float(state["m2"])
-        self._mean = float(state["mean"])
         self._min = float(state["min"]) if self._count else _INF
         self._max = float(state["max"]) if self._count else -_INF
         samples = state.get("samples")
@@ -319,8 +283,6 @@ def _snapshot(stats: LatencyStats) -> LatencyStats:
     copy._sum = stats._sum
     copy._min = stats._min
     copy._max = stats._max
-    copy._m2 = stats._m2
-    copy._mean = stats._mean
     if stats._samples is not None:
         copy._samples = list(stats._samples)
     return copy

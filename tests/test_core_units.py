@@ -172,7 +172,7 @@ def test_decoupled_dbuf_credits_conserved():
     sim.run()
     assert all(p.triggered for p in procs)
     for pool in datapath.dbufs:
-        assert pool.available == pool.capacity
+        assert pool.in_use == 0
 
 
 def test_baseline_staging_credits_conserved():
@@ -188,7 +188,7 @@ def test_baseline_staging_credits_conserved():
     sim.run()
     assert all(p.triggered for p in procs)
     for pool in datapath.gc_staging:
-        assert pool.available == pool.capacity
+        assert pool.in_use == 0
 
 
 def test_remapper_applied_to_every_access():

@@ -16,8 +16,10 @@ REPO = Path(__file__).resolve().parent.parent
 #: Names of removed APIs that a docstring or comment must not mention.
 STALE_NAMES = re.compile(
     r"\b(SystemBus|FlashChannel|OpBreakdown|TimingTable|prefill_block"
-    r"|mark_block_programmed|_cancelled|Simulator\.step)\b"
-    r"|\bbackend\.(read|program|erase)\b|\.step\(\)|:meth:`step`")
+    r"|mark_block_programmed|_cancelled|Simulator\.step|TokenPool"
+    r"|FlashPlane)\b"
+    r"|\bbackend\.(read|program|erase)\b|\.step\(\)|:meth:`step`"
+    r"|\.occupy\(")
 
 
 def _check_docs():

@@ -29,7 +29,7 @@ def array_op(prepare, addr):
     plane it names.  Returns ``(plane wait, array time)``.
     """
     plane, duration = prepare(addr)
-    wait = yield from plane.occupy(duration)
+    wait = yield from plane.hold(duration)
     return wait, duration
 
 
@@ -113,7 +113,7 @@ def test_prepare_erase_updates_state_before_the_plane_is_held():
     assert duration == ULL_TIMING.erase_us
     assert backend.erase_count(addr) == 1
     assert backend.block_state(addr).write_ptr == 0
-    assert sim.now == 0.0 and plane.resource.in_use == 0
+    assert sim.now == 0.0 and plane.in_use == 0
 
 
 def test_plane_contention_serializes():

@@ -31,8 +31,7 @@ from repro.flash import FlashBackend, FlashGeometry
 from repro.flash.timing import ULL_TIMING
 from repro.flash.geometry import PhysAddr
 from repro.reliability import FaultInjector, ReliabilityConfig
-from repro.sim import (Interrupt, Link, Resource, Simulator, Store,
-                       TokenPool)
+from repro.sim import Interrupt, Link, Resource, Simulator, Store
 from repro.sim.kernel import SimulationError
 from tests.dispatch_recorder import record_dispatch
 
@@ -60,12 +59,12 @@ GOLDEN = {
     "process_join_and_return_value": "9e15f5313db34ca5",
     "reliability_wear_faults": "4eebb26534bb5b16",
     "reliability_wear_faults_baseline": "f27c3c6742c14ea9",
+    "resource_credit_flow": "f912e4549e285c52",
     "resource_priority_scheduling": "33951441c9e68126",
     "ssd_point": "35f069524f2a25cd",
     "store_fifo_handoff": "e719d3d73e12f300",
     "superblock_migration_claimed_wait": "8332c7e6add2c57b",
     "timeout_tie_ordering": "3db2d70d59fdb137",
-    "tokenpool_credit_flow": "f912e4549e285c52",
     "unchecked_copyback_reliability": "edb79126f22cb8d4",
     "wear_retry_faults": "1e5842a1c9135143",
 }
@@ -297,7 +296,7 @@ def test_interrupt_resource_holder_releases_in_finally():
         resource = Resource(sim, capacity=1)
 
         def holder():
-            grant = resource.request()
+            grant = resource.acquire()
             try:
                 yield grant
                 trace.append((sim.now, "holder-granted"))
@@ -310,7 +309,7 @@ def test_interrupt_resource_holder_releases_in_finally():
 
         def contender():
             yield sim.timeout(1.0)
-            grant = resource.request()
+            grant = resource.acquire()
             yield grant
             trace.append((sim.now, "contender-granted"))
             resource.release()
@@ -383,7 +382,7 @@ def test_resource_priority_scheduling():
         resource = Resource(sim, capacity=2)
 
         def user(name, priority, hold):
-            grant = resource.request(priority)
+            grant = resource.acquire(priority=priority)
             yield grant
             trace.append((sim.now, name, "granted"))
             yield sim.timeout(hold)
@@ -397,9 +396,11 @@ def test_resource_priority_scheduling():
     assert_golden_scenario("resource_priority_scheduling", scenario)
 
 
-def test_tokenpool_credit_flow():
+def test_resource_credit_flow():
+    """Multi-unit grants: strict FIFO with head-of-line blocking."""
+
     def scenario(sim, trace):
-        pool = TokenPool(sim, capacity=4)
+        pool = Resource(sim, capacity=4)
 
         def borrower(name, count, hold):
             grant = pool.acquire(count)
@@ -413,7 +414,7 @@ def test_tokenpool_credit_flow():
         sim.process(borrower("c", 4, 0.5))
         sim.process(borrower("d", 1, 1.5))
 
-    assert_golden_scenario("tokenpool_credit_flow", scenario)
+    assert_golden_scenario("resource_credit_flow", scenario)
 
 
 def test_link_serialization_and_start_events():

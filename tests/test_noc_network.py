@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 from repro.errors import ConfigError
 from repro.noc import Crossbar, FNoC, Mesh1D, Packet, Ring, flit_count
-from repro.sim import Simulator, TokenPool
+from repro.sim import Simulator
 
 
 def make_noc(topology, bandwidth=1000.0, **kwargs):
@@ -159,7 +159,7 @@ def test_credits_are_conserved_after_traffic():
             for s in range(8) for d in range(8) if s != d]
     send_all(sim, noc, pkts)
     for pool in noc._ports.values():
-        assert pool.available == pool.capacity
+        assert pool.in_use == 0
         assert pool.queue_length == 0
 
 

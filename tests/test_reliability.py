@@ -1,7 +1,7 @@
 """Tests for the reliability subsystem and interrupt/leak regressions.
 
-Covers the resource-leak fixes (interrupt-safe holds on Resource /
-TokenPool / ECC lanes), the Timeout construction-trigger fix, ECC
+Covers the resource-leak fixes (interrupt-safe holds on Resource and
+ECC lanes), the Timeout construction-trigger fix, ECC
 utilization accounting under preemption, kernel interrupt edge cases,
 and the reliability stack itself (RBER model, read-retry ladder,
 bad-block retirement, fault injection, end-to-end error propagation).
@@ -24,7 +24,7 @@ from repro.reliability import (
     pe_fraction_at_rber,
     poisson,
 )
-from repro.sim import Interrupt, Resource, SimulationError, Simulator, TokenPool
+from repro.sim import Interrupt, Resource, SimulationError, Simulator
 
 
 # ---------------------------------------------------------------------------
@@ -105,12 +105,12 @@ class TestInterruptResourceSafety:
     def test_resource_cancel_of_queued_request(self):
         sim = Simulator()
         resource = Resource(sim, capacity=1)
-        first = resource.request()
-        second = resource.request()
+        first = resource.acquire()
+        second = resource.acquire()
         assert first.triggered and not second.triggered
         resource.cancel(second)
         assert resource.queue_length == 0
-        third = resource.request()
+        third = resource.acquire()
         resource.cancel(first)  # releases; must skip the cancelled grant
         sim.run()
         assert third.triggered
@@ -118,16 +118,16 @@ class TestInterruptResourceSafety:
     def test_resource_cancel_of_triggered_grant_releases(self):
         sim = Simulator()
         resource = Resource(sim, capacity=1)
-        grant = resource.request()
+        grant = resource.acquire()
         assert grant.triggered
         resource.cancel(grant)
         assert resource.in_use == 0
-        again = resource.request()
+        again = resource.acquire()
         assert again.triggered
 
-    def test_tokenpool_hold_returned_on_interrupt(self):
+    def test_multi_unit_grant_returned_on_interrupt(self):
         sim = Simulator()
-        pool = TokenPool(sim, capacity=2)
+        pool = Resource(sim, capacity=2)
 
         def holder():
             grant = pool.acquire(2)
@@ -140,11 +140,11 @@ class TestInterruptResourceSafety:
         process = sim.process(holder())
         sim.schedule(5.0, process.interrupt)
         sim.run()
-        assert pool.available == 2
+        assert pool.in_use == 0
 
-    def test_tokenpool_cancel_of_queued_request_unblocks_smaller(self):
+    def test_cancel_of_queued_head_unblocks_smaller(self):
         sim = Simulator()
-        pool = TokenPool(sim, capacity=4)
+        pool = Resource(sim, capacity=4)
         hold = pool.acquire(3)
         big = pool.acquire(4)       # queued, head of line
         small = pool.acquire(1)     # queued behind the big one
@@ -153,7 +153,7 @@ class TestInterruptResourceSafety:
         assert small.triggered      # head removal drains the queue
         pool.cancel(hold)
         pool.cancel(small)
-        assert pool.available == 4
+        assert pool.in_use == 0
 
     def test_interrupt_while_waiting_in_queue_leaves_no_ghost_grant(self):
         sim = Simulator()

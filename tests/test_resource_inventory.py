@@ -4,7 +4,9 @@ Quiescence messages, the leaked-hold oracle and the fuzzer's outcome
 details print resources by name, in the order the simulator registered
 them (planes, flash buses, system bus, DRAM ports, ...).  A refactor of
 how those resources are wrapped must keep both, so each preset's
-``(type, name)`` list is pinned here as a short digest.
+``(type, name)`` list is pinned here as a short digest.  The digests
+were last re-recorded when the token pools became ``Resource`` objects:
+only those type names changed, with the same names in the same order.
 """
 
 import hashlib
@@ -16,12 +18,12 @@ from repro.core import ArchPreset, build_ssd
 from repro.reliability import ReliabilityConfig
 
 INVENTORY = {
-    "baseline": "a59c99f590fce747",
-    "bw": "a59c99f590fce747",
-    "dssd": "3ebb42f59d0f30e2",
-    "dssd_b": "c708827c24d1b418",
-    "dssd_f": "6011a9e096941293",
-    "dssd_f+faults": "6011a9e096941293",
+    "baseline": "3e4b3fd7fa159835",
+    "bw": "3e4b3fd7fa159835",
+    "dssd": "3939a4269043ae3b",
+    "dssd_b": "cbeceef7e3832b69",
+    "dssd_f": "e6904e57bf75f7ae",
+    "dssd_f+faults": "e6904e57bf75f7ae",
 }
 
 

@@ -12,7 +12,7 @@ from repro.sim.kernel import SimulationError
 def test_resource_grants_up_to_capacity():
     sim = Simulator()
     res = Resource(sim, capacity=2)
-    grants = [res.request(), res.request(), res.request()]
+    grants = [res.acquire(), res.acquire(), res.acquire()]
     sim.run()
     assert grants[0].triggered and grants[1].triggered
     assert not grants[2].triggered
@@ -23,8 +23,8 @@ def test_resource_grants_up_to_capacity():
 def test_resource_release_wakes_waiter():
     sim = Simulator()
     res = Resource(sim, capacity=1)
-    first = res.request()
-    second = res.request()
+    first = res.acquire()
+    second = res.acquire()
     sim.run()
     assert first.triggered and not second.triggered
     res.release()
@@ -38,13 +38,13 @@ def test_resource_priority_order():
     order = []
 
     def holder(sim):
-        yield res.request()
+        yield res.acquire()
         yield sim.timeout(10.0)
         res.release()
 
     def waiter(sim, tag, priority):
         yield sim.timeout(1.0)  # enqueue after holder owns the slot
-        yield res.request(priority)
+        yield res.acquire(priority=priority)
         order.append(tag)
         res.release()
 
@@ -306,9 +306,9 @@ def test_resource_outstanding_summary_names_owners():
     sim = Simulator()
     res = Resource(sim, capacity=2, name="ecc_lanes")
     assert res.outstanding_summary() is None
-    first = res.request(owner="decoder-a")
-    res.request(owner="decoder-b")
-    res.request(owner="queued")
+    first = res.acquire(owner="decoder-a")
+    res.acquire(owner="decoder-b")
+    res.acquire(owner="queued")
     sim.run()
     summary = res.outstanding_summary()
     assert "ecc_lanes" in summary
@@ -321,17 +321,16 @@ def test_resource_outstanding_summary_names_owners():
     assert "decoder-a" not in res.outstanding_summary()
 
 
-def test_token_pool_outstanding_summary_names_owners():
-    from repro.sim import TokenPool
-
+def test_outstanding_summary_counts_every_unit_of_a_grant():
     sim = Simulator()
-    pool = TokenPool(sim, capacity=4, name="sq_slots")
+    pool = Resource(sim, capacity=4, name="sq_slots")
     assert pool.outstanding_summary() is None
     grant = pool.acquire(3, owner="tenant0")
     sim.run()
     summary = pool.outstanding_summary()
     assert "sq_slots" in summary and "3/4" in summary
     assert "tenant0" in summary
+    assert grant.value == 3
     pool.cancel(grant)
     assert pool.outstanding_summary() is None
 
@@ -339,7 +338,7 @@ def test_token_pool_outstanding_summary_names_owners():
 def test_simulator_collects_outstanding_holds():
     sim = Simulator()
     res = Resource(sim, capacity=1, name="bus")
-    res.request(owner="dma")
+    res.acquire(owner="dma")
     sim.run()
     holds = sim.outstanding_holds()
     assert len(holds) == 1
@@ -351,8 +350,8 @@ def test_simulator_collects_outstanding_holds():
 def test_release_without_grant_drops_oldest_owner_label():
     sim = Simulator()
     res = Resource(sim, capacity=2, name="r")
-    res.request(owner="old")
-    res.request(owner="new")
+    res.acquire(owner="old")
+    res.acquire(owner="new")
     sim.run()
     res.release()
     summary = res.outstanding_summary()
@@ -360,20 +359,18 @@ def test_release_without_grant_drops_oldest_owner_label():
 
 
 def _pool_view(pool):
-    return (pool.available, list(pool._owners.values()),
+    return (pool.in_use, list(pool._owners.values()),
             pool.outstanding_summary())
 
 
 def test_refused_token_release_leaves_the_pool_unchanged():
-    from repro.sim import TokenPool
-
     sim = Simulator()
-    full = TokenPool(sim, capacity=4, name="full")
+    full = Resource(sim, capacity=4, name="full")
     with pytest.raises(RuntimeError, match="over-released"):
         full.release(1)
-    assert full.available == 4 and full.outstanding_summary() is None
+    assert full.in_use == 0 and full.outstanding_summary() is None
 
-    pool = TokenPool(sim, capacity=4, name="held")
+    pool = Resource(sim, capacity=4, name="held")
     pool.acquire(2, owner="x")
     sim.run()
     before = _pool_view(pool)
@@ -384,16 +381,14 @@ def test_refused_token_release_leaves_the_pool_unchanged():
 
 
 def test_refused_double_cancel_leaves_the_pool_unchanged():
-    from repro.sim import TokenPool
-
     sim = Simulator()
-    pool = TokenPool(sim, capacity=4, name="held")
+    pool = Resource(sim, capacity=4, name="held")
     big = pool.acquire(3, owner="x")
     pool.acquire(1, owner="y")
     sim.run()
     pool.cancel(big)
     before = _pool_view(pool)
-    assert before[0] == 3 and "y" in before[2]
+    assert before[0] == 1 and "y" in before[2]
     with pytest.raises(RuntimeError, match="over-released"):
         pool.cancel(big)
     assert _pool_view(pool) == before
@@ -402,10 +397,8 @@ def test_refused_double_cancel_leaves_the_pool_unchanged():
 def test_second_cancel_of_a_granted_acquire_is_refused():
     """A second cancel of one grant must not hand back tokens another
     holder owns, even where the pool has room for them."""
-    from repro.sim import TokenPool
-
     sim = Simulator()
-    pool = TokenPool(sim, capacity=4, name="held")
+    pool = Resource(sim, capacity=4, name="held")
     x_grant = pool.acquire(2, owner="x")
     pool.acquire(2, owner="y")
     sim.run()
@@ -427,8 +420,8 @@ def test_second_cancel_of_a_granted_request_is_refused():
     holder owns, nor the one a waiter was just handed."""
     sim = Simulator()
     res = Resource(sim, capacity=2, name="pair")
-    a_grant = res.request(owner="a")
-    res.request(owner="b")
+    a_grant = res.acquire(owner="a")
+    res.acquire(owner="b")
     sim.run()
     res.cancel(a_grant)
     before = _resource_view(res)
@@ -438,8 +431,8 @@ def test_second_cancel_of_a_granted_request_is_refused():
     assert _resource_view(res) == before
 
     single = Resource(sim, capacity=1, name="single")
-    first = single.request(owner="first")
-    single.request(owner="second")
+    first = single.acquire(owner="first")
+    single.acquire(owner="second")
     sim.run()
     single.cancel(first)
     sim.run()
@@ -455,14 +448,14 @@ def test_repeated_cancel_of_a_queued_request_changes_nothing():
     repeat after the slot ahead of it was returned finds nothing."""
     sim = Simulator()
     res = Resource(sim, capacity=1, name="single")
-    a_grant = res.request(owner="a")
-    b_grant = res.request(owner="b")
+    a_grant = res.acquire(owner="a")
+    b_grant = res.acquire(owner="b")
     res.cancel(b_grant)
     res.cancel(a_grant)
     res.cancel(b_grant)
     assert _resource_view(res) == (0, 0, [], None)
-    late = res.request()
-    later = res.request()
+    late = res.acquire()
+    later = res.acquire()
     assert late.triggered and not later.triggered
     assert _resource_view(res)[:2] == (1, 1)
     sim.run()
@@ -470,13 +463,13 @@ def test_repeated_cancel_of_a_queued_request_changes_nothing():
 
 
 def test_cancel_of_a_queued_request_keeps_the_grant_order():
-    """Removing the queue's head leaves a list that is no longer a heap
-    until it is re-heapified; the grants must still go by priority."""
+    """Removing a queued request, the head included, leaves the rest
+    of the queue in (priority, arrival) order."""
     sim = Simulator()
     res = Resource(sim, capacity=1)
     order = []
-    held = res.request()
-    grants = {tag: res.request(priority=priority)
+    held = res.acquire()
+    grants = {tag: res.acquire(priority=priority)
               for tag, priority in (("x", 0), ("y", 1), ("z", 0))}
     for tag, grant in grants.items():
         grant.add_callback(lambda event, tag=tag: order.append(tag))
@@ -486,3 +479,90 @@ def test_cancel_of_a_queued_request_keeps_the_grant_order():
         sim.run()
         res.release()
     assert order == ["z", "y"] and res.in_use == 0
+
+
+def _grant_log(res, requests):
+    """Acquire each ``(tag, n, priority)``; log tags as grants fire."""
+    order = []
+    grants = {}
+    for tag, n, priority in requests:
+        grant = grants[tag] = res.acquire(n, priority=priority)
+        grant.add_callback(lambda event, tag=tag: order.append(tag))
+    return order, grants
+
+
+def test_mixed_priorities_with_multi_unit_requests():
+    """Priority goes first, FIFO within a priority, and a head that does
+    not fit blocks smaller requests behind it."""
+    sim = Simulator()
+    res = Resource(sim, capacity=4)
+    res.acquire(4)
+    order, grants = _grant_log(res, [
+        ("a", 3, 1), ("b", 1, 1), ("c", 2, 0), ("d", 2, 0), ("e", 1, 2)])
+    assert res.queue_length == 5
+    res.release(2)              # c fits; d does not, and blocks a, b, e
+    sim.run()
+    assert order == ["c"] and res.in_use == 4
+    res.release(1)              # one unit free: d (2) still blocks
+    sim.run()
+    assert order == ["c"] and res.in_use == 3
+    res.release(1)              # d fits; a (3) is now the head
+    sim.run()
+    assert order == ["c", "d"] and res.in_use == 4
+    res.cancel(grants["c"])     # two free: a (3) blocks b and e
+    sim.run()
+    assert order == ["c", "d"] and res.in_use == 2
+    res.cancel(grants["d"])
+    sim.run()
+    assert order == ["c", "d", "a", "b"] and res.in_use == 4
+    assert res.queue_length == 1 and not grants["e"].triggered
+    assert (grants["a"].value, grants["b"].value) == (3, 1)
+
+
+def test_urgent_request_that_fits_is_granted_ahead_of_the_queue():
+    sim = Simulator()
+    res = Resource(sim, capacity=4)
+    res.acquire(2)
+    blocked = res.acquire(3)            # head of line, does not fit
+    urgent = res.acquire(2, priority=-1)
+    assert urgent.triggered and not blocked.triggered
+    late = res.acquire(1)               # same priority as the head: waits
+    assert not late.triggered and res.queue_length == 2
+
+
+def test_cancel_of_a_queued_head_releases_smaller_waiters():
+    sim = Simulator()
+    res = Resource(sim, capacity=4, name="dbuf")
+    holder = res.acquire(2, owner="holder")
+    order, grants = _grant_log(res, [
+        ("big", 4, 0), ("one", 1, 0), ("other", 1, 0), ("last", 1, 0)])
+    assert res.queue_length == 4
+    res.cancel(grants["big"])
+    sim.run()
+    assert order == ["one", "other"] and res.queue_length == 1
+    assert res.in_use == 4 and not grants["big"].triggered
+    res.cancel(holder)
+    sim.run()
+    assert order == ["one", "other", "last"] and res.in_use == 3
+
+
+def test_interrupted_hold_settles_busy_time_and_served_count():
+    sim = Simulator()
+    plane = Resource(sim, 1, name="plane0")
+    waits = []
+
+    def op(duration):
+        waits.append((yield from plane.hold(duration)))
+
+    first = sim.process(op(10.0))
+    sim.process(op(4.0))
+    never = sim.process(op(1.0))
+    sim.schedule(2.0, first.interrupt)
+    sim.schedule(3.0, never.interrupt)
+    sim.run()
+    # first held 2 us, queued then held its full 4 us after waiting 2.
+    assert plane.busy_time == pytest.approx(6.0)
+    assert plane.served == 2
+    assert waits == [pytest.approx(2.0)]
+    assert plane.in_use == 0 and plane.queue_length == 0
+    assert plane.utilization(6.0) == pytest.approx(1.0)

@@ -1,6 +1,14 @@
 """Tests for workload generators: synthetic, trace, MSR-shaped."""
 
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
+
 import pytest
+
+import repro
 
 from repro.errors import ConfigError
 from repro.ftl import READ, WRITE
@@ -183,6 +191,29 @@ def test_synthesized_trace_reproducible():
     a = synthesize_trace(profile, 100, seed=9)
     b = synthesize_trace(profile, 100, seed=9)
     assert a == b
+
+
+#: Digest of the usr_0 trace (2,000 requests, seed 1): the trace earlier
+#: releases drew under ``PYTHONHASHSEED=0``, which perfbench measures.
+USR_0_DIGEST = "87266e6ca3d1e9d1"
+
+
+@pytest.mark.parametrize("hash_seed", ["1", "2"])
+def test_synthesized_trace_is_independent_of_the_process(hash_seed):
+    code = textwrap.dedent("""
+        import hashlib, json
+        from repro.workloads import MSR_PROFILES, synthesize_trace
+        records = synthesize_trace(MSR_PROFILES["usr_0"], 2000, seed=1)
+        rows = [[r.op, r.lpn, r.n_pages, r.timestamp] for r in records]
+        print(hashlib.sha256(json.dumps(rows).encode()).hexdigest()[:16])
+    """)
+    src = str(Path(repro.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONHASHSEED=hash_seed)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p])
+    result = subprocess.run([sys.executable, "-c", code], env=env,
+                            capture_output=True, text=True, check=True)
+    assert result.stdout.strip() == USR_0_DIGEST
 
 
 def test_make_msr_workload():
