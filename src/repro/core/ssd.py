@@ -228,8 +228,7 @@ class SimulatedSSD:
         self.wear_leveler: Optional[StaticWearLeveler] = None
         if config.wear_leveling:
             self.wear_leveler = StaticWearLeveler(
-                self.sim, self.mapping, self.blocks, self.backend,
-                self.datapath,
+                self.sim, self.blocks, self.backend, self.gc,
                 interval_us=config.wear_level_interval_us,
                 threshold=config.wear_level_threshold,
             )

@@ -36,8 +36,9 @@ FREE = "free"
 ACTIVE = "active"
 FULL = "full"
 BAD = "bad"
-#: Transitional state: a GC or wear-leveling worker owns the block and
-#: is migrating its pages; nobody else may select it.
+#: Transitional state: a relocation (a GC worker, the wear leveler or
+#: a superblock migration) owns the block and is moving its pages off;
+#: nobody else may select it.
 COLLECTING = "collecting"
 #: Withdrawn from the free pools as a bad-block replacement spare; the
 #: FTL never addresses it directly (the reliability layer remaps onto
@@ -358,21 +359,17 @@ class BlockManager:
 
     # -- garbage collection support ----------------------------------------------
 
-    def pick_victim(self, plane: int,
-                    max_valid_fraction: float = 1.0) -> Optional[int]:
+    def pick_victim(self, plane: int) -> Optional[int]:
         """Greedy victim in *plane*: the FULL block with fewest valid pages.
 
-        Blocks with more than ``max_valid_fraction`` of their pages valid
-        are skipped (no point copying nearly-full blocks).  Returns the
-        victim's block index, or None if the plane has no eligible
-        victim.
+        Returns the victim's block index, or None if the plane has no
+        eligible victim.
         """
         self._check_plane(plane)
         best: Optional[int] = None
         best_count = 0
         base = plane * self.geometry.blocks_per_plane
         pages_per_block = self.geometry.pages_per_block
-        limit = pages_per_block * max_valid_fraction
         for block_index in range(base, base + self.geometry.blocks_per_plane):
             info = self.blocks[block_index]
             if info.state != FULL or info.pending > 0:
@@ -381,8 +378,6 @@ class BlockManager:
             if count >= pages_per_block:
                 # Fully-valid victim: copying it frees nothing, so
                 # collecting it can only burn erase cycles and reserve.
-                continue
-            if count > limit:
                 continue
             if best is None or count < best_count:
                 best = block_index
@@ -398,13 +393,19 @@ class BlockManager:
             raise MappingError(f"cannot collect non-FULL block {info.addr}")
         info.state = COLLECTING
 
-    def unclaim(self, block: int) -> None:
-        """Return a COLLECTING block to FULL (migration aborted)."""
+    def close_block(self, block: int) -> None:
+        """Stop allocating from ACTIVE block *block*: it turns FULL where
+        its write pointer stands; pages already handed out still commit."""
         info = self.info(block)
-        if info.state != COLLECTING:
-            raise MappingError(
-                f"unclaim of non-collecting block {info.addr}")
+        if info.state != ACTIVE:
+            raise MappingError(f"cannot close non-ACTIVE block {info.addr}")
+        plane = block // self.geometry.blocks_per_plane
+        if self._active[plane] == block:
+            self._active[plane] = None
+        if self._active_gc[plane] == block:
+            self._active_gc[plane] = None
         info.state = FULL
+        self._refresh_plane(plane)
 
     def release_block(self, block: int) -> None:
         """Return an erased block to its plane's free pool."""
@@ -443,8 +444,16 @@ class BlockManager:
         return block_index
 
     def mark_bad(self, block: int) -> None:
-        """Permanently retire block *block*."""
+        """Permanently retire block *block*.
+
+        Refuses, changing nothing, a block with pages still in flight:
+        their commits would leave LPNs mapped into a retired block.
+        """
         info = self.info(block)
+        if info.pending:
+            raise MappingError(
+                f"mark_bad of block {info.addr} with {info.pending} "
+                "pending page(s)")
         plane = block // self.geometry.blocks_per_plane
         if info.state == FREE:
             plane_pool = self._free[plane]
@@ -453,10 +462,7 @@ class BlockManager:
                 self.free_blocks -= 1
         elif info.state == ACTIVE:
             # Never hand out pages from a retired block.
-            if self._active[plane] == block:
-                self._active[plane] = None
-            if self._active_gc[plane] == block:
-                self._active_gc[plane] = None
+            self.close_block(block)
         info.state = BAD
         info.mask = 0
         self.bad_blocks += 1

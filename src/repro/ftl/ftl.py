@@ -30,6 +30,9 @@ __all__ = ["Ftl", "WRITE_POLICIES"]
 
 WRITE_POLICIES = ("writeback", "writethrough")
 
+#: Host-request breakdowns kept in :attr:`Ftl.io_breakdowns`.
+_BREAKDOWN_SAMPLES = 2048
+
 
 class _DiscardBreakdown:
     """A :class:`Breakdown` sink for work whose breakdown nobody reads.
@@ -81,8 +84,7 @@ class Ftl:
                  datapath, host: HostInterface, gc: GarbageCollector,
                  write_policy: str = "writeback",
                  flush_workers: int = 32,
-                 bin_width: float = 1000.0,
-                 breakdown_samples: int = 2048):
+                 bin_width: float = 1000.0):
         if write_policy not in WRITE_POLICIES:
             raise ConfigError(f"unknown write policy {write_policy!r}")
         if flush_workers < 1:
@@ -96,7 +98,6 @@ class Ftl:
         self.gc = gc
         self.write_policy = write_policy
         self.flush_workers = flush_workers
-        self.breakdown_samples = breakdown_samples
 
         #: LPN -> admission stamp of the newest write staged for it.
         self._dirty: Dict[int, int] = {}
@@ -380,7 +381,7 @@ class Ftl:
                 self.sim.now, request.bytes(self.geometry.page_size)
             )
         self.requests_completed += 1
-        if len(self.io_breakdowns) < self.breakdown_samples:
+        if len(self.io_breakdowns) < _BREAKDOWN_SAMPLES:
             self.io_breakdowns.append(breakdown)
 
     @property

@@ -12,6 +12,11 @@
 The engine is datapath-agnostic: page movement is delegated to the
 architecture's datapath object (baseline bounce-through-DRAM versus
 decoupled global copyback).
+
+Its two relocation steps, :meth:`GarbageCollector.evacuate` and
+:meth:`GarbageCollector.finish`, are the device's only page relocator:
+static wear leveling and the live superblock migration move FTL-mapped
+pages through them too, so :class:`GcStats` meters every relocation.
 """
 
 from __future__ import annotations
@@ -31,6 +36,9 @@ GC_POLICIES = ("pagc", "preemptive", "tinytail")
 #: Failed destination polls a page move tolerates before it declares
 #: the allocator starved (see :meth:`GarbageCollector._destination_poll`).
 _STARVATION_POLLS = 10_000
+
+#: Page-move breakdowns kept in :attr:`GcStats.move_breakdowns`.
+_SAMPLE_BREAKDOWNS = 512
 
 #: Destination-wait result: the source page was overwritten meanwhile.
 _DROPPED = object()
@@ -100,7 +108,6 @@ class GarbageCollector:
                  tinytail_channels: int = 1,
                  partial_pages: int = 8,
                  preempt_poll_us: float = 10.0,
-                 sample_breakdowns: int = 512,
                  pipeline_depth: int = 4):
         if policy not in GC_POLICIES:
             raise ConfigError(f"unknown GC policy {policy!r}")
@@ -124,7 +131,6 @@ class GarbageCollector:
         self.hard_floor_fraction = hard_floor_fraction
         self.partial_pages = partial_pages
         self.preempt_poll_us = preempt_poll_us
-        self.sample_breakdowns = sample_breakdowns
         self.pipeline_depth = pipeline_depth
         self.stats = GcStats()
         self.active = False
@@ -214,7 +220,8 @@ class GarbageCollector:
             victim = self.blocks.pick_victim(plane)
             if victim is None:
                 return
-            yield from self._collect_block(victim)
+            yield from self.evacuate(victim)
+            yield from self.finish(victim)
 
     def _channel_worker(self, channel: int) -> Generator:
         """TinyTail: all planes of one channel, gated by the channel tokens."""
@@ -230,23 +237,25 @@ class GarbageCollector:
                 if victim is None:
                     continue
                 progressed = True
-                yield from self._collect_block(victim, gated=True)
+                yield from self.evacuate(victim, gated=True)
+                yield from self.finish(victim, gated=True)
             if not progressed:
                 return
 
-    # -- block collection ---------------------------------------------------------
+    # -- block relocation ---------------------------------------------------------
 
-    def _collect_block(self, victim: int, gated: bool = False) -> Generator:
-        """Move block *victim*'s valid pages, erase it, return it to the pool.
+    def evacuate(self, block: int, gated: bool = False) -> Generator:
+        """Claim FULL block *block* and move its valid pages off it.
 
         Page moves are issued ``pipeline_depth`` at a time (mirroring
-        PaGC's plane-parallel bursts); the TinyTail policy instead holds
-        a channel token for at most ``partial_pages`` moves per burst.
+        PaGC's plane-parallel bursts); the TinyTail policy (*gated*)
+        instead holds a channel token for at most ``partial_pages``
+        moves per burst.  The block stays COLLECTING, owned by the
+        caller, with no valid page left.
         """
-        self.blocks.claim_for_collection(victim)
-        pages = self.blocks.valid_pages_of(victim)
-        burst = (self.partial_pages if gated
-                 else max(self.pipeline_depth, 1))
+        self.blocks.claim_for_collection(block)
+        pages = self.blocks.valid_pages_of(block)
+        burst = self.partial_pages if gated else self.pipeline_depth
         for start in range(0, len(pages), burst):
             chunk = pages[start:start + burst]
             if self.policy == "preemptive":
@@ -263,13 +272,15 @@ class GarbageCollector:
                 if grant is not None:
                     self._tt_tokens.cancel(grant)
 
-        victim_addr = self.blocks.info(victim).addr
+    def finish(self, block: int, gated: bool = False) -> Generator:
+        """Erase evacuated block *block* and release or retire it."""
+        block_addr = self.blocks.info(block).addr
         grant = (self._tt_tokens.acquire(owner="gc-tinytail-erase")
                  if gated else None)
         try:
             if grant is not None:
                 yield grant
-            yield from self.datapath.gc_erase(victim_addr)
+            yield from self.datapath.gc_erase(block_addr)
         finally:
             if grant is not None:
                 self._tt_tokens.cancel(grant)
@@ -279,13 +290,13 @@ class GarbageCollector:
         reliability = getattr(self.datapath, "reliability", None)
         verdict = "ok"
         if reliability is not None:
-            verdict = reliability.after_erase(victim_addr)
+            verdict = reliability.after_erase(block_addr)
         if verdict == "retired":
             self.stats.blocks_retired += 1
         else:
             if verdict == "remapped":
                 self.stats.blocks_remapped += 1
-            self.blocks.release_block(victim)
+            self.blocks.release_block(block)
         self.stats.blocks_erased += 1
 
     def _move_page(self, src: int) -> Generator:
@@ -307,7 +318,7 @@ class GarbageCollector:
             blocks.commit_page(dst, valid=False)
             self.stats.pages_dropped += 1
         blocks.invalidate(src)
-        if len(self.stats.move_breakdowns) < self.sample_breakdowns:
+        if len(self.stats.move_breakdowns) < _SAMPLE_BREAKDOWNS:
             self.stats.move_breakdowns.append(breakdown)
 
     def _destination_poll(self, src: int):

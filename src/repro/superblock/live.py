@@ -5,14 +5,18 @@ Attaches the SRT/RBT machinery to a running :class:`SimulatedSSD`:
 * superblocks group the same (way, die, plane, block) position across
   every channel;
 * an injected uncorrectable error drives the paper's protocol -- the
-  first failure retires the superblock (the FTL migrates its valid
-  pages and marks the blocks bad) and stocks the recycle tables; later
-  failures are healed invisibly: the controller copies the dying
+  first failure retires the superblock and stocks the recycle tables;
+  later failures are healed invisibly: the controller copies the dying
   sub-block's pages onto a recycled block with *global copyback* and
   installs an SRT remap, so every future FTL access to that position is
   redirected in hardware;
 * the remap layer chains into the architecture datapath's ``remapper``
   hook, exactly where the Fig 15 performance experiments plug in.
+
+The first failure's migration runs beside host writes and GC, so it
+owns each sub-block first: it closes an open one to allocation and
+waits until no relocation holds it and no program is in flight into
+it.  The garbage collector then evacuates it, and it is marked bad.
 
 The remap entry is installed only after the recycling copy completes,
 so concurrent host reads always resolve to a programmed block.
@@ -24,7 +28,7 @@ from typing import Dict, Generator, Optional, Set, Tuple
 
 from ..errors import ConfigError, MappingError
 from ..flash import PhysAddr
-from ..ftl.blocks import COLLECTING
+from ..ftl.blocks import ACTIVE, BAD, COLLECTING, FULL
 from .manager import DynamicSuperblockManager
 
 __all__ = ["LiveDynamicSuperblocks"]
@@ -127,7 +131,7 @@ class LiveDynamicSuperblocks:
                 self._recycle_copy(key), name="recycle_copy"
             )
         return self.ssd.sim.process(
-            self._ftl_migration(superblock), name="ftl_migration"
+            self._retire_superblock(superblock), name="ftl_migration"
         )
 
     def _recycle_copy(self, key: Tuple[int, int]) -> Generator:
@@ -152,30 +156,29 @@ class LiveDynamicSuperblocks:
         self._pending.discard(key)
         self.recycle_copies += 1
 
-    def _ftl_migration(self, superblock: int) -> Generator:
-        """First-failure path: the FTL rescues the whole superblock."""
+    def _retire_superblock(self, superblock: int) -> Generator:
+        """First-failure path: the FTL rescues the whole superblock.
+
+        A sub-block a relocation erased meanwhile has nothing to move.
+        """
         blocks = self.ssd.blocks
-        mapping = self.ssd.mapping
-        datapath = self.ssd.datapath
+        gc = self.ssd.gc
         for channel in range(self.geometry.channels):
             block = self.subblock_index(superblock, channel)
             info = blocks.info(block)
-            # A GC worker may own the block right now; let it finish.
-            yield from self.ssd.sim.wait_until(
-                50.0, lambda: None if info.state == COLLECTING else info)
-            for src in blocks.valid_pages_of(block):
-                if mapping.reverse_lookup(src) is None:
-                    blocks.invalidate(src)
-                    continue
-                dst = blocks.allocate_page(for_gc=True)
-                yield from datapath.gc_move(blocks.page_addr(src),
-                                            blocks.page_addr(dst))
-                moved = mapping.reverse_lookup(src) is not None
-                if moved:
-                    mapping.move(src, dst)
-                blocks.commit_page(dst, valid=moved)
-                blocks.invalidate(src)
-            blocks.mark_bad(block)
+
+            def owned():
+                if info.state == ACTIVE:
+                    blocks.close_block(block)
+                if info.state == COLLECTING or info.pending:
+                    return None
+                return info
+
+            yield from self.ssd.sim.wait_until(gc.preempt_poll_us, owned)
+            if info.state == FULL:
+                yield from gc.evacuate(block)
+            if info.state != BAD:
+                blocks.mark_bad(block)
         self.ftl_migrations += 1
 
     # -- reporting -----------------------------------------------------------------

@@ -17,7 +17,8 @@ REPO = Path(__file__).resolve().parent.parent
 STALE_NAMES = re.compile(
     r"\b(SystemBus|FlashChannel|OpBreakdown|TimingTable|prefill_block"
     r"|mark_block_programmed|_cancelled|Simulator\.step|TokenPool"
-    r"|FlashPlane)\b"
+    r"|FlashPlane|_migrate_block|_ftl_migration|aborted_migrations"
+    r"|pages_migrated|unclaim|max_valid_fraction)\b"
     r"|\bbackend\.(read|program|erase)\b|\.step\(\)|:meth:`step`"
     r"|\.occupy\(")
 

@@ -116,15 +116,14 @@ def test_pick_victim_respects_valid_fraction_limit():
     addrs = [mgr.allocate_page(plane=0) for _ in range(4)]
     for addr in addrs:
         mgr.commit_page(addr, valid=True)
-    # 100% valid: never a victim, even at max_valid_fraction=1.0 --
-    # collecting it frees nothing and burns the GC reserve.
-    assert mgr.pick_victim(0, max_valid_fraction=1.0) is None
+    # 100% valid: never a victim -- collecting it frees nothing and
+    # burns the GC reserve.
+    assert mgr.pick_victim(0) is None
     addrs = [mgr.allocate_page(plane=0) for _ in range(4)]
     for addr in addrs[:3]:
         mgr.commit_page(addr, valid=True)
     mgr.commit_page(addrs[3], valid=False)  # 75% valid
-    assert mgr.pick_victim(0, max_valid_fraction=0.5) is None
-    assert mgr.pick_victim(0, max_valid_fraction=1.0) is not None
+    assert mgr.pick_victim(0) is not None
 
 
 def test_release_block_returns_to_pool():
@@ -155,6 +154,44 @@ def test_mark_bad_removes_from_pool():
     assert mgr.free_blocks == GEOM.blocks_total - 1
     with pytest.raises(MappingError):
         mgr.release_block(0)
+
+
+def _open_block_with_pending_page():
+    """A manager whose plane-0 host block is open with one of its two
+    allocated pages still in flight; returns (manager, block, page)."""
+    mgr = make_manager()
+    mgr.commit_page(mgr.allocate_page(plane=0), valid=True)
+    page = mgr.allocate_page(plane=0)
+    return mgr, block_of(page), page
+
+
+def test_mark_bad_refuses_block_with_pending_pages():
+    """Retiring a block with a program in flight would leave the
+    program's LPN mapped into a bad block: refused, nothing changed."""
+    mgr, block, page = _open_block_with_pending_page()
+    twin, _, twin_page = _open_block_with_pending_page()
+    with pytest.raises(MappingError):
+        mgr.mark_bad(block)
+    assert mgr.info(block).state == ACTIVE
+    assert mgr.info(block).pending == 1
+    mgr.commit_page(page, valid=True)
+    twin.commit_page(twin_page, valid=True)
+    assert mgr.state_dict() == twin.state_dict()
+    assert mgr.host_ready_count == twin.host_ready_count
+
+
+def test_close_block_stops_allocation_but_lets_pending_commit():
+    mgr, block, page = _open_block_with_pending_page()
+    mgr.close_block(block)
+    info = mgr.info(block)
+    assert info.state == FULL and info.write_ptr == 2
+    assert block_of(mgr.allocate_page(plane=0)) != block
+    mgr.commit_page(page, valid=True)
+    assert info.valid == {0, 1}
+    with pytest.raises(MappingError):
+        mgr.close_block(block)
+    mgr.mark_bad(block)
+    assert info.state == BAD and info.mask == 0
 
 
 def test_prefill_block():
@@ -325,7 +362,7 @@ _INTEGER_ENTRY_POINTS = [
     ("valid_pages_of", lambda mgr, n: mgr.valid_pages_of(n), "blocks_total"),
     ("claim_for_collection", lambda mgr, n: mgr.claim_for_collection(n),
      "blocks_total"),
-    ("unclaim", lambda mgr, n: mgr.unclaim(n), "blocks_total"),
+    ("close_block", lambda mgr, n: mgr.close_block(n), "blocks_total"),
     ("release_block", lambda mgr, n: mgr.release_block(n), "blocks_total"),
     ("mark_bad", lambda mgr, n: mgr.mark_bad(n), "blocks_total"),
     ("prefill_plane", lambda mgr, n: mgr.prefill_plane(n, [], []),

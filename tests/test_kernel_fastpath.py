@@ -11,11 +11,12 @@ kernel, the contention layer and the datapath.
 The values in :data:`GOLDEN` were recorded while the repository still
 carried two reference implementations -- a callback-list kernel path
 and a layered generator-chain datapath -- and every scenario agreed
-across all of them.  The three poll-site scenarios
-(``preemptive_gc_quiet_wait``, ``gc_destination_stall``,
-``superblock_migration_claimed_wait``) were recorded while the FTL/GC
-and superblock-migration waits were still ``yield sim.timeout(...)``
-loops, before they moved onto kernel polls.  A mismatch message prints the
+across all of them.  The poll-site scenarios ``preemptive_gc_quiet_wait``
+and ``gc_destination_stall`` were recorded while the FTL/GC waits were
+still ``yield sim.timeout(...)`` loops, before they moved onto kernel
+polls.  ``superblock_migration_claimed_wait`` was re-recorded when the
+superblock migration began to wait on the garbage collector's poll grid
+and to move pages through its relocator.  A mismatch message prints the
 fingerprint actually observed; a change that alters simulated timing on
 purpose re-records it there.
 """
@@ -63,7 +64,7 @@ GOLDEN = {
     "resource_priority_scheduling": "33951441c9e68126",
     "ssd_point": "35f069524f2a25cd",
     "store_fifo_handoff": "e719d3d73e12f300",
-    "superblock_migration_claimed_wait": "8332c7e6add2c57b",
+    "superblock_migration_claimed_wait": "7356c4cccf891c11",
     "timeout_tie_ordering": "3db2d70d59fdb137",
     "unchecked_copyback_reliability": "edb79126f22cb8d4",
     "wear_retry_faults": "1e5842a1c9135143",
@@ -750,8 +751,8 @@ def test_flat_scenarios_exercise_their_features(monkeypatch):
 
 def test_superblock_migration_waits_for_claimed_block():
     """A first-failure FTL migration that meets a sub-block a GC worker
-    has claimed polls every 50 us until the worker lets it go, then
-    rescues the whole superblock."""
+    has claimed polls on the collector's 10 us grid until the worker
+    lets it go, then rescues the whole superblock."""
     from repro.core import ArchPreset, build_ssd, sim_geometry
     from repro.ftl.blocks import BAD, COLLECTING, FULL
     from repro.superblock import LiveDynamicSuperblocks
@@ -794,9 +795,10 @@ def test_superblock_migration_waits_for_claimed_block():
         proc = live.inject_uncorrectable(superblock, channel=0)
         ssd.sim.run()
         assert proc.triggered and live.ftl_migrations == 1
-        # The wait saw the claim at 0, 50 and 100 us; the first poll
-        # after the unclaim lets the first page move start.
-        assert trace[:2] == [("unclaim", 120.0), ("move", 150.0)]
+        # The wait saw the claim at 0, 10, ..., 110 us; the poll at
+        # 120 us runs just after the unclaim and starts the first
+        # burst of page moves.
+        assert trace[:2] == [("unclaim", 120.0), ("move", 120.0)]
         assert all(info(superblock, c).state == BAD
                    and info(superblock, c).mask == 0
                    for c in range(geometry.channels))

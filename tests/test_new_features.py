@@ -160,6 +160,25 @@ def test_wear_leveler_migrates_cold_blocks():
     ssd.mapping.check_consistency()
 
 
+def test_wear_leveler_relocates_through_gc_meters():
+    """A leveling round moves pages and erases blocks through the
+    garbage collector's relocator, so GcStats counts them although no
+    GC episode ran."""
+    ssd = make_wl_ssd()
+    ssd.prefill()
+    for info in ssd.blocks.blocks.values():
+        if info.state == "free":
+            ssd.backend.block_state(info.addr).erase_count = 5
+    ssd.wear_leveler.start()
+    ssd.sim.run(until=4_500.0)
+    leveler, stats = ssd.wear_leveler, ssd.gc.stats
+    assert leveler.rounds >= 1 and leveler.migrations > 0
+    assert stats.episodes == 0
+    assert stats.blocks_erased == leveler.migrations
+    assert stats.pages_moved > 0
+    assert ssd.ftl.audit() == []
+
+
 def test_wear_leveler_idle_when_balanced():
     ssd = make_wl_ssd(wear_level_threshold=10_000)
     workload = SyntheticWorkload(pattern="seq_write", io_size=4096)
@@ -177,9 +196,9 @@ def test_wear_leveler_disabled_by_default():
 def test_wear_leveler_config_validation():
     sim = Simulator()
     with pytest.raises(ConfigError):
-        StaticWearLeveler(sim, None, None, None, None, interval_us=0.0)
+        StaticWearLeveler(sim, None, None, None, interval_us=0.0)
     with pytest.raises(ConfigError):
-        StaticWearLeveler(sim, None, None, None, None, threshold=0)
+        StaticWearLeveler(sim, None, None, None, threshold=0)
 
 
 # ---------------------------------------------------------------- copyback ECC

@@ -144,3 +144,40 @@ def test_stats_keys():
     for key in ("bad_superblocks", "recycle_copies", "srt_active",
                 "rbt_available"):
         assert key in stats
+
+
+@pytest.mark.parametrize("seed,inject_at,sb", [(1, 100.0, 1), (2, 600.0, 30)],
+                         ids=["gc-claims-subblock", "open-subblock"])
+def test_first_failure_during_host_writes_retires_whole_superblock(
+        seed, inject_at, sb):
+    """The first failure lands while the host writes and GC runs: in
+    the first case GC is collecting a sub-block when the migration
+    reaches it, in the second a sub-block is the open block the host
+    is writing into.  The migration must own each sub-block before it
+    retires it, so no LPN is left mapped into a bad block."""
+    ssd = build_ssd(ArchPreset.DSSD_F, geometry=GEOM, queue_depth=8,
+                    prefill_fraction=0.9, seed=seed)
+    live = LiveDynamicSuperblocks(ssd, srt_capacity=64)
+    ssd.prefill()
+    handlers = []
+
+    def injector():
+        yield ssd.sim.timeout(inject_at)
+        handlers.append(live.inject_uncorrectable(sb, channel=0))
+
+    ssd.sim.process(injector())
+    ssd.run(SyntheticWorkload(pattern="rand_write", io_size=4096),
+            duration_us=3000.0)
+    ssd.sim.run()
+    assert handlers and handlers[0].triggered
+    assert live.ftl_migrations == 1
+    assert ssd.ftl.audit() == []
+    bad = set()
+    for channel in range(GEOM.channels):
+        block = live.subblock_index(sb, channel)
+        info = ssd.blocks.info(block)
+        assert info.state == "bad" and info.mask == 0
+        bad.add(block)
+    pages_per_block = GEOM.pages_per_block
+    assert not [lpn for lpn, ppn in ssd.mapping.items()
+                if ppn // pages_per_block in bad]
