@@ -11,7 +11,9 @@ from repro.ftl.ftl import _prefill_draws
 from repro.fuzz.canary import CANARY_ENV
 from repro.fuzz.corpus import Corpus
 from repro.fuzz.engine import SMOKE_EXECS, SMOKE_MIN_EDGES, run_fuzz
-from repro.fuzz.executor import execute
+from repro.core.checkpoint import quiescence_report
+from repro.fuzz import oracles
+from repro.fuzz.executor import _build_device, _run_direct, execute
 from repro.fuzz.genome import (ARCHES, GC_POLICIES, MAX_OPS,
                                MAX_PAGES_PER_OP, WRITE_POLICIES, FuzzOp,
                                Genome, GenomeConfig)
@@ -198,6 +200,29 @@ def test_space_pressure_workload_reaches_quiescence():
         outcome = execute(genome, collect_coverage=False)
         assert outcome["status"] == "ok", (arch, outcome["detail"])
         assert not outcome["violations"], (arch, outcome["violations"])
+
+
+def test_wedged_preemptive_device_classifies_as_stall():
+    """A preemptive collector defers to pending host I/O, and a
+    write-through write waits for a page only the collector can free,
+    so this device wedges.  The drain must still walk the stalled waits'
+    10 us grid to the deadline and classify the run as ``stall``, with
+    the clock and the stall count the polling model recorded."""
+    config = GenomeConfig(arch="dssd", gc_policy="preemptive",
+                          write_policy="writethrough", prefill_fraction=0.9,
+                          prefill_valid_ratio=0.8, queue_depth=4)
+    ssd = _build_device(config)
+    ops = [FuzzOp(kind="write", lpn_frac=(i * 0.37) % 1.0, n_pages=8)
+           for i in range(24)]
+    result = _run_direct(ssd, ops, ssd.sim.now + 5_000.0)
+    assert result.status == "stall"
+    assert ssd.sim.now == 4999.192
+    assert ssd.ftl.flush_stalls == 15_984
+    assert ssd.ftl.requests_completed == 0 and ssd.gc.stats.episodes == 1
+    report = quiescence_report(ssd)
+    assert any("'_write_through_page'" in line for line in report)
+    assert [found["oracle"] for found in oracles.check(
+        ssd, result.status, result.detail)] == ["progress"]
 
 
 # ---------------------------------------------------------------- ddmin

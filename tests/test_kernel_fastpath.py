@@ -1,23 +1,35 @@
 """Golden dispatch fingerprints for the kernel and the datapath.
 
-Every scenario here is pinned to a recorded *fingerprint*: a hash of
-the ``(time, seq)`` key of every entry the kernel dispatches, off its
-heap or its same-instant lane, plus the scenario's end state (see :func:`fingerprint`).
-Same event orderings, same ``sim.now`` traces, same interrupt and
-preemption semantics, same sequence-counter advance -- the invariant
-that keeps experiment outputs byte-identical across refactors of the
-kernel, the contention layer and the datapath.
+Every scenario here is pinned to two recorded hashes (see
+:func:`fingerprint`):
 
-The values in :data:`GOLDEN` were recorded while the repository still
-carried two reference implementations -- a callback-list kernel path
-and a layered generator-chain datapath -- and every scenario agreed
-across all of them.  The poll-site scenarios ``preemptive_gc_quiet_wait``
-and ``gc_destination_stall`` were recorded while the FTL/GC waits were
-still ``yield sim.timeout(...)`` loops, before they moved onto kernel
-polls.  ``superblock_migration_claimed_wait`` was re-recorded when the
+* :data:`GOLDEN`, the *stream* hash: the ``(time, seq)`` key of every
+  entry the kernel dispatches, off its heap or its same-instant lane,
+  in dispatch order.  Same event orderings, same ``sim.now`` traces,
+  same interrupt and preemption semantics, same sequence-counter
+  advance.
+* :data:`END_GOLDEN`, the *end-state* hash: the ``repr`` of what the
+  scenario reports when it ends -- its trace and clock, and for a
+  device the I/O, GC and stall counters -- without the sequence
+  counter.
+
+A change to how the kernel schedules work (fewer entries for the same
+model) may move a stream hash on purpose; it must keep every end-state
+hash.  A change to simulated behaviour moves both.  Together they keep
+experiment outputs byte-identical across refactors of the kernel, the
+contention layer and the datapath.
+
+The values in :data:`GOLDEN` descend from fingerprints recorded while
+the repository still carried two reference implementations -- a
+callback-list kernel path and a layered generator-chain datapath -- and
+every scenario agreed across all of them.  The poll-site scenarios
+``preemptive_gc_quiet_wait`` and ``gc_destination_stall`` were first
+recorded while the FTL/GC waits were still ``yield sim.timeout(...)``
+loops, before they moved onto kernel polls.
+``superblock_migration_claimed_wait`` was re-recorded when the
 superblock migration began to wait on the garbage collector's poll grid
 and to move pages through its relocator.  A mismatch message prints the
-fingerprint actually observed; a change that alters simulated timing on
+hash actually observed; a change that alters simulated timing on
 purpose re-records it there.
 """
 
@@ -36,62 +48,99 @@ from repro.sim import Interrupt, Link, Resource, Simulator, Store
 from repro.sim.kernel import SimulationError
 from tests.dispatch_recorder import record_dispatch
 
-#: Recorded fingerprint per scenario (see the module docstring).
+#: Recorded stream hash per scenario (see the module docstring).
 GOLDEN = {
-    "allof_anyof_conditions": "425977bbd7fb8cdf",
-    "condition_failure_paths": "24163ec5021156b9",
-    "ecc_retry_ladder": "fff935d66d4fa8c4",
-    "event_trigger_values_and_fail": "79e5a8a569967be9",
-    "fault_injection_retry_semantics": "c70180fa120b2fa0",
-    "gc_copybacks_dedicated_bus": "6a0d8e253662290c",
-    "gc_copybacks_fnoc": "08f8228583a1c486",
-    "gc_destination_stall": "fcfcaaab045261ac",
-    "gc_page_moves": "9b81d483ffd893d4",
-    "interrupt_finished_process_is_noop": "b940c802fda25d39",
-    "interrupt_holder_releases": "ab2d803dd618d175",
-    "interrupt_waiting_process": "0061ab222f8cf7fc",
-    "late_add_callback_after_dispatch": "e48d4baf9d03f409",
-    "link_serialization_and_start_events": "317bf7dca6d14c62",
-    "midop_blocking": "ee0d172fed9b314c",
-    "midop_blocking_dssd": "2c266cbb20139806",
-    "multiple_waiters_one_event": "9489c2dd24c3479e",
-    "preemptive_gc": "3ce10d5c2ba75e6e",
-    "preemptive_gc_quiet_wait": "b63f9a176c0bed59",
-    "process_join_and_return_value": "9e15f5313db34ca5",
-    "reliability_wear_faults": "4eebb26534bb5b16",
-    "reliability_wear_faults_baseline": "f27c3c6742c14ea9",
-    "resource_credit_flow": "f912e4549e285c52",
-    "resource_priority_scheduling": "33951441c9e68126",
-    "ssd_point": "35f069524f2a25cd",
-    "store_fifo_handoff": "e719d3d73e12f300",
-    "superblock_migration_claimed_wait": "7356c4cccf891c11",
-    "timeout_tie_ordering": "3db2d70d59fdb137",
-    "unchecked_copyback_reliability": "edb79126f22cb8d4",
-    "wear_retry_faults": "1e5842a1c9135143",
+    "allof_anyof_conditions": "26c7c5a4e36e2edf",
+    "condition_failure_paths": "d91aa1d86983cc87",
+    "ecc_retry_ladder": "05fe3500ae807fc3",
+    "event_trigger_values_and_fail": "9eb5181e1b1eca9f",
+    "fault_injection_retry_semantics": "77417c3a63d9a2c8",
+    "gc_copybacks_dedicated_bus": "b36bb46d98c84351",
+    "gc_copybacks_fnoc": "d2b47d70f27c1942",
+    "gc_destination_stall": "332bb6c2bd4fcab7",
+    "gc_page_moves": "7874aae76373dde8",
+    "interrupt_finished_process_is_noop": "1682c4c95c386825",
+    "interrupt_holder_releases": "2ade178f5468be08",
+    "interrupt_waiting_process": "682d3cfa3f3d2eb6",
+    "late_add_callback_after_dispatch": "d4d3cb2fa8c6d3a6",
+    "link_serialization_and_start_events": "4408aad6c33d1de6",
+    "midop_blocking": "1707a6a35b4a8c8a",
+    "midop_blocking_dssd": "bf41496d92f43865",
+    "multiple_waiters_one_event": "a1d85878b0d94686",
+    "preemptive_gc": "aba27bb027ce180c",
+    "preemptive_gc_quiet_wait": "10448d05dfb2ab9e",
+    "process_join_and_return_value": "11865ffca8953fc8",
+    "reliability_wear_faults": "a7619de20f8c241a",
+    "reliability_wear_faults_baseline": "6fa81128f22205a6",
+    "resource_credit_flow": "2db8a798489f1e25",
+    "resource_priority_scheduling": "b6421103d928316c",
+    "ssd_point": "2a6761655fa02ac2",
+    "store_fifo_handoff": "17a1ed841eeb4347",
+    "superblock_migration_claimed_wait": "95eede4ccc63472f",
+    "timeout_tie_ordering": "62fcd760ff3f9adc",
+    "unchecked_copyback_reliability": "69d6f5002f938cd2",
+    "wear_retry_faults": "4c188ba93cb985e7",
+}
+
+#: Recorded end-state hash per scenario (see the module docstring).
+END_GOLDEN = {
+    "allof_anyof_conditions": "aca71e862c6f51bb",
+    "condition_failure_paths": "7d565bb06b02d143",
+    "ecc_retry_ladder": "7ed722268e1b930d",
+    "event_trigger_values_and_fail": "2067613fba88af48",
+    "fault_injection_retry_semantics": "74c391f738186cf3",
+    "gc_copybacks_dedicated_bus": "a6df4d05cc98a54a",
+    "gc_copybacks_fnoc": "157a513eb0472768",
+    "gc_destination_stall": "28af0b61a941033b",
+    "gc_page_moves": "702038e95359e439",
+    "interrupt_finished_process_is_noop": "d37e1705fdcf197b",
+    "interrupt_holder_releases": "a9c3fb686918bfec",
+    "interrupt_waiting_process": "dfd24947f370c942",
+    "late_add_callback_after_dispatch": "fea2b65702768382",
+    "link_serialization_and_start_events": "0e0272a9aac656bf",
+    "midop_blocking": "f2c137ac0deed064",
+    "midop_blocking_dssd": "a655bf4b40697e96",
+    "multiple_waiters_one_event": "2de3a1418e5d84ce",
+    "preemptive_gc": "c3097b151b1bd394",
+    "preemptive_gc_quiet_wait": "fa4e4eeb6e50b1c8",
+    "process_join_and_return_value": "980f6f8106d61c8d",
+    "reliability_wear_faults": "7a7c23611d142b72",
+    "reliability_wear_faults_baseline": "43716055600ab0cf",
+    "resource_credit_flow": "04d162d1396d1d7b",
+    "resource_priority_scheduling": "58373255e14bcf48",
+    "ssd_point": "ca9e6eff7c998158",
+    "store_fifo_handoff": "8e523473895a4921",
+    "superblock_migration_claimed_wait": "5ecca8c11904c029",
+    "timeout_tie_ordering": "2257c7a2cf5dcf18",
+    "unchecked_copyback_reliability": "adcdf50076ebd069",
+    "wear_retry_faults": "d6a7803a32c0e96f",
 }
 
 _KEY = struct.Struct("<dq").pack
 
 
 def fingerprint(run):
-    """Hash of the dispatched ``(time, seq)`` stream plus *run()*'s result.
+    """``(stream hash, end-state hash)`` of one scenario run.
 
     Every entry the kernel dispatches, from its heap or its
-    same-instant lane, is fed to the hash in dispatch order; *run*
-    builds its simulator and returns the scenario's end state, whose
-    ``repr`` closes the hash.
+    same-instant lane, is fed to the stream hash in dispatch order;
+    *run* builds its simulator and returns the scenario's end state,
+    whose ``repr`` is the end-state hash.
     """
     digest = hashlib.sha256()
     update = digest.update
     with record_dispatch(lambda entry: update(_KEY(entry[0], entry[1]))):
         end_state = run()
-    update(repr(end_state).encode())
-    return digest.hexdigest()[:16]
+    end = hashlib.sha256(repr(end_state).encode()).hexdigest()[:16]
+    return digest.hexdigest()[:16], end
 
 
 def assert_golden(name, observed):
-    assert observed == GOLDEN.get(name), \
-        f"{name}: fingerprint {observed} != golden {GOLDEN.get(name)}"
+    stream, end = observed
+    assert end == END_GOLDEN.get(name), \
+        f"{name}: end state {end} != golden {END_GOLDEN.get(name)}"
+    assert stream == GOLDEN.get(name), \
+        f"{name}: stream {stream} != golden {GOLDEN.get(name)}"
 
 
 def assert_golden_scenario(name, scenario):
@@ -102,7 +151,7 @@ def assert_golden_scenario(name, scenario):
         trace = []
         scenario(sim, trace)
         sim.run()
-        return trace, sim.now, sim._seq
+        return trace, sim.now
 
     assert_golden(name, fingerprint(run))
 
@@ -529,7 +578,6 @@ def _run_datapath_scenario(arch, duration, **overrides):
     ftl = ssd.ftl
     summary = {
         "now": ssd.sim.now,
-        "seq": ssd.sim._seq,
         "requests": ftl.requests_completed,
         "read_latency": ftl.read_latency.summary(),
         "write_latency": ftl.write_latency.summary(),
@@ -543,6 +591,8 @@ def _run_datapath_scenario(arch, duration, **overrides):
                                 for c in ssd.controllers),
         "read_retries": ssd.datapath.read_retries_performed,
         "unchecked_copies": getattr(ssd.datapath, "unchecked_copies", 0),
+        "flush_stalls": ftl.flush_stalls,
+        "alloc_stalls": ssd.gc.stats.alloc_stalls,
     }
     if ssd.reliability is not None:
         summary["reliability"] = ssd.reliability.stats_dict()
@@ -803,7 +853,8 @@ def test_superblock_migration_waits_for_claimed_block():
                    and info(superblock, c).mask == 0
                    for c in range(geometry.channels))
         ssd.mapping.check_consistency()
-        return trace, ssd.sim.now, ssd.sim._seq, live.stats()
+        return (trace, ssd.sim.now, live.stats(), ssd.ftl.flush_stalls,
+                ssd.gc.stats.alloc_stalls)
 
     assert_golden("superblock_migration_claimed_wait", fingerprint(run))
 
@@ -824,13 +875,14 @@ def test_end_to_end_ssd_point_matches_golden():
         ftl = ssd.ftl
         return {
             "now": ssd.sim.now,
-            "seq": ssd.sim._seq,
             "requests": ftl.requests_completed,
             "read_latency": ftl.read_latency.summary(),
             "write_latency": ftl.write_latency.summary(),
             "fnoc_packets": ssd.fnoc.packets_sent,
             "fnoc_bytes": ssd.fnoc.bytes_sent,
             "copybacks": ssd.datapath.copybacks_completed,
+            "flush_stalls": ftl.flush_stalls,
+            "alloc_stalls": ssd.gc.stats.alloc_stalls,
         }
 
     assert_golden("ssd_point", fingerprint(run))
