@@ -4,20 +4,19 @@ Every benchmark regenerates one paper figure/table via its experiment
 module (quick mode), prints the rendered table, and asserts the
 paper's qualitative shape (who wins, where curves saturate).  Runs are
 single-shot: the interesting number is the figure's content, not the
-harness's wall time.
+harness's wall time, so the suite needs no timing plugin and runs as
+``pytest benchmarks -p no:benchmark``.
 """
 
 import pytest
 
 
 @pytest.fixture
-def run_figure(benchmark):
-    """Run an experiment module once under pytest-benchmark."""
+def run_figure():
+    """Run an experiment module once and print its table."""
 
     def _run(module, quick=True):
-        result = benchmark.pedantic(
-            lambda: module.run(quick=quick), rounds=1, iterations=1,
-        )
+        result = module.run(quick=quick)
         print()
         print(result["table"])
         return result

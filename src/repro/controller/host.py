@@ -11,7 +11,7 @@ from __future__ import annotations
 from typing import Generator
 
 from ..errors import ConfigError
-from ..sim import Link, Resource, Simulator
+from ..sim import Link, Resource, Simulator, WakeList
 
 __all__ = ["HostInterface", "PAPER_HOST_BW", "PAPER_QUEUE_DEPTH"]
 
@@ -43,6 +43,8 @@ class HostInterface:
         self._slots = Resource(sim, queue_depth, name="sq_slots")
         self.submitted = 0
         self.completed = 0
+        #: Woken when :attr:`outstanding` falls to 0.
+        self.wake_on_idle = WakeList()
 
     @property
     def outstanding(self) -> int:
@@ -76,11 +78,15 @@ class HostInterface:
                 self._slots.cancel(grant)
                 if counted:
                     self.submitted -= 1
+                if not self.outstanding:
+                    self.wake_on_idle.notify()
 
     def complete(self) -> None:
         """Release the queue slot of a finished request."""
         self._slots.release()
         self.completed += 1
+        if not self.outstanding:
+            self.wake_on_idle.notify()
 
     # -- checkpointing ------------------------------------------------------
 

@@ -28,6 +28,7 @@ from typing import (Deque, Dict, FrozenSet, Iterable, List, Optional,
 from ..errors import AddressError, MappingError
 from ..flash import FlashGeometry, PhysAddr
 from ..flash.pagemask import mask_of, offsets_of
+from ..sim import WakeList
 
 __all__ = ["BlockInfo", "BlockManager", "FREE", "ACTIVE", "FULL", "BAD",
            "COLLECTING", "SPARE"]
@@ -147,6 +148,10 @@ class BlockManager:
         self.free_blocks = geometry.blocks_total
         self.bad_blocks = 0
         self.spare_blocks = 0
+        #: Woken when :attr:`host_ready_count` rises from 0.
+        self.wake_on_host_ready = WakeList()
+        #: Woken whenever :attr:`free_fraction` may have fallen.
+        self.wake_on_free_fall = WakeList()
         self._rebuild_ready()
 
     # -- per-plane allocatability cache --------------------------------------
@@ -166,7 +171,12 @@ class BlockManager:
                 or free_len > self.gc_reserve_blocks)
         if host != self._host_ready[plane]:
             self._host_ready[plane] = host
-            self.host_ready_count += 1 if host else -1
+            if host:
+                self.host_ready_count += 1
+                if self.host_ready_count == 1:
+                    self.wake_on_host_ready.notify()
+            else:
+                self.host_ready_count -= 1
         gc = self._active_gc[plane] is not None or free_len > 0
         if gc != self._gc_ready[plane]:
             self._gc_ready[plane] = gc
@@ -189,6 +199,9 @@ class BlockManager:
         #: before it calls :meth:`try_allocate_page`.
         self.host_ready_count = sum(self._host_ready)
         self._gc_ready_count = sum(self._gc_ready)
+        if self.host_ready_count:
+            self.wake_on_host_ready.notify()
+        self.wake_on_free_fall.notify()
 
     # -- queries ----------------------------------------------------------
 
@@ -301,6 +314,7 @@ class BlockManager:
                 return None
             active_index = free_pool.popleft()
             self.free_blocks -= 1
+            self.wake_on_free_fall.notify()
             info = self.blocks[active_index]
             info.state = ACTIVE
             info.write_ptr = 0
@@ -441,6 +455,7 @@ class BlockManager:
         self.free_blocks -= 1
         self.spare_blocks += 1
         self._refresh_plane(plane)
+        self.wake_on_free_fall.notify()
         return block_index
 
     def mark_bad(self, block: int) -> None:
@@ -467,6 +482,7 @@ class BlockManager:
         info.mask = 0
         self.bad_blocks += 1
         self._refresh_plane(plane)
+        self.wake_on_free_fall.notify()
 
     # -- checkpointing ------------------------------------------------------
 
@@ -688,3 +704,4 @@ class BlockManager:
                                               self._free[plane]))
         self.free_blocks -= count
         self._refresh_plane(plane)
+        self.wake_on_free_fall.notify()

@@ -120,7 +120,8 @@ class Ftl:
         self.requests_completed = 0
         self.trims_processed = 0
         self.io_breakdowns: List[Breakdown] = []
-        self.flush_stalls = 0
+        self._flush_stalls = 0
+        self._allocation_wakes = (blocks.wake_on_host_ready, gc.wake_on_idle)
 
     # -- lifecycle -----------------------------------------------------------
 
@@ -338,28 +339,46 @@ class Ftl:
 
     def _allocate_with_gc(self) -> Generator:
         """Allocate a host page (its PPN), triggering and awaiting GC if
-        starved."""
+        starved.
+
+        A starved wait parks until a plane can serve the host again or
+        the GC episode ends, then rechecks on its poll grid; the polls
+        it skipped still count as stalls.
+        """
         return self.sim.wait_until(self.gc.preempt_poll_us,
-                                   self._try_host_allocation)
+                                   self._try_host_allocation,
+                                   wake=self._allocation_wakes,
+                                   on_skip=self._count_stalls)
 
     def _try_host_allocation(self):
         """One poll of :meth:`_allocate_with_gc`: a PPN, or None after
         counting the stall and forcing a GC episode.
 
-        A starved device fails this tick every poll interval; while a
-        GC episode runs, the failure reads two counters and calls
-        nothing.
+        It fails exactly while no plane is host-ready, and it starts an
+        episode only when none runs -- the two states the wait parks
+        on.
         """
         blocks = self.blocks
         if blocks.host_ready_count:
             ppn = blocks.try_allocate_page(for_gc=False)
             if ppn is not None:
                 return ppn
-        self.flush_stalls += 1
+        self._flush_stalls += 1
         gc = self.gc
         if not gc.active:
             gc.maybe_trigger(force=True)
         return None
+
+    def _count_stalls(self, polls: int) -> None:
+        """Count the polls a parked allocation wait skipped."""
+        self._flush_stalls += polls
+
+    @property
+    def flush_stalls(self) -> int:
+        """Host page allocations that found no page, one per failed poll
+        of the 10 us grid, the ticks parked waits skipped included."""
+        self.sim.settle()
+        return self._flush_stalls
 
     def _bind(self, lpn: int, ppn: int) -> None:
         old_ppn = self.mapping.bind(lpn, ppn)
@@ -452,7 +471,7 @@ class Ftl:
         self.completed_bytes.load_state(state["completed_bytes"])
         self.requests_completed = int(state["requests_completed"])
         self.trims_processed = int(state["trims_processed"])
-        self.flush_stalls = int(state["flush_stalls"])
+        self._flush_stalls = int(state["flush_stalls"])
         self.io_breakdowns = [Breakdown.from_parts(parts)
                               for parts in state["io_breakdowns"]]
 

@@ -25,7 +25,7 @@ from typing import Generator, List, Optional
 
 from ..controller import Breakdown
 from ..errors import ConfigError, MappingError
-from ..sim import Resource, Simulator
+from ..sim import Resource, Simulator, WakeList
 from .blocks import BlockManager
 from .mapping import PageMappingTable
 
@@ -134,6 +134,8 @@ class GarbageCollector:
         self.pipeline_depth = pipeline_depth
         self.stats = GcStats()
         self.active = False
+        #: Woken when an episode ends and :attr:`active` turns False.
+        self.wake_on_idle = WakeList()
         self._episode_start: Optional[float] = None
         self._tt_tokens = Resource(sim, capacity=tinytail_channels,
                                    name="tinytail_channels")
@@ -206,6 +208,7 @@ class GarbageCollector:
         })
         self._episode_start = None
         self.active = False
+        self.wake_on_idle.notify()
 
     def _should_collect(self) -> bool:
         """Keep collecting below the stop threshold -- and also whenever
@@ -359,10 +362,16 @@ class GarbageCollector:
 
     def _wait_for_io_quiet(self) -> Generator:
         """Preemptive policy: stall while host I/O is pending, unless the
-        free pool has hit the hard floor."""
+        free pool has hit the hard floor.
+
+        The wait parks until the host goes idle or the free pool
+        shrinks, then rechecks on its poll grid.
+        """
         if self.host is None:
             return
-        yield from self.sim.wait_until(self.preempt_poll_us, self._io_quiet)
+        yield from self.sim.wait_until(
+            self.preempt_poll_us, self._io_quiet,
+            wake=(self.host.wake_on_idle, self.blocks.wake_on_free_fall))
 
     def _io_quiet(self) -> Optional[bool]:
         """Poll check of :meth:`_wait_for_io_quiet`: True once it may go."""

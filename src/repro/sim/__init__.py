@@ -10,6 +10,7 @@ from .kernel import (
     SimulationError,
     Simulator,
     Timeout,
+    WakeList,
 )
 from .resources import Link, Resource, Store, Transfer
 from .snapshot import (
@@ -42,4 +43,5 @@ __all__ = [
     "TimeBins",
     "Timeout",
     "Transfer",
+    "WakeList",
 ]

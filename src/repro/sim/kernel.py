@@ -21,8 +21,10 @@ The kernel supports:
 
 * :class:`Event` -- one-shot triggerable events carrying a value,
 * :class:`Timeout` -- events that fire after a fixed delay,
-* :class:`Poll` -- a re-arming wait that re-checks a condition every
-  fixed interval (see :meth:`Simulator.wait_until`),
+* :class:`Poll` -- a wait that re-checks a condition on a grid of
+  fixed-interval ticks (see :meth:`Simulator.wait_until`),
+* :class:`WakeList` -- the polls parked on one piece of model state,
+  woken by the state's owner,
 * :class:`Process` -- generator-driven processes (joinable, interruptible),
 * :class:`AllOf` / :class:`AnyOf` -- condition events over several events.
 
@@ -54,33 +56,36 @@ optimization must preserve"):
   :meth:`Simulator.wait_until`: its :class:`Poll` re-runs the check
   from the dispatch itself and re-arms, so a failed tick resumes no
   generator and allocates no ``Timeout``.
-* A poll tick goes on the *poll lane*, a second ``deque``, when it
-  lands at or after the lane's tail time; otherwise on the heap.  A
-  tick's ``seq`` tops everything queued, so the poll lane stays in
-  ``(time, seq)`` order, and polls sharing an interval never touch the
-  heap.  Only a shorter interval behind a longer one's tick falls back
-  to the heap.
+* A wait whose state has an owner parks instead of ticking: its poll
+  sits on the owner's :class:`WakeList`s with no entry queued, and the
+  owner's ``notify()`` pushes one recheck at the poll's next grid
+  instant.  The ticks it stepped over are counted, not run.
 
 None of this changes *when* anything runs: every trigger, timeout,
 poll tick, process bootstrap and late waiter still pushes exactly one
-entry, on the heap or one of the two lanes, in program order, and
-:meth:`Simulator.run`, the one loop that pops any of the three,
-dispatches them in the ``(time, seq)`` order a callback list per event
-would give.
+entry, on the heap or the same-instant lane, in program order, and
+:meth:`Simulator.run`, the one loop that pops either, dispatches them
+in the ``(time, seq)`` order a callback list per event would give.  A
+parked poll's recheck lands on the grid instant its polling loop would
+have passed at, so it moves the ``(time, seq)`` stream -- fewer entries
+-- but not the model.
 ``tests/test_kernel_fastpath.py`` pins that stream for its scenarios to
-recorded fingerprints.
+recorded fingerprints, and their end states to recorded digests.
 """
 
 from __future__ import annotations
 
+import math
 from collections import deque
 from heapq import heappush, heappop
-from typing import Any, Callable, Generator, Iterable, List, Optional
+from typing import (Any, Callable, Dict, Generator, Iterable, List,
+                    Optional, Sequence)
 
 __all__ = [
     "Event",
     "Timeout",
     "Poll",
+    "WakeList",
     "Process",
     "AllOf",
     "AnyOf",
@@ -285,38 +290,63 @@ class Poll(Event):
     """A re-arming wait: re-run ``check()`` every ``interval`` microseconds.
 
     Created by :meth:`Simulator.wait_until` after the inline first check
-    has failed; only that helper's frame waits on it.  Each dispatch is
-    one tick.  It runs ``check()`` right in the dispatch: ``None`` means
-    "not yet" and re-arms the poll with exactly one entry at ``now +
-    interval``, on the heap, the poll lane or the same-instant lane --
-    with the ``(time, seq)`` key a ``yield sim.timeout(interval)``
-    would push -- and any other value
-    fires the poll and resumes the waiter straight from the same
-    dispatch.  An exception raised by
-    ``check()`` is thrown into the waiter at its ``yield``.  A failed
-    tick therefore resumes no generator and allocates no event.
+    has failed; only that helper's frame waits on it.  Its ticks fall
+    on one *grid*, ``start + interval + interval + ...`` by repeated
+    float addition, which is the ``now + interval`` a ``yield
+    sim.timeout(interval)`` loop would compute at each tick.  A tick
+    runs ``check()`` right in the dispatch: any value other than
+    ``None`` fires the poll and resumes the waiter straight from the
+    same dispatch, and an exception raised by ``check()`` is thrown
+    into the waiter at its ``yield``.  ``None`` means "not yet":
+
+    * Without wake lists the poll re-arms: exactly one entry at ``now +
+      interval``, on the heap or the same-instant lane, with the
+      ``(time, seq)`` key a ``yield sim.timeout(interval)`` would push.
+      A failed tick resumes no generator and allocates no event.
+    * With wake lists (see :class:`WakeList`) the poll *parks*: it
+      pushes nothing and waits on each list, its next grid instant in
+      ``due``.  A :meth:`WakeList.notify` wakes it: it steps ``due``
+      along its grid past the instants that are over (see
+      :meth:`Simulator.settle`), reports how many to ``on_skip``, and
+      pushes one recheck at the next.  A failed recheck parks again.
+
+    A parked poll is still pending work: :meth:`Simulator.peek`,
+    :meth:`Simulator.pending_summary` and the checkpoint refusals see
+    it at its next grid instant, as they would see its tick.
 
     An abandoned poll (its waiter detached by an interrupt, or its
-    ``check`` dropped when the waiting generator closed) dispatches
-    once more and stops without running ``check``, exactly as a
-    detached :class:`Timeout` fires once into the void.
+    ``check`` dropped when the waiting generator closed) stops without
+    running ``check`` again: a queued tick dispatches once more into
+    the void, exactly as a detached :class:`Timeout` fires, and a
+    parked one leaves its lists when the waiting frame closes.
     """
 
-    __slots__ = ("interval", "check")
+    __slots__ = ("interval", "check", "wakes", "on_skip", "due")
 
     def __init__(self, sim: "Simulator", interval: float,
-                 check: Callable[[], Any]):
+                 check: Callable[[], Any],
+                 wakes: Sequence["WakeList"] = (),
+                 on_skip: Optional[Callable[[int], Any]] = None):
         if interval < 0:
             raise ValueError(f"negative poll interval: {interval}")
+        if wakes and not interval > 0:
+            raise ValueError("a poll that parks needs a positive "
+                             f"interval: {interval}")
         self.sim = sim
         self.interval = interval
         self.check = check
+        self.wakes = tuple(wakes)
+        self.on_skip = on_skip
         self.callbacks = None
         self._waiter = None
         self._value = None
         self._ok = True
         self._triggered = False
-        self._arm()
+        self.due = sim._now + interval
+        if self.wakes:
+            self._park()
+        else:
+            self._schedule()
 
     def trigger(self, value: Any = None) -> "Event":
         raise SimulationError("a Poll fires by itself; trigger() is "
@@ -337,42 +367,62 @@ class Poll(Event):
             self._finish(waiter, exc, False)
             return
         if value is None:
-            # _arm, inlined: a failed tick is the poll's hot path, and
-            # the call cost 5-8% of one on CPython 3.11.
-            sim = self.sim
-            now = sim._now
-            when = now + self.interval
-            sim._seq = seq = sim._seq + 1
-            if when == now:
-                sim._lane.append((when, seq, self, _NO_ARGS))
+            self.due = self.sim._now + self.interval
+            if self.wakes:
+                self._park()
             else:
-                polls = sim._polls
-                if not polls or when >= polls[-1][0]:
-                    polls.append((when, seq, self, _NO_ARGS))
-                else:
-                    heappush(sim._queue, (when, seq, self, _NO_ARGS))
+                self._schedule()
             return
         self._finish(waiter, value, True)
 
-    def _arm(self) -> None:
-        """Push this poll's next tick at ``now + interval``.
-
-        Due now, it goes on the same-instant lane; at or after the
-        poll lane's tail, on the poll lane; otherwise (a shorter
-        interval behind a longer one's tick) on the heap.
-        """
+    def _schedule(self) -> None:
+        """Push the tick at ``due``: on the same-instant lane when that
+        is ``now``, else on the heap."""
         sim = self.sim
-        now = sim._now
-        when = now + self.interval
+        when = self.due
         sim._seq = seq = sim._seq + 1
-        if when == now:
+        if when == sim._now:
             sim._lane.append((when, seq, self, _NO_ARGS))
         else:
-            polls = sim._polls
-            if not polls or when >= polls[-1][0]:
-                polls.append((when, seq, self, _NO_ARGS))
-            else:
-                heappush(sim._queue, (when, seq, self, _NO_ARGS))
+            heappush(sim._queue, (when, seq, self, _NO_ARGS))
+
+    def _park(self) -> None:
+        """Wait on every wake list, after the polls parked before."""
+        self.sim._parked[self] = None
+        for wakes in self.wakes:
+            wakes._parked[self] = None
+
+    def _unpark(self) -> None:
+        """Leave every wake list (no-op unless parked)."""
+        parked = self.sim._parked
+        if self in parked:
+            del parked[self]
+            for wakes in self.wakes:
+                wakes._parked.pop(self, None)
+
+    def _settle(self, upto: float) -> None:
+        """Step ``due`` past every grid instant before *upto*.
+
+        Each instant stepped over is a tick the parked poll skipped;
+        ``on_skip`` hears how many.  The additions are the re-arm's, so
+        ``due`` stays on the grid a polling loop would walk.
+        """
+        due = self.due
+        if due < upto:
+            interval = self.interval
+            skipped = 0
+            while due < upto:
+                due += interval
+                skipped += 1
+            self.due = due
+            if self.on_skip is not None:
+                self.on_skip(skipped)
+
+    def _wake(self) -> None:
+        """Leave the lists and push one recheck at the next grid instant."""
+        self._unpark()
+        self._settle(self.sim._ticks_over())
+        self._schedule()
 
     def _finish(self, waiter: "Process", value: Any, ok: bool) -> None:
         self._triggered = True
@@ -387,6 +437,32 @@ class Poll(Event):
             waiter._resume(None, value)
 
     __call__ = _dispatch
+
+
+class WakeList:
+    """The polls parked on one piece of model state.
+
+    The object that owns the state owns the list, and calls
+    :meth:`notify` whenever the state changes in a way a parked poll's
+    check may see.  A poll parks on every list its wait names, in the
+    order the polls failed their checks; a notify wakes every poll on
+    the list in that order and empties it (a woken poll also leaves its
+    other lists).  Notifying too often costs a recheck that fails; not
+    notifying when a check would now pass is a bug.
+    """
+
+    __slots__ = ("_parked",)
+
+    def __init__(self) -> None:
+        self._parked: dict = {}
+
+    def notify(self) -> None:
+        """Wake every parked poll, in the order they parked."""
+        parked = self._parked
+        if parked:
+            self._parked = {}
+            for poll in parked:
+                poll._wake()
 
 
 class Process(Event):
@@ -543,11 +619,11 @@ class Simulator:
     """The event loop: a time-ordered queue of callbacks.
 
     Entries are ``(time, seq, fn, args)`` tuples run in ``(time, seq)``
-    order.  They sit on a heap; on the same-instant lane, a FIFO, when
-    due at the current instant; or, for poll ticks at or after its
-    tail, on the sorted poll lane.  :meth:`run` is the one loop that
+    order.  They sit on a heap, or on the same-instant lane, a FIFO,
+    when due at the current instant.  :meth:`run` is the one loop that
     dispatches them; a caller that stops after each instant calls
-    ``run(until=peek())``.
+    ``run(until=peek())``.  Polls parked on a :class:`WakeList` hold no
+    entry; the simulator keeps them in ``_parked``, in parking order.
 
     All model components hold a reference to one ``Simulator`` and use
     :meth:`timeout`, :meth:`event`, and :meth:`process` to build behaviour.
@@ -561,7 +637,7 @@ class Simulator:
         self._now = 0.0
         self._queue: List[tuple] = []
         self._lane: deque = deque()
-        self._polls: deque = deque()
+        self._parked: Dict[Poll, None] = {}
         self._seq = 0
         self._running = False
         self._resources: List[Any] = []
@@ -588,35 +664,50 @@ class Simulator:
         """Condition event firing once any of *events* has fired."""
         return AnyOf(self, events)
 
-    def wait_until(self, interval: float,
-                   check: Callable[[], Any]) -> Generator:
+    def wait_until(self, interval: float, check: Callable[[], Any],
+                   wake: Sequence["WakeList"] = (),
+                   on_skip: Optional[Callable[[int], Any]] = None
+                   ) -> Generator:
         """Wait, polling every *interval* us, until *check()* is not None.
 
         Use it as ``value = yield from sim.wait_until(interval, check)``
         in place of ``while not ready: yield sim.timeout(interval)``.
         ``check()`` runs once inline; a non-None result returns at once
         with nothing scheduled.  Otherwise a :class:`Poll` re-runs it
-        from the dispatch every *interval* us, pushing one entry per
-        failed tick -- the ``(time, seq)`` stream of the timeout loop --
-        and resumes this frame only with the first non-None
-        result, which becomes the value of the ``yield from``.  An
-        exception from ``check()`` propagates out of the ``yield from``.
+        on the loop's grid of ticks and resumes this frame only with
+        the first non-None result, which becomes the value of the
+        ``yield from``.  An exception from ``check()`` propagates out
+        of the ``yield from``.
+
+        Without *wake* the poll pushes one entry per failed tick -- the
+        ``(time, seq)`` stream of the timeout loop.  With *wake*, a
+        sequence of :class:`WakeList`, it parks instead and runs
+        ``check()`` only at the first grid instant after a notify: the
+        lists' owners must notify whenever ``check()`` could change
+        its answer.  ``on_skip(n)`` then hears of the *n* ticks each
+        parked stretch stepped over, at the wake and whenever
+        :meth:`settle` counts them, so a per-tick counter the check
+        keeps can add them.
 
         ``check`` must be a pure predicate of model state plus whatever
         per-tick side effects the loop it replaces performed before
-        sleeping; it runs outside the waiting generator's frame.
+        sleeping; it runs outside the waiting generator's frame.  A
+        parked wait skips those side effects, so it needs ``on_skip``
+        for any that a skipped tick would have had.
         """
         value = check()
         if value is not None:
             return value
-        poll = Poll(self, interval, check)
+        poll = Poll(self, interval, check, wake, on_skip)
         try:
             return (yield poll)
         finally:
-            # Drop the closure when this frame closes (interrupt, error,
-            # or a finished simulator being collected), so a poll left
-            # queued holds no reference into the model.
+            # Drop the closure and leave the wake lists when this frame
+            # closes (interrupt, error, or a finished simulator being
+            # collected), so a poll left behind holds no reference into
+            # the model.
             poll.check = None
+            poll._unpark()
 
     # -- scheduling ---------------------------------------------------------
 
@@ -638,20 +729,21 @@ class Simulator:
 
         Returns the simulation time at which execution stopped.
 
-        The loop repeats three steps: dispatch the heap and poll-lane
-        entries due at ``now``, merged by ``seq``; drain the
-        same-instant lane (entries appended during the drain join its
-        tail); then set ``now`` to the earlier of the heap's and the
-        poll lane's next times.  That is exact ``(time, seq)`` order.
-        An entry pushed at ``now`` carries a higher ``seq`` than
-        everything already queued, so the same-instant lane is in order
-        by itself, and so is the poll lane, which only takes a tick at
-        or after its tail's time.  A heap or poll-lane entry due at
-        ``now`` was pushed before the clock got there -- pushes at
-        ``now`` go to the same-instant lane -- so it precedes every
-        same-instant entry.  A callback that raises leaves the
-        undispatched entries queued; the next ``run()`` resumes the same
-        order.
+        The loop repeats three steps: dispatch the heap entries due at
+        ``now``; drain the same-instant lane (entries appended during
+        the drain join its tail); then set ``now`` to the heap's next
+        time.  That is exact ``(time, seq)`` order.  An entry pushed at
+        ``now`` carries a higher ``seq`` than everything already
+        queued, so the same-instant lane is in order by itself, and a
+        heap entry due at ``now`` was pushed before the clock got there
+        -- pushes at ``now`` go to the same-instant lane -- so it
+        precedes every same-instant entry.  A callback that raises
+        leaves the undispatched entries queued; the next ``run()``
+        resumes the same order.
+
+        Parked polls hold no entry, so without *until* the run returns
+        once nothing is queued, even with polls still parked (a polling
+        loop would tick forever); :meth:`peek` still reports them.
 
         The clock never runs backwards: an *until* before ``now`` raises
         :class:`SimulationError` and leaves every queued entry in place.
@@ -660,7 +752,6 @@ class Simulator:
             raise SimulationError("simulator is already running")
         queue = self._queue
         lane = self._lane
-        polls = self._polls
         time = self._now
         if until is not None and until < time:
             raise SimulationError(
@@ -669,30 +760,16 @@ class Simulator:
         try:
             pop = heappop
             popleft = lane.popleft
-            poll_popleft = polls.popleft
             while True:
-                # Poll-lane ticks due now, each after the heap entries
-                # due now with a lower seq; then the rest of the heap's.
-                while polls and polls[0][0] == time:
-                    if queue and queue[0] < polls[0]:
-                        entry = pop(queue)
-                    else:
-                        entry = poll_popleft()
-                    entry[2](*entry[3])
                 while queue and queue[0][0] == time:
                     entry = pop(queue)
                     entry[2](*entry[3])
                 while lane:
                     entry = popleft()
                     entry[2](*entry[3])
-                if queue:
-                    time = queue[0][0]
-                    if polls and polls[0][0] < time:
-                        time = polls[0][0]
-                elif polls:
-                    time = polls[0][0]
-                else:
+                if not queue:
                     break
+                time = queue[0][0]
                 if until is not None and time > until:
                     self.now = self._now = until
                     return until
@@ -733,11 +810,15 @@ class Simulator:
 
         Names the owning process where one can be identified, so a
         failed quiescence check reports *who* still has work queued
-        rather than just a count.
+        rather than just a count.  A parked poll is listed at its next
+        grid instant, after the entries due then.
         """
-        pending = sorted([*self._queue, *self._lane, *self._polls])
+        self.settle()
+        pending = [entry[:3] for entry in (*self._queue, *self._lane)]
+        pending.extend((poll.due, math.inf, poll) for poll in self._parked)
+        pending.sort(key=lambda entry: entry[:2])
         lines = [f"t={time:.3f}us {self._describe_callback(fn)}"
-                 for time, _seq, fn, _args in pending[:limit]]
+                 for time, _seq, fn in pending[:limit]]
         extra = len(pending) - limit
         if extra > 0:
             lines.append(f"... and {extra} more")
@@ -758,6 +839,8 @@ class Simulator:
                     text += f" (resumes process {waiter.name!r})"
                 return text
             kind = type(fn).__name__.lower()
+            if isinstance(fn, Poll) and fn in fn.sim._parked:
+                kind = "parked poll"
             if isinstance(waiter, Process):
                 return f"{kind} resuming process {waiter.name!r}"
             return kind
@@ -775,15 +858,15 @@ class Simulator:
         """Checkpoint the kernel: only legal at a *quiescent point*.
 
         Python generators cannot be serialized, so the kernel refuses to
-        snapshot while any callback is scheduled -- the event queue must
-        be empty (every process parked on an untriggered event, or
-        finished).  ``run()`` without an ``until`` bound drains to
-        exactly this state.  Returns a JSON-able dict holding the clock
+        snapshot while any callback is scheduled or any poll is parked
+        -- every process must wait on an untriggered event, or be
+        finished.  ``run()`` without an ``until`` bound drains the
+        queue; a poll it leaves parked still refuses.  Returns a JSON-able dict holding the clock
         and the event sequence counter; restoring both makes events
         scheduled after the restore carry the same ``(time, seq)`` keys
         as they would in an uninterrupted run.
         """
-        pending = len(self._queue) + len(self._lane) + len(self._polls)
+        pending = len(self._queue) + len(self._lane) + len(self._parked)
         if pending:
             message = (
                 f"cannot snapshot: {pending} callback(s) still "
@@ -802,11 +885,12 @@ class Simulator:
     def restore_state(self, state: dict) -> None:
         """Restore a :meth:`snapshot_state` checkpoint onto this kernel.
 
-        The queue must be empty (drain any bootstrap events first --
-        e.g. freshly respawned background processes -- so their entries
-        do not carry pre-restore sequence numbers into the future).
+        The queue must be empty and no poll parked (drain any bootstrap
+        events first -- e.g. freshly respawned background processes --
+        so their entries do not carry pre-restore sequence numbers into
+        the future).
         """
-        if self._queue or self._lane or self._polls:
+        if self._queue or self._lane or self._parked:
             raise SimulationError(
                 "cannot restore into a simulator with scheduled callbacks"
             )
@@ -814,9 +898,32 @@ class Simulator:
         self._seq = int(state["seq"])
 
     def peek(self) -> Optional[float]:
-        """Time of the next queued callback, or None if the queue is empty."""
+        """Time of the next queued callback or parked poll tick, or None
+        if there is neither."""
         if self._lane:
             return self._now
-        times = [entries[0][0] for entries in (self._queue, self._polls)
-                 if entries]
+        times = [self._queue[0][0]] if self._queue else []
+        if self._parked:
+            self.settle()
+            times.append(min(poll.due for poll in self._parked))
         return min(times) if times else None
+
+    def settle(self) -> None:
+        """Count the ticks parked polls have skipped up to ``now``.
+
+        Steps each parked poll's ``due`` past the grid instants that are
+        over and tells its ``on_skip`` how many: the instants before
+        ``now`` inside :meth:`run`, and those at ``now`` too between
+        runs, when everything due at ``now`` has dispatched.  A counter
+        that parked polls feed reads exact after a ``settle()``.
+        """
+        if self._parked:
+            upto = self._ticks_over()
+            for poll in self._parked:
+                poll._settle(upto)
+
+    def _ticks_over(self) -> float:
+        """The instant a parked poll's ticks are over before: ``now``
+        inside :meth:`run`, the next float after it between runs."""
+        now = self._now
+        return now if self._running else math.nextafter(now, math.inf)

@@ -1,4 +1,4 @@
-"""Watch every entry the DES kernel dispatches, heap or lanes, in order."""
+"""Watch every entry the DES kernel dispatches, heap or lane, in order."""
 
 import contextlib
 
@@ -9,11 +9,12 @@ from repro.sim import kernel as kernel_module
 def record_dispatch(record):
     """Call *record(entry)* for each ``(time, seq, fn, args)`` dispatched.
 
-    Covers entries popped off the heap, the same-instant lane and the
-    poll lane, in dispatch order, for every :class:`~repro.sim.Simulator`
-    built inside the block.  Both lanes are per-simulator ``deque``
-    objects, so one swapped class records them both, and a simulator
-    built before the block is only watched on its heap.
+    Covers entries popped off the heap and the same-instant lane, in
+    dispatch order, for every :class:`~repro.sim.Simulator` built inside
+    the block.  The lane is a per-simulator ``deque``, so a swapped
+    class records it, and a simulator built before the block is only
+    watched on its heap.  A poll parked on a wake list holds no entry,
+    so nothing is recorded for it until its recheck dispatches.
     """
     pop = kernel_module.heappop
     lane_type = kernel_module.deque

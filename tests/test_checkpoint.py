@@ -351,6 +351,41 @@ def test_pending_event_refusal_names_the_culprit():
     assert "wear_level" in message
 
 
+def test_quiescence_report_names_parked_flushers():
+    """A flusher stalled for a page parks with no kernel entry queued;
+    it is still pending work, listed by name until the device drains."""
+    from repro.core.checkpoint import quiescence_report
+    from repro.flash import FlashGeometry
+
+    def near_full():
+        ssd = build_ssd("baseline", prefill_fraction=0.92,
+                        geometry=FlashGeometry(channels=2, ways=1, dies=1,
+                                               planes=2, blocks_per_plane=12,
+                                               pages_per_block=16))
+        ssd.prefill()
+        return ssd
+
+    workload = SyntheticWorkload(pattern="mixed", io_size=4096,
+                                 read_fraction=0.2)
+    stalled = near_full()
+    stalled.run(workload, duration_us=3000.0)
+    flushers = [f"parked poll resuming process 'flusher{index}'"
+                for index in range(4)]
+    summary = stalled.sim.pending_summary(limit=64)
+    assert all(any(line.endswith(name) for line in summary)
+               for name in flushers), summary
+    report = quiescence_report(stalled)
+    assert any(line.endswith(flushers[0]) for line in report), report
+    with pytest.raises(SimulationError, match="flusher0"):
+        stalled.sim.snapshot_state()
+
+    drained = near_full()
+    drained.run(workload, max_requests=200)
+    assert drained.ftl.flush_stalls > 0
+    assert drained.sim.pending_summary() == []
+    assert quiescence_report(drained) == []
+
+
 def test_quiescence_report_lists_inflight_work():
     from repro.core.checkpoint import quiescence_report
 

@@ -18,7 +18,7 @@ STALE_NAMES = re.compile(
     r"\b(SystemBus|FlashChannel|OpBreakdown|TimingTable|prefill_block"
     r"|mark_block_programmed|_cancelled|Simulator\.step|TokenPool"
     r"|FlashPlane|_migrate_block|_ftl_migration|aborted_migrations"
-    r"|pages_migrated|unclaim|max_valid_fraction)\b"
+    r"|pages_migrated|unclaim|max_valid_fraction|_polls)\b"
     r"|\bbackend\.(read|program|erase)\b|\.step\(\)|:meth:`step`"
     r"|\.occupy\(")
 

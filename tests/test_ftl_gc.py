@@ -6,7 +6,7 @@ from repro.controller import Breakdown
 from repro.errors import ConfigError, MappingError
 from repro.flash import FlashGeometry
 from repro.ftl import BlockManager, GarbageCollector, PageMappingTable
-from repro.sim import Simulator
+from repro.sim import Simulator, WakeList
 
 GEOM = FlashGeometry(channels=2, ways=1, dies=1, planes=2,
                      blocks_per_plane=6, pages_per_block=4)
@@ -34,7 +34,12 @@ class StubDatapath:
 
 
 class StubHost:
-    outstanding = 0
+    """Host I/O as the preemptive quiet-wait sees it: a count of
+    outstanding requests and the wake list notified when it hits 0."""
+
+    def __init__(self):
+        self.outstanding = 0
+        self.wake_on_idle = WakeList()
 
 
 def make_world(policy="pagc", valid_per_block=2, filled_fraction=0.9,
@@ -133,6 +138,7 @@ def test_preemptive_gc_waits_for_io():
     def quiet_later(sim):
         yield sim.timeout(500.0)
         gc.host.outstanding = 0
+        gc.host.wake_on_idle.notify()
 
     sim.process(quiet_later(sim))
     gc.maybe_trigger()

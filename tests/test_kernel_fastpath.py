@@ -28,9 +28,12 @@ recorded while the FTL/GC waits were still ``yield sim.timeout(...)``
 loops, before they moved onto kernel polls.
 ``superblock_migration_claimed_wait`` was re-recorded when the
 superblock migration began to wait on the garbage collector's poll grid
-and to move pages through its relocator.  A mismatch message prints the
-hash actually observed; a change that alters simulated timing on
-purpose re-records it there.
+and to move pages through its relocator.  The nine datapath scenarios
+with a starved flusher or a preemptive quiet wait had their stream
+hashes re-recorded when those waits began to park on wake lists
+instead of ticking; their end-state hashes did not move.  A mismatch
+message prints the hash actually observed; a change that alters
+simulated timing on purpose re-records it there.
 """
 
 import hashlib
@@ -55,10 +58,10 @@ GOLDEN = {
     "ecc_retry_ladder": "05fe3500ae807fc3",
     "event_trigger_values_and_fail": "9eb5181e1b1eca9f",
     "fault_injection_retry_semantics": "77417c3a63d9a2c8",
-    "gc_copybacks_dedicated_bus": "b36bb46d98c84351",
-    "gc_copybacks_fnoc": "d2b47d70f27c1942",
-    "gc_destination_stall": "332bb6c2bd4fcab7",
-    "gc_page_moves": "7874aae76373dde8",
+    "gc_copybacks_dedicated_bus": "017b5b65c50a5346",
+    "gc_copybacks_fnoc": "1a1cdf5a4af7eb5d",
+    "gc_destination_stall": "038039d8db615544",
+    "gc_page_moves": "2b35af9fdf6cd29e",
     "interrupt_finished_process_is_noop": "1682c4c95c386825",
     "interrupt_holder_releases": "2ade178f5468be08",
     "interrupt_waiting_process": "682d3cfa3f3d2eb6",
@@ -67,18 +70,18 @@ GOLDEN = {
     "midop_blocking": "1707a6a35b4a8c8a",
     "midop_blocking_dssd": "bf41496d92f43865",
     "multiple_waiters_one_event": "a1d85878b0d94686",
-    "preemptive_gc": "aba27bb027ce180c",
-    "preemptive_gc_quiet_wait": "10448d05dfb2ab9e",
+    "preemptive_gc": "130574111beed973",
+    "preemptive_gc_quiet_wait": "6cf2b32b97b82871",
     "process_join_and_return_value": "11865ffca8953fc8",
-    "reliability_wear_faults": "a7619de20f8c241a",
-    "reliability_wear_faults_baseline": "6fa81128f22205a6",
+    "reliability_wear_faults": "0a1219d97e6d60c7",
+    "reliability_wear_faults_baseline": "470dbe8d757bfb65",
     "resource_credit_flow": "2db8a798489f1e25",
     "resource_priority_scheduling": "b6421103d928316c",
     "ssd_point": "2a6761655fa02ac2",
     "store_fifo_handoff": "17a1ed841eeb4347",
     "superblock_migration_claimed_wait": "95eede4ccc63472f",
     "timeout_tie_ordering": "62fcd760ff3f9adc",
-    "unchecked_copyback_reliability": "69d6f5002f938cd2",
+    "unchecked_copyback_reliability": "c8b79efc311bca03",
     "wear_retry_faults": "4c188ba93cb985e7",
 }
 

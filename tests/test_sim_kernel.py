@@ -9,8 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.fuzz.executor import _drain_until
-from repro.sim import Interrupt, Poll, SimulationError, Simulator
-from repro.sim import kernel as kernel_module
+from repro.sim import Interrupt, SimulationError, Simulator, WakeList
 from tests.dispatch_recorder import record_dispatch
 
 
@@ -390,6 +389,82 @@ def test_wait_until_matches_timeout_loop_dispatch_stream():
     assert bump_times & {entry[0] for entry in trace if entry[1] == "miss"}
 
 
+def _wait_every_10us(sim, check, parked, wakes, on_skip=None):
+    """Wait for *check*: parked on *wakes* with *parked*, else as a
+    ``yield sim.timeout(10)`` loop, the reference a parked wait must
+    match."""
+    if parked:
+        return (yield from sim.wait_until(10.0, check, wake=(wakes,),
+                                          on_skip=on_skip))
+    value = check()
+    while value is None:
+        yield sim.timeout(10.0)
+        value = check()
+    return value
+
+
+def _shared_grid_scenario(parked):
+    """Two waits on one 10 us grid: ``a`` fails its check at t=0; ``b``
+    is spawned at t=20 from a timeout's dispatch, so its inline check
+    runs from the same-instant lane after ``a``'s tick at 20 has gone
+    by.  The state turns ready at t=25, between two grid instants and
+    before ``b`` has ticked once, so a wait that parked only after its
+    first tick would miss the notify and resume out of order.
+
+    With *parked* the waits park on a wake list that the setter
+    notifies; otherwise each is a ``yield sim.timeout(10)`` loop.
+    Returns the trace, the end clock and each wait's tick count: its
+    check calls plus the ticks it skipped while parked.
+    """
+    sim = Simulator()
+    wakes = WakeList()
+    state = {"ready": False}
+    ticks = {"a": 0, "b": 0}
+    trace = []
+
+    def waiter(name):
+        def check():
+            ticks[name] += 1
+            return (name, sim.now) if state["ready"] else None
+
+        def skipped(count):
+            ticks[name] += count
+
+        value = yield from _wait_every_10us(sim, check, parked, wakes,
+                                            skipped)
+        trace.append((sim.now, "resumed", value))
+
+    def spawner():
+        yield sim.timeout(20.0)
+        sim.process(waiter("b"))
+
+    def setter():
+        yield sim.timeout(25.0)
+        state["ready"] = True
+        wakes.notify()
+
+    sim.process(spawner())
+    sim.process(waiter("a"))
+    sim.process(setter())
+    sim.run()
+    return trace, sim.now, ticks
+
+
+def test_parked_waits_on_one_grid_match_timeout_loops():
+    loop_stream, loop_result = _dispatch_stream(
+        lambda: _shared_grid_scenario(parked=False))
+    parked_stream, parked_result = _dispatch_stream(
+        lambda: _shared_grid_scenario(parked=True))
+    assert parked_result == loop_result
+    trace, now, ticks = parked_result
+    assert trace == [(30.0, "resumed", ("a", 30.0)),
+                     (30.0, "resumed", ("b", 30.0))]
+    assert now == 30.0 and ticks == {"a": 4, "b": 2}
+    # The loop ticks at 10 and 20 for nothing; the parked waits push
+    # only their two rechecks at 30, where the loops tick too.
+    assert len(loop_stream) - len(parked_stream) == 2
+
+
 def test_wait_until_passing_check_schedules_nothing():
     sim = Simulator()
     calls = []
@@ -486,6 +561,64 @@ def test_interrupted_wait_until_dispatches_once_more_and_stops():
     # The tick armed at t=10 for t=20 is the last entry popped.
     assert stream[-1][0] == 20.0
     assert sim.now == 20.0 and sim.peek() is None
+
+
+def test_notify_between_runs_on_a_grid_instant_matches_timeout_loop():
+    """``run(until=20)`` dispatches a loop's tick at 20, so a notify
+    after it, outside the run, must recheck at 30, not at 20."""
+
+    def scenario(parked):
+        sim = Simulator()
+        wakes = WakeList()
+        state = {"ready": False}
+        done = []
+
+        def check():
+            return sim.now if state["ready"] else None
+
+        def waiter():
+            done.append((yield from _wait_every_10us(sim, check, parked,
+                                                    wakes)))
+
+        sim.process(waiter())
+        sim.run(until=20.0)
+        state["ready"] = True
+        wakes.notify()
+        sim.run()
+        return done
+
+    assert scenario(parked=True) == scenario(parked=False) == [30.0]
+
+
+def test_parked_wait_counts_skipped_ticks_and_leaves_on_interrupt():
+    """A parked wait is pending at its next grid instant; the ticks it
+    skipped are counted when settled; an interrupt takes it off its
+    wake list, so a later notify schedules nothing."""
+    sim = Simulator()
+    wakes = WakeList()
+    checks = []
+    skipped = []
+    caught = []
+
+    def victim():
+        try:
+            yield from sim.wait_until(
+                10.0, lambda: checks.append(sim.now), wake=(wakes,),
+                on_skip=skipped.append)
+        except Interrupt:
+            caught.append(sim.now)
+
+    proc = sim.process(victim(), name="victim")
+    sim.run(until=25.0)
+    assert not sim._queue and sim.peek() == 30.0
+    assert sim.pending_summary() == [
+        "t=30.000us parked poll resuming process 'victim'"]
+    assert checks == [0.0] and skipped == [2]
+    proc.interrupt()
+    sim.run()
+    wakes.notify()
+    assert caught == [25.0] and checks == [0.0] and skipped == [2]
+    assert sim.peek() is None and sim.pending_summary() == []
 
 
 def test_poll_rejects_manual_trigger_and_negative_interval():
@@ -666,12 +799,9 @@ def _reference_run(sim, record):
     ``(time, seq)``."""
     queue = sim._queue
     lane = sim._lane
-    polls = sim._polls
     while True:
         while lane:
             heapq.heappush(queue, lane.popleft())
-        while polls:
-            heapq.heappush(queue, polls.popleft())
         if not queue:
             return
         entry = heapq.heappop(queue)
@@ -778,47 +908,8 @@ def test_lane_dispatch_matches_heap_only_reference(programs, big_clock):
 
 
 # ---------------------------------------------------------------------------
-# The poll lane: poll ticks at or after its tail's time skip the heap.
+# Polls on the heap: introspection and stops between ticks.
 # ---------------------------------------------------------------------------
-
-#: 10 us polls beside 50 us ones, with timeouts and scheduled callbacks
-#: that land exactly on the 10 us grid.
-_GRID_PROGRAMS = [
-    [("poll", 10.0, 7), ("timeout", 10.0), ("poll", 10.0, 3)],
-    [("poll", 50.0, 2), ("schedule", 20.0), ("poll", 10.0, 4)],
-    [("timeout", 30.0), ("poll", 10.0, 5), ("schedule", 10.0),
-     ("timeout", 50.0)],
-    [("schedule", 40.0), ("poll", 50.0, 1), ("timeout", 20.0),
-     ("poll", 10.0, 2)],
-]
-
-
-def test_mixed_interval_polls_match_heap_only_reference(monkeypatch):
-    reference = _run_program(_GRID_PROGRAMS, False, "reference")
-    assert _run_program(_GRID_PROGRAMS, False, "drain") == reference
-    heap_polls = []
-    push = kernel_module.heappush
-
-    def counting_push(queue, entry):
-        if isinstance(entry[2], Poll):
-            heap_polls.append(entry[:2])
-        push(queue, entry)
-
-    monkeypatch.setattr(kernel_module, "heappush", counting_push)
-    assert _run_program(_GRID_PROGRAMS, False, "run") == reference
-    stream = reference[0]
-    poll_times = {time for time, _, label in stream
-                  if label.startswith("poll")}
-    other_times = {time for time, _, label in stream
-                   if not label.startswith("poll")}
-    # Timeouts and callbacks tie with poll ticks on the grid, and the
-    # 10 us ticks behind a 50 us tick fall back to the heap, while the
-    # others ride the poll lane.
-    assert poll_times & other_times
-    poll_ticks = [label for _, _, label in stream
-                  if label.startswith("poll")]
-    assert 0 < len(heap_polls) < len(poll_ticks)
-
 
 def _parked_poller(sim, name, interval):
     def poller():
@@ -831,7 +922,7 @@ def test_snapshot_refuses_a_parked_poll_and_names_its_waiter():
     sim = Simulator()
     _parked_poller(sim, "poller", 10.0)
     sim.run(until=15.0)
-    assert len(sim._polls) == 1 and not sim._queue and not sim._lane
+    assert len(sim._queue) == 1 and not sim._lane
     with pytest.raises(SimulationError,
                        match="1 callback.*poll resuming process 'poller'"):
         sim.snapshot_state()
@@ -858,7 +949,7 @@ def test_pending_summary_merges_poll_lane_and_heap_in_order():
     sim.schedule(20.0, late)
     sim.run(until=0.0)
     sim.schedule(10.0, late)
-    assert len(sim._polls) == 2 and len(sim._queue) == 4
+    assert len(sim._queue) == 6
     lines = sim.pending_summary()
     expected = [("t=5.000us", "early"), ("t=10.000us", "tied"),
                 ("t=10.000us", "poll resuming process 'a'"),
@@ -875,7 +966,6 @@ def test_peek_sees_the_poll_lane_head():
     sim.schedule(30.0, lambda: None)
     _parked_poller(sim, "poller", 10.0)
     sim.run(until=0.0)
-    assert sim._polls[0][0] == 10.0 and sim._queue[0][0] == 30.0
     assert sim.peek() == 10.0
     sim.run(until=25.0)
     assert sim.peek() == 30.0
@@ -905,35 +995,10 @@ def _grid_run(stops):
         sim.process(chain())
         for stop in stops:
             assert sim.run(until=stop) == stop
-            assert sim._polls and sim.peek() > stop
+            assert sim.peek() > stop
         sim.run()
     return stream, sim.now, sim._seq
 
 
 def test_run_until_between_ticks_resumes_the_same_stream():
     assert _grid_run([25.0, 35.0]) == _grid_run([])
-
-
-def test_waiters_on_one_interval_never_touch_the_heap(monkeypatch):
-    pushes = []
-    push = kernel_module.heappush
-
-    def counting_push(queue, entry):
-        pushes.append(entry[:2])
-        push(queue, entry)
-
-    monkeypatch.setattr(kernel_module, "heappush", counting_push)
-    sim = Simulator()
-    done = []
-
-    def waiter(index):
-        left = iter(range(index % 5 + 1))
-        value = yield from sim.wait_until(
-            10.0, lambda: None if next(left, None) is not None else index)
-        done.append(value)
-
-    for index in range(64):
-        sim.process(waiter(index))
-    sim.run()
-    assert sorted(done) == list(range(64))
-    assert sim.now == 50.0 and pushes == []
