@@ -153,6 +153,49 @@ def test_srt_full_forces_retirement():
     assert mgr.bad_superblocks == 1
 
 
+def test_refused_remap_returns_recycled_block_to_rbt():
+    mgr = DynamicSuperblockManager(n_superblocks=6, channels=2,
+                                   srt_capacity=1,
+                                   reserved_superblocks=2)
+    assert mgr.on_uncorrectable(0, 0) == "remapped"     # takes (4, 0)
+    assert mgr.on_uncorrectable(1, 0) == "superblock_dead"
+    assert mgr.srt[0].rejected == 1
+    # The refused (5, 0) is back; the failed (1, 0) is not recycled.
+    assert mgr.rbt[0].peek_all() == [(5, 0)]
+    assert mgr.rbt[1].peek_all() == [(4, 1), (5, 1), (1, 1)]
+
+
+def test_second_failure_on_remapped_position_replaces_entry():
+    mgr = DynamicSuperblockManager(n_superblocks=6, channels=2,
+                                   reserved_superblocks=2)
+    assert mgr.on_uncorrectable(0, 0) == "remapped"
+    assert mgr.resolve(0, 0) == (4, 0)
+    # The recycled block serving the position fails in turn.
+    assert mgr.on_uncorrectable(0, 0) == "remapped"
+    assert mgr.resolve(0, 0) == (5, 0)
+    assert mgr.srt[0].active_entries == 1
+    assert mgr.srt[0].entries() == {(0, 0): (5, 0)}
+    assert mgr.copyback_requests[-1] == ((4, 0), (5, 0))
+    assert {(0, 0), (4, 0)} <= mgr.dead_subblocks
+
+
+def test_retirement_frees_srt_entries_and_recycles_unfailed_blocks():
+    mgr = DynamicSuperblockManager(n_superblocks=6, channels=2,
+                                   reserved_superblocks=2)
+    assert mgr.on_uncorrectable(0, 0) == "remapped"     # (0,0) -> (4,0)
+    assert mgr.on_uncorrectable(0, 1) == "remapped"     # (0,1) -> (4,1)
+    assert mgr.on_uncorrectable(1, 0) == "remapped"     # (1,0) -> (5,0)
+    assert len(mgr.rbt[0]) == 0
+    # (4, 0) fails with channel 0's RBT empty: superblock 0 retires.
+    assert mgr.on_uncorrectable(0, 0) == "superblock_dead"
+    assert mgr.srt[0].entries() == {(1, 0): (5, 0)}
+    assert mgr.srt[1].active_entries == 0
+    assert mgr.resolve(0, 1) == (0, 1)
+    # Only (4, 1) never failed; (0, 0), (0, 1) and (4, 0) all did.
+    assert mgr.rbt[0].peek_all() == []
+    assert mgr.rbt[1].peek_all() == [(5, 1), (4, 1)]
+
+
 def test_double_failure_same_superblock_rejected_after_death():
     mgr = DynamicSuperblockManager(n_superblocks=2, channels=2)
     mgr.on_uncorrectable(0, 0)
