@@ -164,13 +164,15 @@ def _drain_until(sim, deadline: float) -> None:
     ``run(until=peek())`` dispatches every entry due at the next
     instant, in ``(time, seq)`` order, and leaves the clock on it.  It
     stops when the queue is empty or the next instant is past
-    *deadline*, with the clock at the last instant dispatched.
+    *deadline*, with the clock at the last instant dispatched; a device
+    wedged on parked polls gets there in one ``skip_parked`` step.
     """
     while True:
         upcoming = sim.peek()
         if upcoming is None or upcoming > deadline:
             return
-        sim.run(until=upcoming)
+        if not sim.skip_parked(deadline):
+            sim.run(until=upcoming)
 
 
 def _drain_and_classify(sim, deadline: float, idle: Callable[[], bool],

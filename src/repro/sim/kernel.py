@@ -400,23 +400,27 @@ class Poll(Event):
             for wakes in self.wakes:
                 wakes._parked.pop(self, None)
 
-    def _settle(self, upto: float) -> None:
+    def _settle(self, upto: float) -> Optional[float]:
         """Step ``due`` past every grid instant before *upto*.
 
         Each instant stepped over is a tick the parked poll skipped;
         ``on_skip`` hears how many.  The additions are the re-arm's, so
-        ``due`` stays on the grid a polling loop would walk.
+        ``due`` stays on the grid a polling loop would walk.  Returns
+        the last instant stepped over, if any.
         """
         due = self.due
+        last = None
         if due < upto:
             interval = self.interval
             skipped = 0
             while due < upto:
+                last = due
                 due += interval
                 skipped += 1
             self.due = due
             if self.on_skip is not None:
                 self.on_skip(skipped)
+        return last
 
     def _wake(self) -> None:
         """Leave the lists and push one recheck at the next grid instant."""
@@ -921,6 +925,22 @@ class Simulator:
             upto = self._ticks_over()
             for poll in self._parked:
                 poll._settle(upto)
+
+    def skip_parked(self, until: float) -> bool:
+        """With only parked polls left, settle their ticks up to *until*.
+
+        No model code can run to notify them, so this counts every grid
+        instant at or before *until* at once and leaves the clock on the
+        latest, where repeated ``run(until=peek())`` would stop.  False,
+        changing nothing, if an entry is queued or *until* is infinite.
+        """
+        if self._queue or self._lane or until == math.inf:
+            return False
+        upto = math.nextafter(until, math.inf)
+        lasts = [poll._settle(upto) for poll in self._parked]
+        self.now = self._now = max(
+            [self._now] + [last for last in lasts if last is not None])
+        return True
 
     def _ticks_over(self) -> float:
         """The instant a parked poll's ticks are over before: ``now``

@@ -9,6 +9,10 @@ simulator jumps from failure to failure instead of cycling page writes:
 each iteration handles one block death, and total work is proportional
 to the number of failures rather than the number of writes.
 
+Each failure is reported to :class:`~.manager.DynamicSuperblockManager`,
+the protocol the DES runs too, which decides remap or retirement; the
+simulator keeps only the wear arithmetic.
+
 Policies (paper Sec 5):
 
 * ``baseline``  -- static superblocks: first sub-block failure kills the
@@ -28,7 +32,7 @@ from typing import Dict, List, Optional, Tuple
 
 from ..errors import ConfigError
 from ..flash.wear import PAPER_PE_MEAN, PAPER_PE_SIGMA
-from .tables import RecycleBlockTable, SuperblockRemapTable
+from .manager import DynamicSuperblockManager
 
 __all__ = ["EnduranceConfig", "EnduranceResult", "EnduranceSimulator",
            "POLICIES"]
@@ -95,9 +99,10 @@ class EnduranceResult:
     total_bytes: float = 0.0
     remap_events: int = 0
     srt_rejections: int = 0
-    #: Per-channel (event_index, active_entries) logs (Fig 16(b)).
+    #: Per-channel (insert count, active entries) logs (Fig 16(b)).
     srt_occupancy: Dict[int, List[Tuple[int, int]]] = field(
         default_factory=dict)
+    #: Peak live entries of any one channel's SRT over the run.
     max_active_srt_entries: int = 0
 
     def bytes_until_bad(self, n_bad: int) -> Optional[float]:
@@ -119,7 +124,12 @@ class EnduranceResult:
 
 
 class EnduranceSimulator:
-    """Jump-to-next-failure wear simulation over (superblock, channel)."""
+    """Jump-to-next-failure wear simulation over (superblock, channel).
+
+    ``limits`` and ``wear`` are indexed by the physical sub-block
+    ``manager.resolve`` names; ``wear`` is brought up to date when a
+    failure is reported, so a recycled sub-block keeps what it had.
+    """
 
     def __init__(self, config: EnduranceConfig):
         import numpy as np
@@ -131,8 +141,11 @@ class EnduranceSimulator:
         if config.policy == "reserv":
             reserved = int(round(total * config.reserve_fraction))
             reserved = min(reserved, total - 1)
-        self.visible = total - reserved
         self.reserved = reserved
+        self.manager = DynamicSuperblockManager(
+            total, config.channels, srt_capacity=config.srt_capacity,
+            reserved_superblocks=reserved)
+        self.visible = self.manager.visible
 
         draws = rng.normal(config.pe_mean, config.pe_sigma,
                            size=(total, config.channels))
@@ -147,21 +160,7 @@ class EnduranceSimulator:
                 draws = np.floor(draws * fraction)
         self.limits = np.maximum(1, np.rint(draws)).astype(np.int64)
         self.wear = np.zeros_like(self.limits)
-        self.alive = np.ones(self.visible, dtype=bool)
-
-        self.rbt = [RecycleBlockTable(c) for c in range(config.channels)]
-        self.srt = [SuperblockRemapTable(c, config.srt_capacity)
-                    for c in range(config.channels)]
-        if config.policy == "reserv":
-            for sb in range(self.visible, total):
-                for channel in range(config.channels):
-                    self.rbt[channel].add(
-                        (int(self.limits[sb, channel]), 0)
-                    )
-
         self.result = EnduranceResult(config=config)
-        self._bad = 0
-        self._key_counter = 0
 
     # -- core loop -----------------------------------------------------------
 
@@ -170,69 +169,56 @@ class EnduranceSimulator:
         import numpy as np
 
         config = self.config
+        manager = self.manager
+        limits, wear = self.limits, self.wear
+        # Cycles left per visible position; a retired row stays far
+        # above every live one.
+        remaining = limits[:self.visible].copy()
+        retired = np.iinfo(np.int64).max
         stop_bad = int(np.ceil(self.visible * config.stop_bad_fraction))
         sb_bytes = float(config.superblock_bytes)
         total_bytes = 0.0
-        guard = 0
-        max_events = self.visible * config.channels * 4 + 16
+        bad = 0
 
-        while self._bad < stop_bad and self.alive.any():
-            guard += 1
-            if guard > max_events:
-                raise RuntimeError("endurance simulation failed to converge")
-            remaining = self.limits[:self.visible] - self.wear[:self.visible]
-            remaining = np.where(self.alive[:, None], remaining, np.iinfo(np.int64).max)
+        while bad < stop_bad:
             flat = int(np.argmin(remaining))
             sb, channel = divmod(flat, config.channels)
             delta = int(remaining[sb, channel])
             if delta > 0:
                 # Every alive superblock absorbs `delta` more P/E cycles.
-                self.wear[:self.visible][self.alive] += delta
-                total_bytes += delta * float(self.alive.sum()) * sb_bytes
-            self._handle_failure(sb, channel)
-            self.result.curve.append((total_bytes, self._bad))
+                remaining -= delta
+                total_bytes += (delta * float(self.visible - bad)
+                                * sb_bytes)
+            outcome = "superblock_dead"
+            if config.policy != "baseline":
+                # A sub-block worn out at this instant is dead too, so a
+                # retirement does not recycle it.
+                for c in range(config.channels):
+                    sub = manager.resolve(sb, c)
+                    wear[sub] = limits[sub] - remaining[sb, c]
+                    if remaining[sb, c] == 0:
+                        manager.dead_subblocks.add(sub)
+                outcome = manager.on_uncorrectable(sb, channel)
+            if outcome == "remapped":
+                sub = manager.resolve(sb, channel)
+                remaining[sb, channel] = limits[sub] - wear[sub]
+                self.result.remap_events += 1
+            else:
+                remaining[sb] = retired
+                bad += 1
+            self.result.curve.append((total_bytes, bad))
 
         self.result.total_bytes = total_bytes
         self.result.srt_occupancy = {
-            c: list(self.srt[c].occupancy_log)
+            c: list(manager.srt[c].occupancy_log)
             for c in range(config.channels)
         }
-        self.result.srt_rejections = sum(t.rejected for t in self.srt)
+        self.result.srt_rejections = sum(t.rejected for t in manager.srt)
+        # Entries rise only on an insert, so the logs hold the peak.
         self.result.max_active_srt_entries = max(
-            (t.active_entries for t in self.srt), default=0
-        )
+            (active for log in self.result.srt_occupancy.values()
+             for _event, active in log), default=0)
         return self.result
-
-    # -- failure handling ----------------------------------------------------------
-
-    def _handle_failure(self, sb: int, channel: int) -> None:
-        policy = self.config.policy
-        if policy == "baseline":
-            self._kill_superblock(sb, recycle=False)
-            return
-        # recycled / reserv: try to remap onto a recycled block.
-        replacement = self.rbt[channel].take()
-        if replacement is not None:
-            limit, wear = replacement
-            self._key_counter += 1
-            if self.srt[channel].insert(("dead", sb, self._key_counter),
-                                        ("recycled", limit)):
-                self.limits[sb, channel] = limit
-                self.wear[sb, channel] = wear
-                self.result.remap_events += 1
-                return
-        self._kill_superblock(sb, recycle=True)
-
-    def _kill_superblock(self, sb: int, recycle: bool) -> None:
-        self.alive[sb] = False
-        self._bad += 1
-        if not recycle:
-            return
-        for channel in range(self.config.channels):
-            limit = int(self.limits[sb, channel])
-            wear = int(self.wear[sb, channel])
-            if wear < limit:
-                self.rbt[channel].add((limit, wear))
 
 
 def run_endurance(policy: str = "baseline", **kwargs) -> EnduranceResult:

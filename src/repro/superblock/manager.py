@@ -10,9 +10,9 @@ protocol when uncorrectable errors are reported:
    the dead sub-block onto the recycled block in its SRT, performs the
    internal copy via global copyback, and the FTL is never told.
 
-The manager is deliberately independent of the DES so it can be driven
-directly by tests and examples; the endurance simulator implements the
-same protocol in vectorized form.
+A retirement frees the superblock's SRT entries and recycles only
+sub-blocks never reported dead.  The manager is independent of the DES:
+:mod:`.live` and the endurance simulator both drive this one copy.
 """
 
 from __future__ import annotations

@@ -26,8 +26,7 @@ class RecycleBlockTable:
     """FIFO pool of recyclable blocks for one flash channel.
 
     Each entry is an opaque block descriptor chosen by the caller (the
-    endurance simulator stores ``(limit, wear)`` pairs; the DES stores
-    physical block addresses).
+    superblock manager stores ``(superblock, channel)`` sub-blocks).
     """
 
     def __init__(self, channel: int):

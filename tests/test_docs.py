@@ -18,7 +18,8 @@ STALE_NAMES = re.compile(
     r"\b(SystemBus|FlashChannel|OpBreakdown|TimingTable|prefill_block"
     r"|mark_block_programmed|_cancelled|Simulator\.step|TokenPool"
     r"|FlashPlane|_migrate_block|_ftl_migration|aborted_migrations"
-    r"|pages_migrated|unclaim|max_valid_fraction|_polls)\b"
+    r"|pages_migrated|unclaim|max_valid_fraction|_polls|_handle_failure"
+    r"|_kill_superblock|_key_counter)\b"
     r"|\bbackend\.(read|program|erase)\b|\.step\(\)|:meth:`step`"
     r"|\.occupy\(")
 

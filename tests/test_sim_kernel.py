@@ -621,6 +621,51 @@ def test_parked_wait_counts_skipped_ticks_and_leaves_on_interrupt():
     assert sim.peek() is None and sim.pending_summary() == []
 
 
+def _wedged_polls():
+    """Two polls parked on grids of 10 us and 3.7 us, nothing queued."""
+    sim = Simulator()
+    wakes = WakeList()
+    skipped = {"a": 0, "b": 0}
+
+    def waiter(name, start, interval):
+        yield sim.timeout(start)
+
+        def count(n):
+            skipped[name] += n
+
+        yield from sim.wait_until(interval, lambda: None, wake=(wakes,),
+                                  on_skip=count)
+
+    sim.process(waiter("a", 0.0, 10.0))
+    sim.process(waiter("b", 1.3, 3.7))
+    sim.run()
+    assert not sim._queue and not sim._lane and len(sim._parked) == 2
+    return sim, skipped
+
+
+def test_skip_parked_stops_where_one_instant_steps_stop():
+    deadline = 1000.05
+    stepped, stepped_skips = _wedged_polls()
+    while (upcoming := stepped.peek()) is not None and upcoming <= deadline:
+        stepped.run(until=upcoming)
+    jumped, jumped_skips = _wedged_polls()
+    assert jumped.skip_parked(deadline)
+    assert jumped.now == stepped.now
+    assert jumped_skips == stepped_skips and jumped_skips["a"] == 100
+    assert jumped.peek() == stepped.peek() > deadline
+    assert ([poll.due for poll in jumped._parked]
+            == [poll.due for poll in stepped._parked])
+
+
+def test_skip_parked_refuses_an_infinite_jump_or_a_queued_entry():
+    sim, skipped = _wedged_polls()
+    now = sim.now
+    assert not sim.skip_parked(math.inf)
+    sim.schedule(5.0, lambda: None)
+    assert not sim.skip_parked(100.0)
+    assert sim.now == now and skipped == {"a": 0, "b": 0}
+
+
 def test_poll_rejects_manual_trigger_and_negative_interval():
     from repro.sim import Poll
 

@@ -93,7 +93,7 @@ def test_reserved_blocks_reduce_visible_capacity():
     sim = EnduranceSimulator(config)
     assert sim.visible == 90
     assert sim.reserved == 10
-    assert all(len(rbt) == 10 for rbt in sim.rbt)
+    assert all(len(rbt) == 10 for rbt in sim.manager.rbt)
 
 
 def test_endurance_config_validation():
