@@ -1,8 +1,12 @@
 """Watch every entry the DES kernel dispatches, heap or lane, in order."""
 
 import contextlib
+import hashlib
+import struct
 
 from repro.sim import kernel as kernel_module
+
+_KEY = struct.Struct("<dq").pack
 
 
 @contextlib.contextmanager
@@ -37,3 +41,19 @@ def record_dispatch(record):
     finally:
         kernel_module.heappop = pop
         kernel_module.deque = lane_type
+
+
+def fingerprint(run):
+    """``(stream hash, end-state hash)`` of one scenario run.
+
+    Every entry the kernel dispatches, from its heap or its
+    same-instant lane, is fed to the stream hash in dispatch order;
+    *run* builds its simulator and returns the scenario's end state,
+    whose ``repr`` is the end-state hash.
+    """
+    digest = hashlib.sha256()
+    update = digest.update
+    with record_dispatch(lambda entry: update(_KEY(entry[0], entry[1]))):
+        end_state = run()
+    end = hashlib.sha256(repr(end_state).encode()).hexdigest()[:16]
+    return digest.hexdigest()[:16], end

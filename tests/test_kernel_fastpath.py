@@ -1,7 +1,7 @@
 """Golden dispatch fingerprints for the kernel and the datapath.
 
 Every scenario here is pinned to two recorded hashes (see
-:func:`fingerprint`):
+:func:`tests.dispatch_recorder.fingerprint`):
 
 * :data:`GOLDEN`, the *stream* hash: the ``(time, seq)`` key of every
   entry the kernel dispatches, off its heap or its same-instant lane,
@@ -37,7 +37,6 @@ simulated timing on purpose re-records it there.
 """
 
 import hashlib
-import struct
 
 import pytest
 
@@ -49,7 +48,7 @@ from repro.flash.geometry import PhysAddr
 from repro.reliability import FaultInjector, ReliabilityConfig
 from repro.sim import Interrupt, Link, Resource, Simulator, Store
 from repro.sim.kernel import SimulationError
-from tests.dispatch_recorder import record_dispatch
+from tests.dispatch_recorder import fingerprint
 
 #: Recorded stream hash per scenario (see the module docstring).
 GOLDEN = {
@@ -118,25 +117,6 @@ END_GOLDEN = {
     "unchecked_copyback_reliability": "adcdf50076ebd069",
     "wear_retry_faults": "d6a7803a32c0e96f",
 }
-
-_KEY = struct.Struct("<dq").pack
-
-
-def fingerprint(run):
-    """``(stream hash, end-state hash)`` of one scenario run.
-
-    Every entry the kernel dispatches, from its heap or its
-    same-instant lane, is fed to the stream hash in dispatch order;
-    *run* builds its simulator and returns the scenario's end state,
-    whose ``repr`` is the end-state hash.
-    """
-    digest = hashlib.sha256()
-    update = digest.update
-    with record_dispatch(lambda entry: update(_KEY(entry[0], entry[1]))):
-        end_state = run()
-    end = hashlib.sha256(repr(end_state).encode()).hexdigest()[:16]
-    return digest.hexdigest()[:16], end
-
 
 def assert_golden(name, observed):
     stream, end = observed

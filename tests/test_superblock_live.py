@@ -5,8 +5,10 @@ import pytest
 from repro.core import ArchPreset, build_ssd, sim_geometry
 from repro.errors import ConfigError, MappingError
 from repro.flash import PhysAddr
+from repro.sim import Simulator
 from repro.superblock import LiveDynamicSuperblocks
 from repro.workloads import SyntheticWorkload
+from tests.dispatch_recorder import fingerprint, record_dispatch
 
 GEOM = sim_geometry(channels=4, ways=2, planes=2, blocks_per_plane=8,
                     pages_per_block=8)
@@ -146,38 +148,78 @@ def test_stats_keys():
         assert key in stats
 
 
+#: Recorded ``(stream hash, end-state hash)`` per case of
+#: :func:`test_first_failure_during_host_writes_retires_whole_superblock`
+#: (see :func:`tests.dispatch_recorder.fingerprint`).  Both cases tick
+#: the migration's ownership wait, so the stream pins its poll grid.
+OWNERSHIP_WAIT_GOLDEN = {
+    "gc-claims-subblock": ("e4f4107fa137f8f4", "7ed4abd3a6bc6ac3"),
+    "open-subblock": ("f271b5103c31244e", "562c44985d146244"),
+}
+
+#: What an entry resuming the migration from its ownership wait
+#: describes itself as: a tick of that wait, whose check failed.
+_OWNERSHIP_TICKS = {"poll resuming process 'ftl_migration'",
+                    "timeout resuming process 'ftl_migration'"}
+
+
 @pytest.mark.parametrize("seed,inject_at,sb", [(1, 100.0, 1), (2, 600.0, 30)],
                          ids=["gc-claims-subblock", "open-subblock"])
 def test_first_failure_during_host_writes_retires_whole_superblock(
-        seed, inject_at, sb):
+        request, seed, inject_at, sb):
     """The first failure lands while the host writes and GC runs: in
     the first case GC is collecting a sub-block when the migration
     reaches it, in the second a sub-block is the open block the host
     is writing into.  The migration must own each sub-block before it
-    retires it, so no LPN is left mapped into a bad block."""
-    ssd = build_ssd(ArchPreset.DSSD_F, geometry=GEOM, queue_depth=8,
-                    prefill_fraction=0.9, seed=seed)
-    live = LiveDynamicSuperblocks(ssd, srt_capacity=64)
-    ssd.prefill()
-    handlers = []
+    retires it, so no LPN is left mapped into a bad block.
 
-    def injector():
-        yield ssd.sim.timeout(inject_at)
-        handlers.append(live.inject_uncorrectable(sb, channel=0))
+    The migration's ownership wait fails its check at least once in
+    each case, and the dispatch stream and end state match their
+    recorded fingerprints."""
+    failed_checks = []
 
-    ssd.sim.process(injector())
-    ssd.run(SyntheticWorkload(pattern="rand_write", io_size=4096),
-            duration_us=3000.0)
-    ssd.sim.run()
-    assert handlers and handlers[0].triggered
-    assert live.ftl_migrations == 1
-    assert ssd.ftl.audit() == []
-    bad = set()
-    for channel in range(GEOM.channels):
-        block = live.subblock_index(sb, channel)
-        info = ssd.blocks.info(block)
-        assert info.state == "bad" and info.mask == 0
-        bad.add(block)
-    pages_per_block = GEOM.pages_per_block
-    assert not [lpn for lpn, ppn in ssd.mapping.items()
-                if ppn // pages_per_block in bad]
+    def count_tick(entry):
+        if Simulator._describe_callback(entry[2]) in _OWNERSHIP_TICKS:
+            failed_checks.append(entry[0])
+
+    def scenario():
+        ssd = build_ssd(ArchPreset.DSSD_F, geometry=GEOM, queue_depth=8,
+                        prefill_fraction=0.9, seed=seed)
+        live = LiveDynamicSuperblocks(ssd, srt_capacity=64)
+        ssd.prefill()
+        handlers = []
+
+        def injector():
+            yield ssd.sim.timeout(inject_at)
+            handlers.append(live.inject_uncorrectable(sb, channel=0))
+
+        ssd.sim.process(injector())
+        result = ssd.run(SyntheticWorkload(pattern="rand_write",
+                                           io_size=4096),
+                         duration_us=3000.0)
+        ssd.sim.run()
+        assert handlers and handlers[0].triggered
+        assert live.ftl_migrations == 1
+        assert ssd.ftl.audit() == []
+        bad = set()
+        for channel in range(GEOM.channels):
+            block = live.subblock_index(sb, channel)
+            info = ssd.blocks.info(block)
+            assert info.state == "bad" and info.mask == 0
+            bad.add(block)
+        pages_per_block = GEOM.pages_per_block
+        assert not [lpn for lpn, ppn in ssd.mapping.items()
+                    if ppn // pages_per_block in bad]
+        return (ssd.sim.now, live.stats(), result.requests_completed,
+                ssd.ftl.flush_stalls,
+                ssd.gc.stats.state_dict()["counters"], failed_checks)
+
+    def run():
+        with record_dispatch(count_tick):
+            return scenario()
+
+    observed = fingerprint(run)
+    assert failed_checks, "the ownership wait never failed a check"
+    case = request.node.callspec.id
+    assert observed == OWNERSHIP_WAIT_GOLDEN[case], \
+        f"{case}: fingerprint {observed} != golden"
