@@ -50,6 +50,9 @@ Remapper = Callable[[PhysAddr], PhysAddr]
 class BaselineDatapath:
     """Conventional coupled SSD datapath."""
 
+    #: Name prefix of each controller's GC staging pool.
+    staging_name = "staging"
+
     def __init__(self, sim: Simulator, bus: Link, dram: Dram,
                  ecc: EccEngine, controllers: List[FlashController],
                  remapper: Optional[Remapper] = None,
@@ -76,7 +79,8 @@ class BaselineDatapath:
         # as the dBUF does in the decoupled architectures (keeping the
         # comparison's staging capacity equal across Table 2 configs).
         self.gc_staging = [
-            Resource(sim, staging_pages, name=f"staging{c.controller_id}")
+            Resource(sim, staging_pages,
+                     name=f"{self.staging_name}{c.controller_id}")
             for c in controllers
         ]
 
@@ -267,10 +271,13 @@ class DecoupledDatapath(BaselineDatapath):
     """dSSD / dSSD_b / dSSD_f datapath: back-end global copyback.
 
     Each decoupled controller has its own integrated ECC engine and a
-    dBUF of ``dbuf_pages`` page slots.  GC copies never touch the DRAM,
-    and cross the system bus only in the plain-``dSSD`` configuration
-    (whose transport *is* the shared bus, one traversal, no DRAM).
+    dBUF of ``dbuf_pages`` page slots, its GC staging pool.  GC copies
+    never touch the DRAM, and cross the system bus only in the
+    plain-``dSSD`` configuration (whose transport *is* the shared bus,
+    one traversal, no DRAM).
     """
+
+    staging_name = "dbuf"
 
     def __init__(self, sim: Simulator, bus: Link, dram: Dram,
                  ecc_engines: List[EccEngine],
@@ -295,10 +302,6 @@ class DecoupledDatapath(BaselineDatapath):
         # conventional SSDs (Sec 4.2).  Kept as an ablation knob.
         self.check_ecc = check_ecc
         self.unchecked_copies = 0
-        self.dbufs = [
-            Resource(sim, dbuf_pages, name=f"dbuf{c.controller_id}")
-            for c in controllers
-        ]
         self.copyback_log: List[CopybackCommand] = []
         self.copyback_log_limit = 1024
 
@@ -333,7 +336,7 @@ class DecoupledDatapath(BaselineDatapath):
         breakdown = Breakdown()
 
         # (2,3) read the page into the source controller's dBUF.
-        dbuf = self.dbufs[src.channel]
+        dbuf = self.gc_staging[src.channel]
         slot = dbuf.acquire()
         try:
             yield slot
@@ -359,7 +362,7 @@ class DecoupledDatapath(BaselineDatapath):
                 if command is not None:
                     command.advance(CopybackStatus.PACKETIZED, sim.now)
                 dbuf.cancel(slot)
-                dbuf = self.dbufs[dst.channel]
+                dbuf = self.gc_staging[dst.channel]
                 slot = dbuf.acquire()
                 yield slot
                 yield from self.transport.move(src.channel, dst.channel,

@@ -34,14 +34,11 @@ __all__ = ["GarbageCollector", "GcStats", "GC_POLICIES"]
 GC_POLICIES = ("pagc", "preemptive", "tinytail")
 
 #: Failed destination polls a page move tolerates before it declares
-#: the allocator starved (see :meth:`GarbageCollector._destination_poll`).
+#: the allocator starved (see :meth:`GarbageCollector._move_page`).
 _STARVATION_POLLS = 10_000
 
 #: Page-move breakdowns kept in :attr:`GcStats.move_breakdowns`.
 _SAMPLE_BREAKDOWNS = 512
-
-#: Destination-wait result: the source page was overwritten meanwhile.
-_DROPPED = object()
 
 
 class GcStats:
@@ -303,12 +300,38 @@ class GarbageCollector:
         self.stats.blocks_erased += 1
 
     def _move_page(self, src: int) -> Generator:
-        """Relocate the valid page with PPN *src* to a GC-stream page."""
+        """Relocate the valid page with PPN *src* to a GC-stream page.
+
+        The destination wait polls every ``preempt_poll_us``: each poll
+        drops the move if the host overwrote the source since the last
+        one, else tries to allocate a destination, counting a stall
+        when none is free.  Transiently out of destinations is normal
+        -- another worker's erase will replenish the pool.  Starvation
+        bound: with host/GC write streams separated and fully-valid
+        victims skipped, some worker always finishes its block and
+        erases; if no erase lands within this many polls the allocator
+        invariant is broken and silence would be a livelock.
+        """
         blocks = self.blocks
-        dst = yield from self.sim.wait_until(
-            self.preempt_poll_us, self._destination_poll(src))
-        if dst is _DROPPED:
-            return
+        polls_left = _STARVATION_POLLS
+        while True:
+            if self.mapping.reverse_lookup(src) is None:
+                # Host overwrote this LPN since the victim scan.
+                blocks.invalidate(src)
+                self.stats.pages_dropped += 1
+                return
+            dst = blocks.try_allocate_page(for_gc=True)
+            if dst is not None:
+                break
+            self.stats.alloc_stalls += 1
+            if polls_left <= 0:
+                raise MappingError(
+                    f"gc destination starvation: no erase completed "
+                    f"in {_STARVATION_POLLS * self.preempt_poll_us:.0f}"
+                    f"us while relocating {blocks.page_addr(src)}"
+                )
+            polls_left -= 1
+            yield self.sim.timeout(self.preempt_poll_us)
         breakdown = yield from self.datapath.gc_move(blocks.page_addr(src),
                                                      blocks.page_addr(dst))
         if self.mapping.reverse_lookup(src) is not None:
@@ -323,42 +346,6 @@ class GarbageCollector:
         blocks.invalidate(src)
         if len(self.stats.move_breakdowns) < _SAMPLE_BREAKDOWNS:
             self.stats.move_breakdowns.append(breakdown)
-
-    def _destination_poll(self, src: int):
-        """The poll check of one page move's destination wait.
-
-        Each call is one tick of the wait: drop the move if the host
-        overwrote the source since the last tick, else try to allocate
-        a destination, counting a stall when none is free.  Transiently
-        out of destinations is normal -- another worker's erase will
-        replenish the pool.  Starvation bound: with host/GC write
-        streams separated and fully-valid victims skipped, some worker
-        always finishes its block and erases; if no erase lands within
-        this many polls the allocator invariant is broken and silence
-        would be a livelock.
-        """
-        polls_left = _STARVATION_POLLS
-
-        def tick():
-            nonlocal polls_left
-            if self.mapping.reverse_lookup(src) is None:
-                # Host overwrote this LPN since the victim scan.
-                self.blocks.invalidate(src)
-                self.stats.pages_dropped += 1
-                return _DROPPED
-            dst = self.blocks.try_allocate_page(for_gc=True)
-            if dst is None:
-                self.stats.alloc_stalls += 1
-                if polls_left <= 0:
-                    raise MappingError(
-                        f"gc destination starvation: no erase completed "
-                        f"in {_STARVATION_POLLS * self.preempt_poll_us:.0f}"
-                        f"us while relocating {self.blocks.page_addr(src)}"
-                    )
-                polls_left -= 1
-            return dst
-
-        return tick
 
     def _wait_for_io_quiet(self) -> Generator:
         """Preemptive policy: stall while host I/O is pending, unless the

@@ -21,8 +21,9 @@ The kernel supports:
 
 * :class:`Event` -- one-shot triggerable events carrying a value,
 * :class:`Timeout` -- events that fire after a fixed delay,
-* :class:`Poll` -- a wait that re-checks a condition on a grid of
-  fixed-interval ticks (see :meth:`Simulator.wait_until`),
+* :class:`Poll` -- a wait parked on model state that re-checks a
+  condition on a grid of fixed-interval ticks when the state changes
+  (see :meth:`Simulator.wait_until`),
 * :class:`WakeList` -- the polls parked on one piece of model state,
   woken by the state's owner,
 * :class:`Process` -- generator-driven processes (joinable, interruptible),
@@ -52,18 +53,15 @@ optimization must preserve"):
   queued, so FIFO order is ``(time, seq)`` order (see
   :meth:`Simulator.run`).  Delays route on ``now + delay == now``, not
   on ``delay == 0``, so a delay a large float ``now`` absorbs is due now.
-* A ``while not ready: yield sim.timeout(interval)`` loop is served by
-  :meth:`Simulator.wait_until`: its :class:`Poll` re-runs the check
-  from the dispatch itself and re-arms, so a failed tick resumes no
-  generator and allocates no ``Timeout``.
-* A wait whose state has an owner parks instead of ticking: its poll
-  sits on the owner's :class:`WakeList`s with no entry queued, and the
-  owner's ``notify()`` pushes one recheck at the poll's next grid
-  instant.  The ticks it stepped over are counted, not run.
+* A wait whose state has an owner parks instead of ticking a ``while
+  not ready: yield sim.timeout(interval)`` loop: its poll sits on the
+  owner's :class:`WakeList`s with no entry queued, and the owner's
+  ``notify()`` pushes one recheck at the poll's next grid instant.
+  The ticks it stepped over are counted, not run.
 
 None of this changes *when* anything runs: every trigger, timeout,
-poll tick, process bootstrap and late waiter still pushes exactly one
-entry, on the heap or the same-instant lane, in program order, and
+poll recheck, process bootstrap and late waiter still pushes exactly
+one entry, on the heap or the same-instant lane, in program order, and
 :meth:`Simulator.run`, the one loop that pops either, dispatches them
 in the ``(time, seq)`` order a callback list per event would give.  A
 parked poll's recheck lands on the grid instant its polling loop would
@@ -167,7 +165,7 @@ class Event:
         self._value = value
         sim = self.sim
         sim._seq = seq = sim._seq + 1
-        sim._lane.append((sim._now, seq, self, _NO_ARGS))
+        sim._lane.append((sim.now, seq, self, _NO_ARGS))
         return self
 
     def fail(self, exception: BaseException) -> "Event":
@@ -179,7 +177,7 @@ class Event:
         self._value = exception
         sim = self.sim
         sim._seq = seq = sim._seq + 1
-        sim._lane.append((sim._now, seq, self, _NO_ARGS))
+        sim._lane.append((sim.now, seq, self, _NO_ARGS))
         return self
 
     def add_callback(self, fn: Callable[["Event"], None]) -> None:
@@ -192,7 +190,7 @@ class Event:
             # same entry shape the direct-resume path uses.
             sim = self.sim
             sim._seq = seq = sim._seq + 1
-            sim._lane.append((sim._now, seq, fn, (self,)))
+            sim._lane.append((sim.now, seq, fn, (self,)))
         elif cbs is None:
             self.callbacks = [fn]
         else:
@@ -253,7 +251,7 @@ class Timeout(Event):
         self._value = value
         self._ok = True
         self._triggered = False
-        now = sim._now
+        now = sim.now
         when = now + delay
         sim._seq = seq = sim._seq + 1
         if when == now:
@@ -287,36 +285,32 @@ class Timeout(Event):
 
 
 class Poll(Event):
-    """A re-arming wait: re-run ``check()`` every ``interval`` microseconds.
+    """A parked wait: re-run ``check()`` when its wake lists are notified.
 
     Created by :meth:`Simulator.wait_until` after the inline first check
-    has failed; only that helper's frame waits on it.  Its ticks fall
+    has failed; only that helper's frame waits on it.  Its checks fall
     on one *grid*, ``start + interval + interval + ...`` by repeated
     float addition, which is the ``now + interval`` a ``yield
-    sim.timeout(interval)`` loop would compute at each tick.  A tick
-    runs ``check()`` right in the dispatch: any value other than
-    ``None`` fires the poll and resumes the waiter straight from the
-    same dispatch, and an exception raised by ``check()`` is thrown
-    into the waiter at its ``yield``.  ``None`` means "not yet":
-
-    * Without wake lists the poll re-arms: exactly one entry at ``now +
-      interval``, on the heap or the same-instant lane, with the
-      ``(time, seq)`` key a ``yield sim.timeout(interval)`` would push.
-      A failed tick resumes no generator and allocates no event.
-    * With wake lists (see :class:`WakeList`) the poll *parks*: it
-      pushes nothing and waits on each list, its next grid instant in
-      ``due``.  A :meth:`WakeList.notify` wakes it: it steps ``due``
-      along its grid past the instants that are over (see
-      :meth:`Simulator.settle`), reports how many to ``on_skip``, and
-      pushes one recheck at the next.  A failed recheck parks again.
+    sim.timeout(interval)`` loop would compute at each tick.  Between
+    checks the poll *parks*: it pushes nothing and waits on each of its
+    :class:`WakeList`s, its next grid instant in ``due``.  A
+    :meth:`WakeList.notify` wakes it: it steps ``due`` along its grid
+    past the instants that are over (see :meth:`Simulator.settle`),
+    reports how many to ``on_skip``, and pushes one recheck at the
+    next.  The recheck runs ``check()`` right in the dispatch: any
+    value other than ``None`` fires the poll and resumes the waiter
+    straight from the same dispatch, an exception raised by ``check()``
+    is thrown into the waiter at its ``yield``, and ``None`` parks the
+    poll again.
 
     A parked poll is still pending work: :meth:`Simulator.peek`,
     :meth:`Simulator.pending_summary` and the checkpoint refusals see
-    it at its next grid instant, as they would see its tick.
+    it at its next grid instant, as they would see a polling loop's
+    tick.
 
     An abandoned poll (its waiter detached by an interrupt, or its
     ``check`` dropped when the waiting generator closed) stops without
-    running ``check`` again: a queued tick dispatches once more into
+    running ``check`` again: a queued recheck dispatches once more into
     the void, exactly as a detached :class:`Timeout` fires, and a
     parked one leaves its lists when the waiting frame closes.
     """
@@ -324,14 +318,12 @@ class Poll(Event):
     __slots__ = ("interval", "check", "wakes", "on_skip", "due")
 
     def __init__(self, sim: "Simulator", interval: float,
-                 check: Callable[[], Any],
-                 wakes: Sequence["WakeList"] = (),
+                 check: Callable[[], Any], wakes: Sequence["WakeList"],
                  on_skip: Optional[Callable[[int], Any]] = None):
-        if interval < 0:
-            raise ValueError(f"negative poll interval: {interval}")
-        if wakes and not interval > 0:
-            raise ValueError("a poll that parks needs a positive "
-                             f"interval: {interval}")
+        if not interval > 0:
+            raise ValueError(f"poll interval must be positive: {interval}")
+        if not wakes:
+            raise ValueError("a poll needs at least one wake list")
         self.sim = sim
         self.interval = interval
         self.check = check
@@ -342,11 +334,8 @@ class Poll(Event):
         self._value = None
         self._ok = True
         self._triggered = False
-        self.due = sim._now + interval
-        if self.wakes:
-            self._park()
-        else:
-            self._schedule()
+        self.due = sim.now + interval
+        self._park()
 
     def trigger(self, value: Any = None) -> "Event":
         raise SimulationError("a Poll fires by itself; trigger() is "
@@ -367,24 +356,10 @@ class Poll(Event):
             self._finish(waiter, exc, False)
             return
         if value is None:
-            self.due = self.sim._now + self.interval
-            if self.wakes:
-                self._park()
-            else:
-                self._schedule()
+            self.due = self.sim.now + self.interval
+            self._park()
             return
         self._finish(waiter, value, True)
-
-    def _schedule(self) -> None:
-        """Push the tick at ``due``: on the same-instant lane when that
-        is ``now``, else on the heap."""
-        sim = self.sim
-        when = self.due
-        sim._seq = seq = sim._seq + 1
-        if when == sim._now:
-            sim._lane.append((when, seq, self, _NO_ARGS))
-        else:
-            heappush(sim._queue, (when, seq, self, _NO_ARGS))
 
     def _park(self) -> None:
         """Wait on every wake list, after the polls parked before."""
@@ -404,8 +379,8 @@ class Poll(Event):
         """Step ``due`` past every grid instant before *upto*.
 
         Each instant stepped over is a tick the parked poll skipped;
-        ``on_skip`` hears how many.  The additions are the re-arm's, so
-        ``due`` stays on the grid a polling loop would walk.  Returns
+        ``on_skip`` hears how many.  The additions are a polling loop's,
+        so ``due`` stays on the grid that loop would walk.  Returns
         the last instant stepped over, if any.
         """
         due = self.due
@@ -423,10 +398,17 @@ class Poll(Event):
         return last
 
     def _wake(self) -> None:
-        """Leave the lists and push one recheck at the next grid instant."""
+        """Leave the lists and push one recheck at the next grid instant:
+        on the same-instant lane when that is ``now``, else on the heap."""
         self._unpark()
-        self._settle(self.sim._ticks_over())
-        self._schedule()
+        sim = self.sim
+        self._settle(sim._ticks_over())
+        when = self.due
+        sim._seq = seq = sim._seq + 1
+        if when == sim.now:
+            sim._lane.append((when, seq, self, _NO_ARGS))
+        else:
+            heappush(sim._queue, (when, seq, self, _NO_ARGS))
 
     def _finish(self, waiter: "Process", value: Any, ok: bool) -> None:
         self._triggered = True
@@ -486,7 +468,7 @@ class Process(Event):
         self._waiting_on: Optional[Event] = None
         # Bootstrap: start the generator at the current time.
         sim._seq = seq = sim._seq + 1
-        sim._lane.append((sim._now, seq, self._resume, (None, None)))
+        sim._lane.append((sim.now, seq, self._resume, (None, None)))
 
     @property
     def is_alive(self) -> bool:
@@ -638,7 +620,6 @@ class Simulator:
         #: (read millions of times per simulated second); treat it as
         #: read-only -- only the event loop advances it.
         self.now = 0.0
-        self._now = 0.0
         self._queue: List[tuple] = []
         self._lane: deque = deque()
         self._parked: Dict[Poll, None] = {}
@@ -669,36 +650,36 @@ class Simulator:
         return AnyOf(self, events)
 
     def wait_until(self, interval: float, check: Callable[[], Any],
-                   wake: Sequence["WakeList"] = (),
+                   wake: Sequence["WakeList"],
                    on_skip: Optional[Callable[[int], Any]] = None
                    ) -> Generator:
-        """Wait, polling every *interval* us, until *check()* is not None.
+        """Wait, parked on *wake*, until *check()* is not None.
 
-        Use it as ``value = yield from sim.wait_until(interval, check)``
-        in place of ``while not ready: yield sim.timeout(interval)``.
-        ``check()`` runs once inline; a non-None result returns at once
-        with nothing scheduled.  Otherwise a :class:`Poll` re-runs it
-        on the loop's grid of ticks and resumes this frame only with
-        the first non-None result, which becomes the value of the
-        ``yield from``.  An exception from ``check()`` propagates out
-        of the ``yield from``.
-
-        Without *wake* the poll pushes one entry per failed tick -- the
-        ``(time, seq)`` stream of the timeout loop.  With *wake*, a
-        sequence of :class:`WakeList`, it parks instead and runs
-        ``check()`` only at the first grid instant after a notify: the
-        lists' owners must notify whenever ``check()`` could change
-        its answer.  ``on_skip(n)`` then hears of the *n* ticks each
-        parked stretch stepped over, at the wake and whenever
-        :meth:`settle` counts them, so a per-tick counter the check
-        keeps can add them.
+        Use it as ``value = yield from sim.wait_until(interval, check,
+        wake)`` in place of ``while not ready: yield
+        sim.timeout(interval)`` when the state ``check()`` reads has an
+        owner.  ``check()`` runs once inline; a non-None result returns
+        at once with nothing scheduled.  Otherwise a :class:`Poll`
+        parks on *wake*, a non-empty sequence of :class:`WakeList`, and
+        runs ``check()`` again only at the first instant of the loop's
+        grid after a notify: the lists' owners must notify whenever
+        ``check()`` could change its answer.  The first non-None result
+        resumes this frame and becomes the value of the ``yield from``;
+        an exception from ``check()`` propagates out of the ``yield
+        from``.  ``on_skip(n)`` hears of the *n* ticks each parked
+        stretch stepped over, at the wake and whenever :meth:`settle`
+        counts them, so a per-tick counter the check keeps can add
+        them.
 
         ``check`` must be a pure predicate of model state plus whatever
         per-tick side effects the loop it replaces performed before
         sleeping; it runs outside the waiting generator's frame.  A
         parked wait skips those side effects, so it needs ``on_skip``
-        for any that a skipped tick would have had.
+        for any that a skipped tick would have had.  An empty *wake* is
+        refused with :class:`ValueError`.
         """
+        if not wake:
+            raise ValueError("wait_until needs at least one wake list")
         value = check()
         if value is not None:
             return value
@@ -719,9 +700,9 @@ class Simulator:
         """Run ``fn(*args)`` after *delay* microseconds."""
         if delay < 0:
             raise ValueError(f"negative delay: {delay}")
-        when = self._now + delay
+        when = self.now + delay
         self._seq = seq = self._seq + 1
-        if when == self._now:
+        if when == self.now:
             self._lane.append((when, seq, fn, args))
         else:
             heappush(self._queue, (when, seq, fn, args))
@@ -756,7 +737,7 @@ class Simulator:
             raise SimulationError("simulator is already running")
         queue = self._queue
         lane = self._lane
-        time = self._now
+        time = self.now
         if until is not None and until < time:
             raise SimulationError(
                 f"run(until={until}) is before the current time {time}")
@@ -775,14 +756,14 @@ class Simulator:
                     break
                 time = queue[0][0]
                 if until is not None and time > until:
-                    self.now = self._now = until
+                    self.now = until
                     return until
-                self.now = self._now = time
+                self.now = time
             if until is not None and until > time:
-                self.now = self._now = until
+                self.now = until
         finally:
             self._running = False
-        return self._now
+        return self.now
 
     # -- introspection -------------------------------------------------------
 
@@ -884,7 +865,7 @@ class Simulator:
             raise SimulationError(message)
         if self._running:
             raise SimulationError("cannot snapshot while the loop is running")
-        return {"now": self._now, "seq": self._seq}
+        return {"now": self.now, "seq": self._seq}
 
     def restore_state(self, state: dict) -> None:
         """Restore a :meth:`snapshot_state` checkpoint onto this kernel.
@@ -898,14 +879,14 @@ class Simulator:
             raise SimulationError(
                 "cannot restore into a simulator with scheduled callbacks"
             )
-        self.now = self._now = float(state["now"])
+        self.now = float(state["now"])
         self._seq = int(state["seq"])
 
     def peek(self) -> Optional[float]:
         """Time of the next queued callback or parked poll tick, or None
         if there is neither."""
         if self._lane:
-            return self._now
+            return self.now
         times = [self._queue[0][0]] if self._queue else []
         if self._parked:
             self.settle()
@@ -938,12 +919,12 @@ class Simulator:
             return False
         upto = math.nextafter(until, math.inf)
         lasts = [poll._settle(upto) for poll in self._parked]
-        self.now = self._now = max(
-            [self._now] + [last for last in lasts if last is not None])
+        self.now = max(
+            [self.now] + [last for last in lasts if last is not None])
         return True
 
     def _ticks_over(self) -> float:
         """The instant a parked poll's ticks are over before: ``now``
         inside :meth:`run`, the next float after it between runs."""
-        now = self._now
+        now = self.now
         return now if self._running else math.nextafter(now, math.inf)

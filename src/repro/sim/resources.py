@@ -248,7 +248,7 @@ class Transfer(Event):
         self.nbytes = nbytes
         self.traffic_class = traffic_class
         self.priority = priority
-        self.enqueued_at = sim._now
+        self.enqueued_at = sim.now
         self.started_at: Optional[float] = None
         self.start_event = start_event
 
@@ -272,7 +272,7 @@ class Transfer(Event):
             self._value = self.started_at - self.enqueued_at
             sim = self.sim
             sim._seq = seq = sim._seq + 1
-            sim._lane.append((sim._now, seq, self, ()))
+            sim._lane.append((sim.now, seq, self, ()))
             return
         # Event._dispatch, inlined; a transfer cannot fail.
         waiter = self._waiter
@@ -375,7 +375,7 @@ class Link:
     def _start(self, item: Transfer) -> None:
         self._busy = True
         sim = self.sim
-        start = sim._now
+        start = sim.now
         item.started_at = start
         if item.start_event is not None:
             item.start_event.trigger(start)

@@ -159,22 +159,22 @@ class LiveDynamicSuperblocks:
     def _retire_superblock(self, superblock: int) -> Generator:
         """First-failure path: the FTL rescues the whole superblock.
 
-        A sub-block a relocation erased meanwhile has nothing to move.
+        Each sub-block's ownership wait rechecks on the collector's
+        ``preempt_poll_us`` grid.  A sub-block a relocation erased
+        meanwhile has nothing to move.
         """
         blocks = self.ssd.blocks
         gc = self.ssd.gc
+        sim = self.ssd.sim
         for channel in range(self.geometry.channels):
             block = self.subblock_index(superblock, channel)
             info = blocks.info(block)
-
-            def owned():
+            while True:
                 if info.state == ACTIVE:
                     blocks.close_block(block)
-                if info.state == COLLECTING or info.pending:
-                    return None
-                return info
-
-            yield from self.ssd.sim.wait_until(gc.preempt_poll_us, owned)
+                if info.state != COLLECTING and not info.pending:
+                    break
+                yield sim.timeout(gc.preempt_poll_us)
             if info.state == FULL:
                 yield from gc.evacuate(block)
             if info.state != BAD:

@@ -171,7 +171,7 @@ def test_decoupled_dbuf_credits_conserved():
         procs.append(sim.process(datapath.gc_move(src, dst)))
     sim.run()
     assert all(p.triggered for p in procs)
-    for pool in datapath.dbufs:
+    for pool in datapath.gc_staging:
         assert pool.in_use == 0
 
 

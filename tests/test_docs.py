@@ -19,7 +19,7 @@ STALE_NAMES = re.compile(
     r"|mark_block_programmed|_cancelled|Simulator\.step|TokenPool"
     r"|FlashPlane|_migrate_block|_ftl_migration|aborted_migrations"
     r"|pages_migrated|unclaim|max_valid_fraction|_polls|_handle_failure"
-    r"|_kill_superblock|_key_counter)\b"
+    r"|_kill_superblock|_key_counter|_destination_poll|_DROPPED|_now)\b"
     r"|\bbackend\.(read|program|erase)\b|\.step\(\)|:meth:`step`"
     r"|\.occupy\(")
 

@@ -5,8 +5,12 @@ details print resources by name, in the order the simulator registered
 them (planes, flash buses, system bus, DRAM ports, ...).  A refactor of
 how those resources are wrapped must keep both, so each preset's
 ``(type, name)`` list is pinned here as a short digest.  The digests
-were last re-recorded when the token pools became ``Resource`` objects:
-only those type names changed, with the same names in the same order.
+were re-recorded when the token pools became ``Resource`` objects
+(only those type names changed, with the same names in the same
+order), and the decoupled ones again when their datapath stopped
+registering the unused ``staging0``..``staging7`` pools beside its
+dBUFs (each list lost exactly those eight entries, in the same order
+otherwise).
 """
 
 import hashlib
@@ -20,10 +24,10 @@ from repro.reliability import ReliabilityConfig
 INVENTORY = {
     "baseline": "3e4b3fd7fa159835",
     "bw": "3e4b3fd7fa159835",
-    "dssd": "3939a4269043ae3b",
-    "dssd_b": "cbeceef7e3832b69",
-    "dssd_f": "e6904e57bf75f7ae",
-    "dssd_f+faults": "e6904e57bf75f7ae",
+    "dssd": "caecfc0b21f06c9d",
+    "dssd_b": "be4883c595a586d5",
+    "dssd_f": "70e8642fffbefa9e",
+    "dssd_f+faults": "70e8642fffbefa9e",
 }
 
 
@@ -52,3 +56,14 @@ def test_inventory_starts_with_planes_then_flash_buses():
     assert names[planes:planes + channels + 3] == (
         [f"flash_bus{c}" for c in range(channels)]
         + ["system_bus", "dram_rd", "dram_wr"])
+
+
+@pytest.mark.parametrize("arch", ["dssd", "dssd_b", "dssd_f"])
+def test_decoupled_gc_stages_only_through_dbufs(arch):
+    """One GC staging pool per controller: its dBUF."""
+    ssd = build_ssd(arch)
+    names = [r.name for r in ssd.sim._resources]
+    channels = ssd.config.geometry.channels
+    assert [pool.name for pool in ssd.datapath.gc_staging] == [
+        f"dbuf{c}" for c in range(channels)]
+    assert not [name for name in names if name.startswith("staging")]

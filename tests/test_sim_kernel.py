@@ -314,7 +314,7 @@ def test_callback_after_trigger_still_runs():
 
 
 # ---------------------------------------------------------------------------
-# Simulator.wait_until / Poll: a polling loop without a resume per tick.
+# Simulator.wait_until / Poll: a wait parked on wake lists.
 # ---------------------------------------------------------------------------
 
 def _dispatch_stream(scenario):
@@ -323,70 +323,6 @@ def _dispatch_stream(scenario):
     with record_dispatch(lambda entry: stream.append(entry[:2])):
         result = scenario()
     return stream, result
-
-
-def _polling_scenario(use_poll):
-    """Waiters polling a counter that other processes bump on the same
-    timestamps; each failed tick also spawns a process, so per-tick
-    side effects interleave with the poll's own heap entries."""
-    sim = Simulator()
-    trace = []
-    state = {"count": 0}
-
-    def bumper(period, times):
-        for _ in range(times):
-            yield sim.timeout(period)
-            state["count"] += 1
-            trace.append((sim.now, "bump", state["count"]))
-
-    def blip(name):
-        trace.append((sim.now, "blip", name))
-        return
-        yield  # pragma: no cover - makes this a generator
-
-    def make_check(name, target):
-        def check():
-            if state["count"] >= target:
-                return (name, state["count"])
-            trace.append((sim.now, "miss", name))
-            sim.process(blip(name))
-            return None
-        return check
-
-    def waiter(name, interval, target):
-        check = make_check(name, target)
-        if use_poll:
-            value = yield from sim.wait_until(interval, check)
-        else:
-            value = check()
-            while value is None:
-                yield sim.timeout(interval)
-                value = check()
-        trace.append((sim.now, "done", value))
-        yield sim.timeout(0.25)
-        trace.append((sim.now, "after", name))
-
-    sim.process(bumper(0.5, 12))
-    sim.process(bumper(1.0, 4))
-    sim.process(waiter("a", 0.5, 6))
-    sim.process(waiter("b", 1.0, 9))
-    sim.process(waiter("c", 0.25, 0))    # passes at once
-    sim.run()
-    return trace, sim.now, sim._seq
-
-
-def test_wait_until_matches_timeout_loop_dispatch_stream():
-    timeout_stream, timeout_result = _dispatch_stream(
-        lambda: _polling_scenario(use_poll=False))
-    poll_stream, poll_result = _dispatch_stream(
-        lambda: _polling_scenario(use_poll=True))
-    assert poll_result == timeout_result
-    assert poll_stream == timeout_stream
-    trace = poll_result[0]
-    assert any(entry[1] == "miss" for entry in trace)
-    # Ties: a bump and a poll tick land on the same timestamp.
-    bump_times = {entry[0] for entry in trace if entry[1] == "bump"}
-    assert bump_times & {entry[0] for entry in trace if entry[1] == "miss"}
 
 
 def _wait_every_10us(sim, check, parked, wakes, on_skip=None):
@@ -474,7 +410,7 @@ def test_wait_until_passing_check_schedules_nothing():
         return "ready"
 
     def proc():
-        value = yield from sim.wait_until(10.0, check)
+        value = yield from sim.wait_until(10.0, check, wake=(WakeList(),))
         return value
 
     handle = sim.process(proc())
@@ -486,54 +422,70 @@ def test_wait_until_passing_check_schedules_nothing():
 
 
 def test_wait_until_delivers_check_value():
+    """A notify at t=6 rechecks at the next grid instant, 7.5; the
+    instants 2.5 and 5.0 are skipped."""
     sim = Simulator()
+    wakes = WakeList()
+    state = {"ready": False}
     ticks = []
+    skipped = []
 
     def check():
         ticks.append(sim.now)
-        return {"at": sim.now} if len(ticks) == 4 else None
+        return {"at": sim.now} if state["ready"] else None
 
     def proc():
-        value = yield from sim.wait_until(2.5, check)
+        value = yield from sim.wait_until(2.5, check, wake=(wakes,),
+                                          on_skip=skipped.append)
         return value, sim.now
 
+    def setter():
+        yield sim.timeout(6.0)
+        state["ready"] = True
+        wakes.notify()
+
     handle = sim.process(proc())
+    sim.process(setter())
     sim.run()
-    assert ticks == [0.0, 2.5, 5.0, 7.5]
+    assert ticks == [0.0, 7.5] and skipped == [2]
     assert handle.value == ({"at": 7.5}, 7.5)
 
 
 def test_wait_until_throws_check_error_into_waiter():
     sim = Simulator()
+    wakes = WakeList()
     ticks = []
     caught = []
 
     def check():
         ticks.append(sim.now)
-        if len(ticks) == 3:
+        if len(ticks) == 2:
             raise LookupError("starved")
         return None
 
     def proc():
         try:
-            yield from sim.wait_until(1.0, check)
+            yield from sim.wait_until(1.0, check, wake=(wakes,))
         except LookupError as exc:
             caught.append((sim.now, str(exc)))
 
     handle = sim.process(proc())
+    sim.schedule(1.5, wakes.notify)
     sim.run()
+    assert ticks == [0.0, 2.0]
     assert caught == [(2.0, "starved")]
     assert handle.triggered and sim.now == 2.0
 
 
 def test_interrupted_wait_until_dispatches_once_more_and_stops():
-    """Like a detached timeout: the pending tick still pops, once, and
-    the check never runs again."""
+    """Like a detached timeout: a recheck queued by a notify still
+    pops, once, and the check never runs again."""
     ticks = []
     events = []
 
     def scenario():
         sim = Simulator()
+        wakes = WakeList()
 
         def check():
             ticks.append(sim.now)
@@ -541,7 +493,7 @@ def test_interrupted_wait_until_dispatches_once_more_and_stops():
 
         def victim():
             try:
-                yield from sim.wait_until(10.0, check)
+                yield from sim.wait_until(10.0, check, wake=(wakes,))
             except Interrupt:
                 events.append(("interrupted", sim.now))
 
@@ -549,6 +501,8 @@ def test_interrupted_wait_until_dispatches_once_more_and_stops():
 
         def attacker():
             yield sim.timeout(15.0)
+            wakes.notify()
+            yield sim.timeout(2.0)
             proc.interrupt()
 
         sim.process(attacker())
@@ -556,9 +510,10 @@ def test_interrupted_wait_until_dispatches_once_more_and_stops():
         return sim
 
     stream, sim = _dispatch_stream(scenario)
-    assert ticks == [0.0, 10.0]
-    assert events == [("interrupted", 15.0)]
-    # The tick armed at t=10 for t=20 is the last entry popped.
+    assert ticks == [0.0]
+    assert events == [("interrupted", 17.0)]
+    # The recheck the notify at t=15 queued for t=20 is the last entry
+    # popped.
     assert stream[-1][0] == 20.0
     assert sim.now == 20.0 and sim.peek() is None
 
@@ -670,13 +625,26 @@ def test_poll_rejects_manual_trigger_and_negative_interval():
     from repro.sim import Poll
 
     sim = Simulator()
-    poll = Poll(sim, 1.0, lambda: None)
+    wakes = (WakeList(),)
+    poll = Poll(sim, 1.0, lambda: None, wakes)
     with pytest.raises(SimulationError):
         poll.trigger()
     with pytest.raises(SimulationError):
         poll.fail(RuntimeError())
     with pytest.raises(ValueError):
-        Poll(sim, -1.0, lambda: None)
+        Poll(sim, -1.0, lambda: None, wakes)
+
+
+def test_a_wait_without_wake_lists_is_refused():
+    """A poll always parks, so a wait with nothing to wake it is
+    refused, even when its first check would pass."""
+    from repro.sim import Poll
+
+    sim = Simulator()
+    with pytest.raises(ValueError):
+        Poll(sim, 1.0, lambda: None, ())
+    with pytest.raises(ValueError):
+        next(sim.wait_until(1.0, lambda: "ready", ()))
 
 
 # ---------------------------------------------------------------------------
@@ -850,7 +818,7 @@ def _reference_run(sim, record):
         if not queue:
             return
         entry = heapq.heappop(queue)
-        sim.now = sim._now = entry[0]
+        sim.now = entry[0]
         record(entry)
         entry[2](*entry[3])
 
@@ -910,11 +878,12 @@ def _run_program(programs, big_clock, drive):
                     elif kind == "schedule":
                         sim.schedule(op[1], note, index, "scheduled")
                     elif kind == "poll":
+                        # A polling loop: op[2] failed checks, each
+                        # followed by one tick.
                         ticks = iter(range(op[2]))
-                        value = yield from sim.wait_until(
-                            op[1], lambda: None if next(ticks, None)
-                            is not None else "ready")
-                        note(index, "polled", value)
+                        while next(ticks, None) is not None:
+                            yield sim.timeout(op[1])
+                        note(index, "polled", "ready")
                 except (Interrupt, RuntimeError) as exc:
                     note(index, "caught", type(exc).__name__)
             note(index, "done")
@@ -953,12 +922,14 @@ def test_lane_dispatch_matches_heap_only_reference(programs, big_clock):
 
 
 # ---------------------------------------------------------------------------
-# Polls on the heap: introspection and stops between ticks.
+# Parked polls: introspection and stops between ticks.
 # ---------------------------------------------------------------------------
 
 def _parked_poller(sim, name, interval):
+    """A process whose wait parks for good: nothing notifies its list."""
     def poller():
-        yield from sim.wait_until(interval, lambda: None)
+        yield from sim.wait_until(interval, lambda: None,
+                                  wake=(WakeList(),))
 
     return sim.process(poller(), name=name)
 
@@ -967,9 +938,10 @@ def test_snapshot_refuses_a_parked_poll_and_names_its_waiter():
     sim = Simulator()
     _parked_poller(sim, "poller", 10.0)
     sim.run(until=15.0)
-    assert len(sim._queue) == 1 and not sim._lane
+    assert not sim._queue and not sim._lane and len(sim._parked) == 1
     with pytest.raises(SimulationError,
-                       match="1 callback.*poll resuming process 'poller'"):
+                       match="1 callback.*parked poll resuming process "
+                             "'poller'"):
         sim.snapshot_state()
     with pytest.raises(SimulationError):
         sim.restore_state({"now": 0.0, "seq": 0})
@@ -994,12 +966,14 @@ def test_pending_summary_merges_poll_lane_and_heap_in_order():
     sim.schedule(20.0, late)
     sim.run(until=0.0)
     sim.schedule(10.0, late)
-    assert len(sim._queue) == 6
+    assert len(sim._queue) == 4 and len(sim._parked) == 2
     lines = sim.pending_summary()
+    # A parked poll is listed at its next grid instant, after the
+    # entries due then.
     expected = [("t=5.000us", "early"), ("t=10.000us", "tied"),
-                ("t=10.000us", "poll resuming process 'a'"),
                 ("t=10.000us", "late"),
-                ("t=15.000us", "poll resuming process 'b'"),
+                ("t=10.000us", "parked poll resuming process 'a'"),
+                ("t=15.000us", "parked poll resuming process 'b'"),
                 ("t=20.000us", "late")]
     assert len(lines) == len(expected)
     for line, (time, what) in zip(lines, expected):
@@ -1019,24 +993,27 @@ def test_peek_sees_the_poll_lane_head():
 
 
 def _grid_run(stops):
-    """Dispatch stream of 10 us polls beside a 25 us timeout chain, run
-    with a stop at each of *stops* and then to the end."""
+    """Dispatch stream of waits parked on a 10 us grid beside a 25 us
+    timeout chain that notifies them, run with a stop at each of
+    *stops* and then to the end."""
     stream = []
     with record_dispatch(lambda entry: stream.append(entry[:2])):
         sim = Simulator()
+        wakes = WakeList()
 
         def poller(ticks):
             left = iter(range(ticks))
             yield from sim.wait_until(
                 10.0, lambda: None if next(left, None) is not None
-                else "ready")
+                else "ready", wake=(wakes,))
 
         def chain():
             for _ in range(4):
                 yield sim.timeout(25.0)
+                wakes.notify()
 
-        sim.process(poller(6))
-        sim.process(poller(3))
+        sim.process(poller(4))
+        sim.process(poller(2))
         sim.process(chain())
         for stop in stops:
             assert sim.run(until=stop) == stop

@@ -71,13 +71,17 @@ def test_srt_capacity_limits_endurance():
 
 def test_srt_occupancy_saturates():
     """Paper Fig 16(b): active entries plateau once static superblocks
-    are exhausted."""
+    are exhausted: retirements free entries while remaps keep adding
+    them, so a channel ends with fewer live entries than it inserted."""
     result = run_endurance(policy="recycled", srt_capacity=None, **FAST)
     log = result.srt_occupancy[0]
     assert log, "expected SRT activity"
-    active_counts = [active for _event, active in log]
-    assert max(active_counts) == result.max_active_srt_entries or True
-    assert max(active_counts) < 128 * 4  # bounded well below block count
+    peak = max(active for channel_log in result.srt_occupancy.values()
+               for _event, active in channel_log)
+    assert peak == result.max_active_srt_entries
+    inserts, active = log[-1]
+    assert active < inserts
+    assert peak < 128 * 4  # bounded well below block count
 
 
 def test_zero_sigma_kills_everything_at_once():
