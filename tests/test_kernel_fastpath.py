@@ -53,6 +53,7 @@ from tests.dispatch_recorder import fingerprint
 #: Recorded stream hash per scenario (see the module docstring).
 GOLDEN = {
     "allof_anyof_conditions": "26c7c5a4e36e2edf",
+    "closed_holder_releases": "6e2eddb989689758",
     "condition_failure_paths": "d91aa1d86983cc87",
     "ecc_retry_ladder": "05fe3500ae807fc3",
     "event_trigger_values_and_fail": "9eb5181e1b1eca9f",
@@ -62,7 +63,6 @@ GOLDEN = {
     "gc_destination_stall": "038039d8db615544",
     "gc_page_moves": "2b35af9fdf6cd29e",
     "interrupt_finished_process_is_noop": "1682c4c95c386825",
-    "interrupt_holder_releases": "2ade178f5468be08",
     "interrupt_waiting_process": "682d3cfa3f3d2eb6",
     "late_add_callback_after_dispatch": "d4d3cb2fa8c6d3a6",
     "link_serialization_and_start_events": "4408aad6c33d1de6",
@@ -87,6 +87,7 @@ GOLDEN = {
 #: Recorded end-state hash per scenario (see the module docstring).
 END_GOLDEN = {
     "allof_anyof_conditions": "aca71e862c6f51bb",
+    "closed_holder_releases": "b888578588a5e575",
     "condition_failure_paths": "7d565bb06b02d143",
     "ecc_retry_ladder": "7ed722268e1b930d",
     "event_trigger_values_and_fail": "2067613fba88af48",
@@ -96,7 +97,6 @@ END_GOLDEN = {
     "gc_destination_stall": "28af0b61a941033b",
     "gc_page_moves": "702038e95359e439",
     "interrupt_finished_process_is_noop": "d37e1705fdcf197b",
-    "interrupt_holder_releases": "a9c3fb686918bfec",
     "interrupt_waiting_process": "dfd24947f370c942",
     "late_add_callback_after_dispatch": "fea2b65702768382",
     "link_serialization_and_start_events": "0e0272a9aac656bf",
@@ -323,40 +323,36 @@ def test_interrupt_waiting_process():
 
 
 def test_interrupt_resource_holder_releases_in_finally():
-    """Preemptive-GC pattern: the held slot must not leak on interrupt."""
+    """A holder whose generator is closed mid-hold -- what collecting a
+    finished device does -- returns its unit from ``Resource.hold``'s
+    ``finally``, with the busy time it used, and the contender behind
+    it is granted at once."""
 
     def scenario(sim, trace):
         resource = Resource(sim, capacity=1)
 
         def holder():
-            grant = resource.acquire()
             try:
-                yield grant
-                trace.append((sim.now, "holder-granted"))
-                yield sim.timeout(50.0)
+                yield from resource.hold(50.0)
                 trace.append((sim.now, "holder-finished"))
-            except Interrupt:
-                trace.append((sim.now, "holder-preempted"))
             finally:
-                resource.cancel(grant)
+                trace.append((sim.now, "holder-closed", resource.in_use))
 
         def contender():
             yield sim.timeout(1.0)
-            grant = resource.acquire()
-            yield grant
-            trace.append((sim.now, "contender-granted"))
-            resource.release()
+            waited = yield from resource.hold(5.0)
+            trace.append((sim.now, "contender-done", waited))
+
+        def meters():
+            trace.append((sim.now, "meters", resource.busy_time,
+                          resource.served, resource.in_use))
 
         victim = sim.process(holder())
         sim.process(contender())
+        sim.schedule(10.0, victim.generator.close)
+        sim.schedule(60.0, meters)
 
-        def preemptor():
-            yield sim.timeout(10.0)
-            victim.interrupt()
-
-        sim.process(preemptor())
-
-    assert_golden_scenario("interrupt_holder_releases", scenario)
+    assert_golden_scenario("closed_holder_releases", scenario)
 
 
 def test_interrupt_finished_process_is_noop():

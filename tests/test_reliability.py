@@ -74,15 +74,16 @@ class TestTimeoutSemantics:
 
 
 # ---------------------------------------------------------------------------
-# Interrupt-safe resource holds (the preemptive-GC leak regressions)
+# Holds cut short by a closed generator (the preemptive-GC leak regressions)
 
 
 class TestInterruptResourceSafety:
     def test_ecc_lane_released_on_interrupt_mid_decode(self):
-        """Regression: an interrupted ECC check must not leak its lane.
+        """Regression: a check cut off mid-decode must not leak its lane.
 
-        Pre-fix, interrupting the holder mid-``timeout`` skipped the
-        release and every later check deadlocked on the lost lane.
+        Closing the holder's generator (what collecting a finished
+        device does) runs ``Resource.hold``'s ``finally``; without it
+        the lane stayed held and every later check deadlocked on it.
         """
         sim = Simulator()
         engine = EccEngine(sim, throughput=1000.0, fixed_latency_us=1.0,
@@ -97,10 +98,12 @@ class TestInterruptResourceSafety:
             finished.append(sim.now)
 
         holder = sim.process(victim())
-        sim.schedule(2.0, holder.interrupt)
+        sim.schedule(2.0, holder.generator.close)
         sim.process(observer())
         sim.run()
-        assert finished, "ECC lane leaked: follow-up check never ran"
+        # The lane is free at 2 us; the follow-up decode takes 5.096 us.
+        assert finished == [pytest.approx(7.096)], \
+            "ECC lane leaked: follow-up check never ran"
 
     def test_resource_cancel_of_queued_request(self):
         sim = Simulator()
@@ -126,21 +129,26 @@ class TestInterruptResourceSafety:
         assert again.triggered
 
     def test_multi_unit_grant_returned_on_interrupt(self):
+        """Closing a generator mid-hold unwinds every ``finally`` on its
+        ``yield from`` chain: ``Resource.hold``'s returns its unit, the
+        caller's returns its two-unit grant."""
         sim = Simulator()
-        pool = Resource(sim, capacity=2)
+        pool = Resource(sim, capacity=3)
+        in_use = []
 
         def holder():
             grant = pool.acquire(2)
             try:
                 yield grant
-                yield sim.timeout(100.0)
+                yield from pool.hold(100.0)
             finally:
+                in_use.append(pool.in_use)
                 pool.cancel(grant)
 
         process = sim.process(holder())
-        sim.schedule(5.0, process.interrupt)
+        sim.schedule(5.0, process.generator.close)
         sim.run()
-        assert pool.in_use == 0
+        assert in_use == [2] and pool.in_use == 0
 
     def test_cancel_of_queued_head_unblocks_smaller(self):
         sim = Simulator()
@@ -167,7 +175,7 @@ class TestInterruptResourceSafety:
 
         def queued():
             yield from engine.check(4096)
-            order.append("queued")  # pragma: no cover - interrupted
+            order.append("queued")  # pragma: no cover - closed
 
         def late():
             yield from engine.check(4096)
@@ -175,10 +183,11 @@ class TestInterruptResourceSafety:
 
         sim.process(long_holder())
         waiting = sim.process(queued())
-        sim.schedule(1.0, waiting.interrupt)  # still queued at t=1
+        sim.schedule(1.0, waiting.generator.close)  # still queued at t=1
         sim.schedule(2.0, lambda: sim.process(late()))
         sim.run()
         assert order == ["holder", "late"]
+        assert sim.outstanding_holds() == []
 
 
 class TestKernelInterruptEdges:
@@ -256,7 +265,7 @@ class TestKernelInterruptEdges:
 
 
 # ---------------------------------------------------------------------------
-# ECC utilization accounting under preemption
+# ECC utilization accounting for cut-short decodes
 
 
 class TestEccAccounting:
@@ -269,10 +278,11 @@ class TestEccAccounting:
             yield from engine.check(4096)  # 5.096 us decode
 
         process = sim.process(victim())
-        sim.schedule(2.0, process.interrupt)
+        sim.schedule(2.0, process.generator.close)
         sim.run()
         assert engine.busy_time == pytest.approx(2.0)
         assert engine.pages_checked == 1
+        assert sim.outstanding_holds() == []
 
     def test_interrupt_while_queued_counts_nothing(self):
         sim = Simulator()
@@ -287,10 +297,12 @@ class TestEccAccounting:
 
         sim.process(holder())
         waiting = sim.process(queued())
-        sim.schedule(1.0, waiting.interrupt)
+        sim.schedule(1.0, waiting.generator.close)
         sim.run()
         assert engine.pages_checked == 1  # only the holder's pass
         assert engine.busy_time == pytest.approx(66.536)
+        # The closed check left the queue: no grant is left holding.
+        assert sim.outstanding_holds() == []
 
     def test_uninterrupted_accounting_unchanged(self):
         sim = Simulator()

@@ -478,8 +478,8 @@ def test_wait_until_throws_check_error_into_waiter():
 
 
 def test_interrupted_wait_until_dispatches_once_more_and_stops():
-    """Like a detached timeout: a recheck queued by a notify still
-    pops, once, and the check never runs again."""
+    """A wait closed after a notify queued its recheck: the recheck
+    still pops, once, and the dropped check never runs again."""
     ticks = []
     events = []
 
@@ -494,8 +494,8 @@ def test_interrupted_wait_until_dispatches_once_more_and_stops():
         def victim():
             try:
                 yield from sim.wait_until(10.0, check, wake=(wakes,))
-            except Interrupt:
-                events.append(("interrupted", sim.now))
+            finally:
+                events.append(("closed", sim.now))
 
         proc = sim.process(victim())
 
@@ -503,7 +503,7 @@ def test_interrupted_wait_until_dispatches_once_more_and_stops():
             yield sim.timeout(15.0)
             wakes.notify()
             yield sim.timeout(2.0)
-            proc.interrupt()
+            proc.generator.close()
 
         sim.process(attacker())
         sim.run()
@@ -511,11 +511,11 @@ def test_interrupted_wait_until_dispatches_once_more_and_stops():
 
     stream, sim = _dispatch_stream(scenario)
     assert ticks == [0.0]
-    assert events == [("interrupted", 17.0)]
+    assert events == [("closed", 17.0)]
     # The recheck the notify at t=15 queued for t=20 is the last entry
     # popped.
     assert stream[-1][0] == 20.0
-    assert sim.now == 20.0 and sim.peek() is None
+    assert sim.now == 20.0 and sim.peek() is None and not sim._parked
 
 
 def test_notify_between_runs_on_a_grid_instant_matches_timeout_loop():
@@ -547,21 +547,21 @@ def test_notify_between_runs_on_a_grid_instant_matches_timeout_loop():
 
 def test_parked_wait_counts_skipped_ticks_and_leaves_on_interrupt():
     """A parked wait is pending at its next grid instant; the ticks it
-    skipped are counted when settled; an interrupt takes it off its
-    wake list, so a later notify schedules nothing."""
+    skipped are counted when settled; closing its generator takes it
+    off its wake list, so a later notify schedules nothing."""
     sim = Simulator()
     wakes = WakeList()
     checks = []
     skipped = []
-    caught = []
+    closed = []
 
     def victim():
         try:
             yield from sim.wait_until(
                 10.0, lambda: checks.append(sim.now), wake=(wakes,),
                 on_skip=skipped.append)
-        except Interrupt:
-            caught.append(sim.now)
+        finally:
+            closed.append(sim.now)
 
     proc = sim.process(victim(), name="victim")
     sim.run(until=25.0)
@@ -569,10 +569,10 @@ def test_parked_wait_counts_skipped_ticks_and_leaves_on_interrupt():
     assert sim.pending_summary() == [
         "t=30.000us parked poll resuming process 'victim'"]
     assert checks == [0.0] and skipped == [2]
-    proc.interrupt()
+    proc.generator.close()
     sim.run()
     wakes.notify()
-    assert caught == [25.0] and checks == [0.0] and skipped == [2]
+    assert closed == [25.0] and checks == [0.0] and skipped == [2]
     assert sim.peek() is None and sim.pending_summary() == []
 
 

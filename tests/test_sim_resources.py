@@ -557,8 +557,10 @@ def test_interrupted_hold_settles_busy_time_and_served_count():
     first = sim.process(op(10.0))
     sim.process(op(4.0))
     never = sim.process(op(1.0))
-    sim.schedule(2.0, first.interrupt)
-    sim.schedule(3.0, never.interrupt)
+    # Closing a generator mid-hold, as collecting a finished device
+    # does, runs hold's finally: mid-service for first, queued for never.
+    sim.schedule(2.0, first.generator.close)
+    sim.schedule(3.0, never.generator.close)
     sim.run()
     # first held 2 us, queued then held its full 4 us after waiting 2.
     assert plane.busy_time == pytest.approx(6.0)
