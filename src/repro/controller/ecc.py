@@ -42,7 +42,7 @@ class EccEngine:
 
     @property
     def pages_checked(self) -> int:
-        """Decodes that started service (an interrupted one counts)."""
+        """Decodes that started service (one cut short counts)."""
         return self._lanes.served
 
     @property
@@ -62,7 +62,7 @@ class EccEngine:
         it for escalating soft-decision decode latency.  The lane is held
         through :meth:`~repro.sim.Resource.hold`, so it is returned and
         ``busy_time`` / ``pages_checked`` are settled even when the
-        calling process is preempted mid-decode.
+        calling generator is closed or raising mid-decode.
         """
         if nbytes <= 0:
             raise ConfigError(f"ECC check of {nbytes} bytes")

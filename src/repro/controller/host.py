@@ -70,9 +70,9 @@ class HostInterface:
                 yield self.sim.timeout(self.cmd_latency_us)
             done = True
         finally:
-            # Interrupted while admitting: roll the admission back so the
-            # queue slot (and the submitted/outstanding invariant) is not
-            # leaked.  The caller pairs complete() only with a submit()
+            # Closed or raising while admitting: roll the admission back
+            # so the queue slot (and the submitted/outstanding invariant)
+            # is not leaked.  The caller pairs complete() only with a submit()
             # that returned normally.
             if not done:
                 self._slots.cancel(grant)

@@ -141,9 +141,9 @@ class Ftl:
 
     def _handle(self, request: IoRequest) -> Generator:
         request.issue_time = self.sim.now
-        # host.submit() is itself exception-safe: an interrupt while
-        # waiting for (or settling into) the queue slot rolls the
-        # admission back before the exception reaches this frame.
+        # host.submit() is itself exception-safe: a frame closed or
+        # raising while it waits for (or settles into) the queue slot
+        # rolls the admission back before unwinding into this frame.
         yield from self.host.submit()
         self._stamp += 1
         stamp = self._stamp
@@ -272,8 +272,9 @@ class Ftl:
             # departed -- the update is lost, but nothing was staged
             # here so there is nothing to queue or release.
         finally:
-            # On an interrupt before the page is staged, the reserved
-            # buffer slot would otherwise never be flushed-and-released.
+            # If the frame closes or raises before the page is staged,
+            # the reserved buffer slot would otherwise never be
+            # flushed-and-released.
             if grant is not None and not staged:
                 self.datapath.dram.write_buffer.cancel(grant)
 

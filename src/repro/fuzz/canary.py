@@ -3,7 +3,7 @@
 **Leaked-hold canary** (``REPRO_DSSD_FUZZ_CANARY``): the executor
 installs a wrapper that reproduces the PR-3 bug class on purpose: a
 TRIM of 5+ pages silently steals one host queue slot and never returns
-it -- exactly the kind of interrupt-path leak the checkpoint quiescence
+it -- exactly the kind of early-exit leak the checkpoint quiescence
 guards and the fuzzer's leaked-hold oracle exist to catch.
 ``tests/test_fuzz.py`` asserts the fuzzer discovers this within a
 bounded execution budget and ddmin-shrinks it to a handful of ops; with

@@ -4,7 +4,6 @@ from .kernel import (
     AllOf,
     AnyOf,
     Event,
-    Interrupt,
     Poll,
     Process,
     SimulationError,
@@ -27,7 +26,6 @@ __all__ = [
     "Counter",
     "Event",
     "int_key_pairs",
-    "Interrupt",
     "LatencyStats",
     "Link",
     "pairs_to_int_dict",

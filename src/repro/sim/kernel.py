@@ -26,7 +26,7 @@ The kernel supports:
   (see :meth:`Simulator.wait_until`),
 * :class:`WakeList` -- the polls parked on one piece of model state,
   woken by the state's owner,
-* :class:`Process` -- generator-driven processes (joinable, interruptible),
+* :class:`Process` -- generator-driven processes (joinable),
 * :class:`AllOf` / :class:`AnyOf` -- condition events over several events.
 
 Hot-path design
@@ -87,7 +87,6 @@ __all__ = [
     "Process",
     "AllOf",
     "AnyOf",
-    "Interrupt",
     "Simulator",
     "SimulationError",
 ]
@@ -104,51 +103,31 @@ class SimulationError(RuntimeError):
     """Raised on kernel misuse (double trigger, running a finished sim...)."""
 
 
-class Interrupt(Exception):
-    """Thrown into a process by :meth:`Process.interrupt`.
-
-    The interrupted process receives this exception at its current
-    ``yield`` statement and may catch it to implement preemption (for
-    example, preemptive garbage collection yielding to host I/O).
-    """
-
-    def __init__(self, cause: Any = None):
-        super().__init__(cause)
-        self.cause = cause
-
-
 class Event:
     """A one-shot event that processes can wait on.
 
-    An event starts *untriggered*.  Calling :meth:`trigger` (or
-    :meth:`fail`) marks it triggered, records its value, and schedules its
-    callbacks to run at the current simulation time.  Triggering twice is
-    an error.
+    An event starts *untriggered*.  Calling :meth:`trigger` marks it
+    triggered, records its value, and schedules its callbacks to run at
+    the current simulation time.  Triggering twice is an error.
 
     ``callbacks`` is ``None`` while no callback has been registered (the
     sole direct process waiter lives in the ``_waiter`` slot instead), a
     list once callbacks exist, and an opaque sentinel after dispatch.
     """
 
-    __slots__ = ("sim", "callbacks", "_waiter", "_value", "_ok", "_triggered")
+    __slots__ = ("sim", "callbacks", "_waiter", "_value", "_triggered")
 
     def __init__(self, sim: "Simulator"):
         self.sim = sim
         self.callbacks = None
         self._waiter: Optional["Process"] = None
         self._value: Any = None
-        self._ok = True
         self._triggered = False
 
     @property
     def triggered(self) -> bool:
-        """Whether the event has fired (successfully or not)."""
+        """Whether the event has fired."""
         return self._triggered
-
-    @property
-    def ok(self) -> bool:
-        """True if the event fired successfully (not via :meth:`fail`)."""
-        return self._triggered and self._ok
 
     @property
     def value(self) -> Any:
@@ -158,23 +137,11 @@ class Event:
         return self._value
 
     def trigger(self, value: Any = None) -> "Event":
-        """Fire the event successfully, delivering *value* to waiters."""
+        """Fire the event, delivering *value* to waiters."""
         if self._triggered:
             raise SimulationError("event triggered twice")
         self._triggered = True
         self._value = value
-        sim = self.sim
-        sim._seq = seq = sim._seq + 1
-        sim._lane.append((sim.now, seq, self, _NO_ARGS))
-        return self
-
-    def fail(self, exception: BaseException) -> "Event":
-        """Fire the event as a failure; waiters receive *exception*."""
-        if self._triggered:
-            raise SimulationError("event triggered twice")
-        self._triggered = True
-        self._ok = False
-        self._value = exception
         sim = self.sim
         sim._seq = seq = sim._seq + 1
         sim._lane.append((sim.now, seq, self, _NO_ARGS))
@@ -202,24 +169,13 @@ class Event:
         if cbs is not None and cbs is not _DISPATCHED and fn in cbs:
             cbs.remove(fn)
 
-    def _detach_process(self, process: "Process") -> None:
-        """Unhook *process* however it is waiting (direct slot or list)."""
-        if self._waiter is process:
-            self._waiter = None
-        else:
-            self.remove_callback(process._on_event)
-
     def _dispatch(self) -> None:
         waiter = self._waiter
         callbacks = self.callbacks
         self.callbacks = _DISPATCHED
         if waiter is not None:
             self._waiter = None
-            waiter._waiting_on = None
-            if self._ok:
-                waiter._resume(self._value, None)
-            else:
-                waiter._resume(None, self._value)
+            waiter._resume(self._value, None)
         if callbacks:
             for fn in callbacks:
                 fn(self)
@@ -232,9 +188,9 @@ class Timeout(Event):
     """An event that fires ``delay`` microseconds after creation.
 
     Unlike a plain :class:`Event`, a timeout is armed at construction and
-    triggers itself when the delay elapses: ``triggered``/``ok``/``value``
-    stay False/False/unreadable until the scheduled dispatch actually
-    runs, and manual :meth:`trigger`/:meth:`fail` are rejected.
+    triggers itself when the delay elapses: ``triggered``/``value`` stay
+    False/unreadable until the scheduled dispatch actually runs, and a
+    manual :meth:`trigger` is rejected.
     """
 
     __slots__ = ("delay",)
@@ -249,7 +205,6 @@ class Timeout(Event):
         self.callbacks = None
         self._waiter = None
         self._value = value
-        self._ok = True
         self._triggered = False
         now = sim.now
         when = now + delay
@@ -263,19 +218,13 @@ class Timeout(Event):
         raise SimulationError("a Timeout fires by itself; trigger() is "
                               "not allowed")
 
-    def fail(self, exception: BaseException) -> "Event":
-        raise SimulationError("a Timeout fires by itself; fail() is "
-                              "not allowed")
-
     def _dispatch(self) -> None:
         self._triggered = True
         waiter = self._waiter
         callbacks = self.callbacks
         self.callbacks = _DISPATCHED
         if waiter is not None:
-            # Timeouts cannot fail, so the ok-branch is resolved statically.
             self._waiter = None
-            waiter._waiting_on = None
             waiter._resume(self._value, None)
         if callbacks:
             for fn in callbacks:
@@ -308,11 +257,9 @@ class Poll(Event):
     it at its next grid instant, as they would see a polling loop's
     tick.
 
-    An abandoned poll (its waiter detached by an interrupt, or its
-    ``check`` dropped when the waiting generator closed) stops without
-    running ``check`` again: a queued recheck dispatches once more into
-    the void, exactly as a detached :class:`Timeout` fires, and a
-    parked one leaves its lists when the waiting frame closes.
+    A poll whose waiting generator closed has dropped its ``check`` and
+    stops without running it again: a parked one has left its lists,
+    and a queued recheck dispatches once more and returns.
     """
 
     __slots__ = ("interval", "check", "wakes", "on_skip", "due")
@@ -332,7 +279,6 @@ class Poll(Event):
         self.callbacks = None
         self._waiter = None
         self._value = None
-        self._ok = True
         self._triggered = False
         self.due = sim.now + interval
         self._park()
@@ -341,25 +287,20 @@ class Poll(Event):
         raise SimulationError("a Poll fires by itself; trigger() is "
                               "not allowed")
 
-    def fail(self, exception: BaseException) -> "Event":
-        raise SimulationError("a Poll fires by itself; fail() is "
-                              "not allowed")
-
     def _dispatch(self) -> None:
-        waiter = self._waiter
         check = self.check
-        if waiter is None or check is None:
+        if check is None:
             return
         try:
             value = check()
         except Exception as exc:
-            self._finish(waiter, exc, False)
+            self._finish(None, exc)
             return
         if value is None:
             self.due = self.sim.now + self.interval
             self._park()
             return
-        self._finish(waiter, value, True)
+        self._finish(value, None)
 
     def _park(self) -> None:
         """Wait on every wake list, after the polls parked before."""
@@ -410,17 +351,14 @@ class Poll(Event):
         else:
             heappush(sim._queue, (when, seq, self, _NO_ARGS))
 
-    def _finish(self, waiter: "Process", value: Any, ok: bool) -> None:
+    def _finish(self, value: Any, exc: Optional[Exception]) -> None:
+        """Fire with *value*, or throw *exc* into the waiter."""
         self._triggered = True
-        self._ok = ok
         self._value = value
         self.callbacks = _DISPATCHED
+        waiter = self._waiter
         self._waiter = None
-        waiter._waiting_on = None
-        if ok:
-            waiter._resume(value, None)
-        else:
-            waiter._resume(None, value)
+        waiter._resume(value, exc)
 
     __call__ = _dispatch
 
@@ -459,13 +397,12 @@ class Process(Event):
     may ``yield`` a process to join it.
     """
 
-    __slots__ = ("generator", "_waiting_on", "name")
+    __slots__ = ("generator", "name")
 
     def __init__(self, sim: "Simulator", generator: Generator, name: str = ""):
         super().__init__(sim)
         self.generator = generator
         self.name = name or getattr(generator, "__name__", "process")
-        self._waiting_on: Optional[Event] = None
         # Bootstrap: start the generator at the current time.
         sim._seq = seq = sim._seq + 1
         sim._lane.append((sim.now, seq, self._resume, (None, None)))
@@ -475,33 +412,12 @@ class Process(Event):
         """True while the generator has not finished."""
         return not self._triggered
 
-    def interrupt(self, cause: Any = None) -> None:
-        """Throw :class:`Interrupt` into the process at the current time.
-
-        Interrupting a finished process is a no-op.  The event the process
-        was waiting on is detached so that its later trigger does not
-        resume the process twice.
-        """
-        if self._triggered:
-            return
-        target = self._waiting_on
-        if target is not None:
-            target._detach_process(self)
-            self._waiting_on = None
-        self.sim.schedule(0.0, self._resume, None, Interrupt(cause))
-
     # -- generator driving ------------------------------------------------
 
     def _on_event(self, event: Event) -> None:
-        self._waiting_on = None
-        if event.ok:
-            self._resume(event.value, None)
-        else:
-            self._resume(None, event.value)
+        self._resume(event._value, None)
 
     def _resume(self, value: Any, exc: Optional[BaseException]) -> None:
-        if self._triggered:
-            return
         try:
             if exc is None:
                 target = self.generator.send(value)
@@ -510,11 +426,6 @@ class Process(Event):
         except StopIteration as stop:
             self.trigger(stop.value)
             return
-        except Interrupt:
-            # Interrupt escaped the generator: treat as normal termination.
-            self.trigger(None)
-            return
-        self._waiting_on = target
         try:
             if target.callbacks is None and target._waiter is None:
                 # Direct resume: sole waiter, no list, no _on_event hop.
@@ -522,7 +433,6 @@ class Process(Event):
             else:
                 target.add_callback(self._on_event)
         except AttributeError:
-            self._waiting_on = None
             if not isinstance(target, Event):
                 raise SimulationError(
                     f"process {self.name!r} yielded {target!r}; processes "
@@ -535,9 +445,8 @@ class AllOf(Event):
     """Fires when every event in *events* has fired.
 
     The value is the list of the individual event values in input order.
-    An empty list fires immediately.  When one child fails, the condition
-    fails and detaches itself from the remaining children so long-lived
-    events do not accumulate dead waiter references.
+    An empty list fires immediately.  Each child fires once, so the
+    condition fires once, when the last one does.
     """
 
     __slots__ = ("_pending", "_events")
@@ -553,21 +462,9 @@ class AllOf(Event):
             event.add_callback(self._on_child)
 
     def _on_child(self, event: Event) -> None:
-        if self._triggered:
-            return
-        if not event.ok:
-            self.fail(event.value)
-            self._detach_from(event)
-            return
         self._pending -= 1
         if self._pending == 0:
             self.trigger([e.value for e in self._events])
-
-    def _detach_from(self, fired: Event) -> None:
-        on_child = self._on_child
-        for other in self._events:
-            if other is not fired:
-                other.remove_callback(on_child)
 
 
 class AnyOf(Event):
@@ -591,10 +488,7 @@ class AnyOf(Event):
     def _on_child(self, event: Event) -> None:
         if self._triggered:
             return
-        if not event.ok:
-            self.fail(event.value)
-        else:
-            self.trigger((event, event.value))
+        self.trigger((event, event.value))
         on_child = self._on_child
         for other in self._events:
             if other is not event:
@@ -688,7 +582,7 @@ class Simulator:
             return (yield poll)
         finally:
             # Drop the closure and leave the wake lists when this frame
-            # closes (interrupt, error, or a finished simulator being
+            # closes (a raising check, or a finished simulator being
             # collected), so a poll left behind holds no reference into
             # the model.
             poll.check = None

@@ -141,9 +141,9 @@ class Resource:
     def cancel(self, grant: Event) -> None:
         """Abandon a request, whether or not it has been granted yet.
 
-        The exception-safety primitive: a holder interrupted between
-        :meth:`acquire` and :meth:`release` calls this from a
-        ``finally``.  If the grant already fired, its units (the grant
+        The exception-safety primitive: a holder whose generator is
+        closed, or raises, between :meth:`acquire` and :meth:`release`
+        calls this from a ``finally``.  If the grant already fired, its units (the grant
         value) are returned; if it is still queued it leaves the queue
         at once, so its units are never handed out and a repeated
         cancel finds nothing to remove.  Removing the head of the queue
@@ -175,10 +175,10 @@ class Resource:
              owner: str = "") -> Generator:
         """Generator: hold one unit for *duration*; returns the wait.
 
-        Interrupt-safe: the unit is returned, and the busy time actually
-        consumed and the started-service count are settled, in a
-        ``finally``, so a process preempted mid-hold leaks nothing and
-        the meters do not under-report.
+        The unit is returned, and the busy time actually consumed and
+        the started-service count are settled, in a ``finally``, so a
+        hold whose generator is closed or raising mid-hold leaks
+        nothing and the meters do not under-report.
         """
         sim = self.sim
         requested = sim.now
@@ -223,8 +223,8 @@ class Transfer(Event):
     """A pending or in-flight transfer on a :class:`Link`.
 
     The transfer is its own completion event: it fires by itself, with
-    the queueing delay (``started_at - enqueued_at``) as its value, so
-    manual :meth:`trigger`/:meth:`fail` are rejected.  The link pushes
+    the queueing delay (``started_at - enqueued_at``) as its value, so a
+    manual :meth:`trigger` is rejected.  The link pushes
     it as its completion entry; that first dispatch finishes the link's
     work and triggers the transfer, whose second dispatch resumes the
     waiter and runs the callbacks like any event's.
@@ -242,7 +242,6 @@ class Transfer(Event):
         self.callbacks = None
         self._waiter = None
         self._value = None
-        self._ok = True
         self._triggered = False
         self.link = link
         self.nbytes = nbytes
@@ -254,10 +253,6 @@ class Transfer(Event):
 
     def trigger(self, value: Any = None) -> Event:
         raise SimulationError("a Transfer fires by itself; trigger() is "
-                              "not allowed")
-
-    def fail(self, exception: BaseException) -> Event:
-        raise SimulationError("a Transfer fires by itself; fail() is "
                               "not allowed")
 
     def _dispatch(self) -> None:
@@ -274,13 +269,12 @@ class Transfer(Event):
             sim._seq = seq = sim._seq + 1
             sim._lane.append((sim.now, seq, self, ()))
             return
-        # Event._dispatch, inlined; a transfer cannot fail.
+        # Event._dispatch, inlined.
         waiter = self._waiter
         callbacks = self.callbacks
         self.callbacks = _DISPATCHED
         if waiter is not None:
             self._waiter = None
-            waiter._waiting_on = None
             waiter._resume(self._value, None)
         if callbacks:
             for fn in callbacks:

@@ -19,7 +19,8 @@ STALE_NAMES = re.compile(
     r"|mark_block_programmed|_cancelled|Simulator\.step|TokenPool"
     r"|FlashPlane|_migrate_block|_ftl_migration|aborted_migrations"
     r"|pages_migrated|unclaim|max_valid_fraction|_polls|_handle_failure"
-    r"|_kill_superblock|_key_counter|_destination_poll|_DROPPED|_now)\b"
+    r"|_kill_superblock|_key_counter|_destination_poll|_DROPPED|_now"
+    r"|_waiting_on|_detach_process|_detach_from|Interrupt)\b"
     r"|\bbackend\.(read|program|erase)\b|\.step\(\)|:meth:`step`"
     r"|\.occupy\(")
 

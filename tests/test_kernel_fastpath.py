@@ -46,7 +46,7 @@ from repro.flash import FlashBackend, FlashGeometry
 from repro.flash.timing import ULL_TIMING
 from repro.flash.geometry import PhysAddr
 from repro.reliability import FaultInjector, ReliabilityConfig
-from repro.sim import Interrupt, Link, Resource, Simulator, Store
+from repro.sim import Link, Resource, Simulator, Store
 from repro.sim.kernel import SimulationError
 from tests.dispatch_recorder import fingerprint
 
@@ -54,16 +54,12 @@ from tests.dispatch_recorder import fingerprint
 GOLDEN = {
     "allof_anyof_conditions": "26c7c5a4e36e2edf",
     "closed_holder_releases": "6e2eddb989689758",
-    "condition_failure_paths": "d91aa1d86983cc87",
     "ecc_retry_ladder": "05fe3500ae807fc3",
-    "event_trigger_values_and_fail": "9eb5181e1b1eca9f",
     "fault_injection_retry_semantics": "77417c3a63d9a2c8",
     "gc_copybacks_dedicated_bus": "017b5b65c50a5346",
     "gc_copybacks_fnoc": "1a1cdf5a4af7eb5d",
     "gc_destination_stall": "038039d8db615544",
     "gc_page_moves": "2b35af9fdf6cd29e",
-    "interrupt_finished_process_is_noop": "1682c4c95c386825",
-    "interrupt_waiting_process": "682d3cfa3f3d2eb6",
     "late_add_callback_after_dispatch": "d4d3cb2fa8c6d3a6",
     "link_serialization_and_start_events": "4408aad6c33d1de6",
     "midop_blocking": "1707a6a35b4a8c8a",
@@ -88,16 +84,12 @@ GOLDEN = {
 END_GOLDEN = {
     "allof_anyof_conditions": "aca71e862c6f51bb",
     "closed_holder_releases": "b888578588a5e575",
-    "condition_failure_paths": "7d565bb06b02d143",
     "ecc_retry_ladder": "7ed722268e1b930d",
-    "event_trigger_values_and_fail": "2067613fba88af48",
     "fault_injection_retry_semantics": "74c391f738186cf3",
     "gc_copybacks_dedicated_bus": "a6df4d05cc98a54a",
     "gc_copybacks_fnoc": "157a513eb0472768",
     "gc_destination_stall": "28af0b61a941033b",
     "gc_page_moves": "702038e95359e439",
-    "interrupt_finished_process_is_noop": "d37e1705fdcf197b",
-    "interrupt_waiting_process": "dfd24947f370c942",
     "late_add_callback_after_dispatch": "fea2b65702768382",
     "link_serialization_and_start_events": "0e0272a9aac656bf",
     "midop_blocking": "f2c137ac0deed064",
@@ -157,31 +149,6 @@ def test_timeout_tie_ordering():
             sim.process(worker(f"w{index}", 0.5 * (1 + index % 3), 20))
 
     assert_golden_scenario("timeout_tie_ordering", scenario)
-
-
-def test_event_trigger_values_and_fail():
-    def scenario(sim, trace):
-        evt = sim.event()
-        boom = sim.event()
-
-        def waiter(name, event):
-            try:
-                value = yield event
-                trace.append((sim.now, name, "ok", value))
-            except RuntimeError as exc:
-                trace.append((sim.now, name, "err", str(exc)))
-
-        def firer():
-            yield sim.timeout(1.0)
-            evt.trigger("payload")
-            yield sim.timeout(1.0)
-            boom.fail(RuntimeError("deliberate"))
-
-        sim.process(waiter("a", evt))
-        sim.process(waiter("b", boom))
-        sim.process(firer())
-
-    assert_golden_scenario("event_trigger_values_and_fail", scenario)
 
 
 def test_multiple_waiters_one_event():
@@ -267,60 +234,9 @@ def test_allof_anyof_conditions():
     assert_golden_scenario("allof_anyof_conditions", scenario)
 
 
-def test_condition_failure_paths():
-    def scenario(sim, trace):
-        doomed = sim.event()
-
-        def ok(delay):
-            yield sim.timeout(delay)
-            return delay
-
-        def firer():
-            yield sim.timeout(2.0)
-            doomed.fail(RuntimeError("child failed"))
-
-        def coordinator():
-            survivor = sim.process(ok(3.0))
-            events = [sim.process(ok(1.0)), doomed, survivor]
-            try:
-                yield sim.all_of(events)
-            except RuntimeError as exc:
-                trace.append((sim.now, "allof-failed", str(exc)))
-            # Let the survivor finish so the kernel drains completely.
-            yield survivor
-            trace.append((sim.now, "survivor-done"))
-
-        sim.process(firer())
-        sim.process(coordinator())
-
-    assert_golden_scenario("condition_failure_paths", scenario)
-
-
 # ---------------------------------------------------------------------------
-# Interrupt / preemption semantics.
+# Leaving a wait early: a closed generator.
 # ---------------------------------------------------------------------------
-
-def test_interrupt_waiting_process():
-    def scenario(sim, trace):
-        def sleeper():
-            try:
-                yield sim.timeout(100.0)
-                trace.append((sim.now, "slept"))
-            except Interrupt as intr:
-                trace.append((sim.now, "interrupted", intr.cause))
-                yield sim.timeout(1.0)
-                trace.append((sim.now, "recovered"))
-
-        victim = sim.process(sleeper())
-
-        def gc_like():
-            yield sim.timeout(5.0)
-            victim.interrupt("preempt")
-
-        sim.process(gc_like())
-
-    assert_golden_scenario("interrupt_waiting_process", scenario)
-
 
 def test_interrupt_resource_holder_releases_in_finally():
     """A holder whose generator is closed mid-hold -- what collecting a
@@ -353,25 +269,6 @@ def test_interrupt_resource_holder_releases_in_finally():
         sim.schedule(60.0, meters)
 
     assert_golden_scenario("closed_holder_releases", scenario)
-
-
-def test_interrupt_finished_process_is_noop():
-    def scenario(sim, trace):
-        def quick():
-            yield sim.timeout(1.0)
-            return "done"
-
-        proc = sim.process(quick())
-
-        def late_interrupter():
-            yield sim.timeout(5.0)
-            proc.interrupt("too late")
-            value = yield proc
-            trace.append((sim.now, "joined", value))
-
-        sim.process(late_interrupter())
-
-    assert_golden_scenario("interrupt_finished_process_is_noop", scenario)
 
 
 def test_fault_injection_retry_semantics():

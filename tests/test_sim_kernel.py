@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.fuzz.executor import _drain_until
-from repro.sim import Interrupt, SimulationError, Simulator, WakeList
+from repro.sim import SimulationError, Simulator, WakeList
 from tests.dispatch_recorder import record_dispatch
 
 
@@ -140,81 +140,6 @@ def test_any_of_fires_on_first():
     assert sim.now == 10.0  # the slow timeout still drains
 
 
-def test_interrupt_delivers_cause():
-    sim = Simulator()
-    caught = []
-
-    def victim(sim):
-        try:
-            yield sim.timeout(100.0)
-        except Interrupt as interrupt:
-            caught.append((sim.now, interrupt.cause))
-
-    def attacker(sim, victim_proc):
-        yield sim.timeout(4.0)
-        victim_proc.interrupt("preempt")
-
-    proc = sim.process(victim(sim))
-    sim.process(attacker(sim, proc))
-    sim.run()
-    assert caught == [(4.0, "preempt")]
-
-
-def test_interrupt_detaches_waited_event():
-    """The original timeout firing later must not resume the process."""
-    sim = Simulator()
-    resumptions = []
-
-    def victim(sim):
-        try:
-            yield sim.timeout(100.0)
-            resumptions.append("timeout")
-        except Interrupt:
-            resumptions.append("interrupt")
-            yield sim.timeout(500.0)
-            resumptions.append("after-sleep")
-
-    proc = sim.process(victim(sim))
-
-    def attacker(sim):
-        yield sim.timeout(1.0)
-        proc.interrupt()
-
-    sim.process(attacker(sim))
-    sim.run()
-    assert resumptions == ["interrupt", "after-sleep"]
-
-
-def test_interrupt_finished_process_is_noop():
-    sim = Simulator()
-
-    def quick(sim):
-        yield sim.timeout(1.0)
-
-    proc = sim.process(quick(sim))
-    sim.run()
-    proc.interrupt()  # must not raise
-    sim.run()
-
-
-def test_uncaught_interrupt_terminates_process():
-    sim = Simulator()
-
-    def victim(sim):
-        yield sim.timeout(100.0)
-
-    proc = sim.process(victim(sim))
-
-    def attacker(sim):
-        yield sim.timeout(2.0)
-        proc.interrupt()
-
-    sim.process(attacker(sim))
-    sim.run()
-    assert proc.triggered
-    assert not proc.is_alive
-
-
 def test_run_until_stops_clock():
     sim = Simulator()
 
@@ -283,23 +208,6 @@ def test_run_until_peek_dispatches_one_instant():
     assert sim.run(until=sim.peek()) == 7.0
     assert seen == ["a", "b", "c"] and sim.peek() is None
     assert sim.run() == 7.0
-
-
-def test_failed_event_propagates_into_process():
-    sim = Simulator()
-    caught = []
-
-    def waiter(sim, evt):
-        try:
-            yield evt
-        except RuntimeError as exc:
-            caught.append(str(exc))
-
-    evt = sim.event()
-    sim.process(waiter(sim, evt))
-    sim.schedule(1.0, lambda: evt.fail(RuntimeError("boom")))
-    sim.run()
-    assert caught == ["boom"]
 
 
 def test_callback_after_trigger_still_runs():
@@ -629,8 +537,6 @@ def test_poll_rejects_manual_trigger_and_negative_interval():
     poll = Poll(sim, 1.0, lambda: None, wakes)
     with pytest.raises(SimulationError):
         poll.trigger()
-    with pytest.raises(SimulationError):
-        poll.fail(RuntimeError())
     with pytest.raises(ValueError):
         Poll(sim, -1.0, lambda: None, wakes)
 
@@ -797,11 +703,9 @@ _SLOT = st.integers(0, 2)
 _OP = st.one_of(
     st.tuples(st.just("timeout"), _DELAYS),
     st.tuples(st.just("trigger"), _SLOT),
-    st.tuples(st.just("fail"), _SLOT),
     st.tuples(st.just("wait"), _SLOT),
     st.tuples(st.just("late_callback"), _SLOT),
     st.tuples(st.just("spawn"), st.integers(0, 3)),
-    st.tuples(st.just("interrupt"), st.integers(0, 7)),
     st.tuples(st.just("schedule"), _DELAYS),
     st.tuples(st.just("poll"), _DELAYS, st.integers(1, 3)),
 )
@@ -852,40 +756,30 @@ def _run_program(programs, big_clock, drive):
         def actor(index, ops):
             for op in ops:
                 kind = op[0]
-                try:
-                    if kind == "timeout":
+                if kind == "timeout":
+                    yield sim.timeout(op[1])
+                elif kind == "trigger":
+                    event = slots[op[1]]
+                    if not event.triggered:
+                        event.trigger(index)
+                elif kind == "wait":
+                    value = yield slots[op[1]]
+                    note(index, "woke", value)
+                elif kind == "late_callback":
+                    slots[op[1]].add_callback(
+                        lambda event, i=index: note(i, "callback"))
+                elif kind == "spawn" and budget[0] > 0:
+                    budget[0] -= 1
+                    spawn(op[1])
+                elif kind == "schedule":
+                    sim.schedule(op[1], note, index, "scheduled")
+                elif kind == "poll":
+                    # A polling loop: op[2] failed checks, each
+                    # followed by one tick.
+                    ticks = iter(range(op[2]))
+                    while next(ticks, None) is not None:
                         yield sim.timeout(op[1])
-                    elif kind in ("trigger", "fail"):
-                        event = slots[op[1]]
-                        if not event.triggered:
-                            if kind == "trigger":
-                                event.trigger(index)
-                            else:
-                                event.fail(RuntimeError(index))
-                    elif kind == "wait":
-                        value = yield slots[op[1]]
-                        note(index, "woke", value)
-                    elif kind == "late_callback":
-                        slots[op[1]].add_callback(
-                            lambda event, i=index: note(i, "callback"))
-                    elif kind == "spawn" and budget[0] > 0:
-                        budget[0] -= 1
-                        spawn(op[1])
-                    elif kind == "interrupt" and procs:
-                        target = procs[op[1] % len(procs)]
-                        if target is not procs[index]:
-                            target.interrupt(index)
-                    elif kind == "schedule":
-                        sim.schedule(op[1], note, index, "scheduled")
-                    elif kind == "poll":
-                        # A polling loop: op[2] failed checks, each
-                        # followed by one tick.
-                        ticks = iter(range(op[2]))
-                        while next(ticks, None) is not None:
-                            yield sim.timeout(op[1])
-                        note(index, "polled", "ready")
-                except (Interrupt, RuntimeError) as exc:
-                    note(index, "caught", type(exc).__name__)
+                    note(index, "polled", "ready")
             note(index, "done")
 
         def spawn(program):

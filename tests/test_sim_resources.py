@@ -196,8 +196,6 @@ def test_transfer_fires_by_itself():
     for transfer in (first, queued):
         with pytest.raises(SimulationError, match="fires by itself"):
             transfer.trigger()
-        with pytest.raises(SimulationError, match="fires by itself"):
-            transfer.fail(RuntimeError("boom"))
     sim.run()
     assert (first.value, queued.value, sim.now) == (0.0, 1.0, 2.0)
     with pytest.raises(SimulationError, match="fires by itself"):
