@@ -143,11 +143,11 @@ class Resource:
 
         The exception-safety primitive: a holder whose generator is
         closed, or raises, between :meth:`acquire` and :meth:`release`
-        calls this from a ``finally``.  If the grant already fired, its units (the grant
-        value) are returned; if it is still queued it leaves the queue
-        at once, so its units are never handed out and a repeated
-        cancel finds nothing to remove.  Removing the head of the queue
-        may let smaller requests behind it in.  A granted request
+        calls this from a ``finally``.  If the grant already fired, its
+        units (the grant value) are returned; if it is still queued it
+        leaves the queue at once, so its units are never handed out and
+        a repeated cancel finds nothing to remove.  Removing the head of
+        the queue may let smaller requests behind it in.  A granted request
         returns its units once: the grant's value drops to 0 then, and
         a second cancel raises ``RuntimeError`` with nothing changed,
         rather than returning units another holder owns.

@@ -6,8 +6,7 @@ Every scenario here is pinned to two recorded hashes (see
 * :data:`GOLDEN`, the *stream* hash: the ``(time, seq)`` key of every
   entry the kernel dispatches, off its heap or its same-instant lane,
   in dispatch order.  Same event orderings, same ``sim.now`` traces,
-  same interrupt and preemption semantics, same sequence-counter
-  advance.
+  same early exits from a wait, same sequence-counter advance.
 * :data:`END_GOLDEN`, the *end-state* hash: the ``repr`` of what the
   scenario reports when it ends -- its trace and clock, and for a
   device the I/O, GC and stall counters -- without the sequence
@@ -402,7 +401,7 @@ def test_yield_non_event_raises():
 # settle must hold when the case is anything but common:
 # operations blocking mid-op on busy planes/links, the wear model's
 # read-retry passes, real GC page moves and copybacks, and preemptive GC
-# interrupting in-flight page moves.
+# waiting for host I/O to go quiet before each chunk of page moves.
 #
 # The hook scenarios attach the reliability stack (RBER sampling, the
 # ECC ladder, copy error tracking), the wear read-retry model on an
